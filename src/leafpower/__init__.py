@@ -6,7 +6,12 @@ graph family with its rooted-path and exponential-radius ball models,
 k-leaf-root verification and conversion, a brute-force leaf-rank search, an
 exact-rational LP certificate for leaf powers, and the machine audit of the
 exponential lower bound.
+
+``__all__`` is every name imported below; the submodules themselves are left
+out.
 """
+
+from types import ModuleType as _ModuleType
 
 from .audit import (
     AuditReport,
@@ -15,9 +20,8 @@ from .audit import (
     check_increasing,
     check_median_cover,
     check_order,
-    failed_model_dump,
     lower_bound_certificate,
-    report_to_json,
+    report_to_json_obj,
     report_to_text,
 )
 from .certify import (
@@ -31,8 +35,8 @@ from .certify import (
     system_to_lp_text,
     verify_weighted_leafroot,
     weighted_distance,
-    weighted_leafroot_from_json,
-    weighted_leafroot_to_json,
+    weighted_leafroot_from_json_obj,
+    weighted_leafroot_to_json_obj,
 )
 from .enumtrees import (
     leaf_orbit_representatives,
@@ -45,9 +49,9 @@ from .graphs import (
     Clique,
     Graph,
     components,
-    graph_from_json,
+    graph_from_json_obj,
     graph_to_dot,
-    graph_to_json,
+    graph_to_json_obj,
     induced_subgraph,
     is_chordal,
     is_cluster_graph,
@@ -56,6 +60,7 @@ from .graphs import (
     normalize_edge,
     perfect_elimination_ordering,
 )
+from .jsonio import dumps
 from .models import (
     RSModel,
     SubtreeModel,
@@ -64,13 +69,13 @@ from .models import (
     clique_tree_model,
     cover,
     expand_rs,
-    rs_model_from_json,
+    rs_model_from_json_obj,
     rs_model_to_dot,
-    rs_model_to_json,
+    rs_model_to_json_obj,
     rs_model_violations,
-    subtree_model_from_json,
+    subtree_model_from_json_obj,
     subtree_model_to_dot,
-    subtree_model_to_json,
+    subtree_model_to_json_obj,
     subtree_model_violations,
     verify_rs_model,
     verify_subtree_model,
@@ -88,9 +93,9 @@ from .roots import (
     LeafRoot,
     brute_force_leaf_rank,
     leaf_power_graph,
-    leafroot_from_json,
+    leafroot_from_json_obj,
     leafroot_to_dot,
-    leafroot_to_json,
+    leafroot_to_json_obj,
     leafroot_to_rs,
     rs_to_leafroot,
     verify_leaf_root,
@@ -103,95 +108,14 @@ from .trees import (
     distance,
     distances_from,
     median,
-    tree_from_json,
+    tree_from_json_obj,
     tree_path,
     tree_to_dot,
-    tree_to_json,
+    tree_to_json_obj,
 )
 
-__all__ = [
-    "AuditReport",
-    "BranchPoints",
-    "Clique",
-    "FeasibilityResult",
-    "FeasibilitySystem",
-    "Graph",
-    "LeafRoot",
-    "MAX_EXPONENTIAL_N",
-    "RDP_ROOT",
-    "RSModel",
-    "RnGraph",
-    "SubtreeModel",
-    "Tree",
-    "WeightedLeafRoot",
-    "ball",
-    "branch_points",
-    "brute_force_leaf_rank",
-    "build_exponential_rs_model",
-    "build_feasibility_system",
-    "build_rdp_model",
-    "build_rn",
-    "certify_leaf_power",
-    "check_increasing",
-    "check_median_cover",
-    "check_order",
-    "check_path_cover",
-    "clique_subtree",
-    "clique_tree_model",
-    "components",
-    "connecting_path",
-    "connector",
-    "cover",
-    "distance",
-    "distances_from",
-    "expand_rs",
-    "failed_model_dump",
-    "graph_from_json",
-    "graph_to_dot",
-    "graph_to_json",
-    "induced_subgraph",
-    "is_chordal",
-    "is_cluster_graph",
-    "is_rooted_directed_path_model",
-    "is_separator",
-    "leaf_orbit_representatives",
-    "leaf_orbits",
-    "leaf_power_graph",
-    "leafroot_from_json",
-    "leafroot_to_dot",
-    "leafroot_to_json",
-    "leafroot_to_rs",
-    "lower_bound_certificate",
-    "maximal_cliques",
-    "median",
-    "nonisomorphic_trees",
-    "normalize_edge",
-    "perfect_elimination_ordering",
-    "report_to_json",
-    "report_to_text",
-    "rs_model_from_json",
-    "rs_model_to_dot",
-    "rs_model_to_json",
-    "rs_model_violations",
-    "rs_to_leafroot",
-    "scale_to_integer_leafroot",
-    "solve_feasibility",
-    "subtree_model_from_json",
-    "subtree_model_to_dot",
-    "subtree_model_to_json",
-    "subtree_model_violations",
-    "system_to_lp_text",
-    "topology_trees",
-    "tree_from_json",
-    "tree_path",
-    "tree_to_dot",
-    "tree_to_json",
-    "trees_with_leaf_count",
-    "verify_leaf_root",
-    "verify_rs_model",
-    "verify_subtree_model",
-    "verify_weighted_leafroot",
-    "weighted_distance",
-    "weighted_leafroot_from_json",
-    "weighted_leafroot_to_json",
-]
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -14,7 +14,6 @@ falsify the underlying claim and is surfaced loudly, never swallowed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .models import (
@@ -23,7 +22,6 @@ from .models import (
     clique_subtree,
     cover,
     expand_rs,
-    rs_model_to_json_obj,
     subtree_model_violations,
 )
 from .rn import RnGraph
@@ -223,10 +221,6 @@ def report_to_json_obj(report: AuditReport) -> dict:
     }
 
 
-def report_to_json(report: AuditReport) -> str:
-    return json.dumps(report_to_json_obj(report), indent=2, sort_keys=True) + "\n"
-
-
 def report_to_text(report: AuditReport) -> str:
     lines = [
         f"lower-bound audit for R_{report.n}",
@@ -249,7 +243,3 @@ def report_to_text(report: AuditReport) -> str:
     lines.append(f"  holds: {report.holds}")
     return "\n".join(lines) + "\n"
 
-
-def failed_model_dump(model: RSModel) -> str:
-    """Full model JSON for inspection when an audit fails."""
-    return json.dumps(rs_model_to_json_obj(model), indent=2, sort_keys=True) + "\n"

@@ -13,7 +13,6 @@ root, so feasibility here certifies being a leaf power.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +20,7 @@ from fractions import Fraction
 from . import exactlp
 from .enumtrees import leaf_orbit_representatives, topology_trees
 from .graphs import Edge, Graph, normalize_edge
+from .jsonio import Record, items, string, string_map, string_pair
 from .roots import LeafRoot, _fresh_name
 from .trees import Tree, tree_from_json_obj, tree_path, tree_to_json_obj
 
@@ -288,8 +288,17 @@ def _fraction_to_json(value: Fraction) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
-def _fraction_from_json(obj: dict) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
+def _fraction_from_json(obj: object, field: str) -> Fraction:
+    rec = Record(obj, field, "num", "den")
+    num, den = rec.get("num", string), rec.get("den", string)
+    try:
+        return Fraction(int(num), int(den))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{field} is not a fraction: {num!r}/{den!r}") from None
+
+
+def _weight_from_json(obj: object, field: str) -> tuple[Edge, Fraction]:
+    return Record(obj, field, "edge").get("edge", string_pair), _fraction_from_json(obj, field)
 
 
 def weighted_leafroot_to_json_obj(root: WeightedLeafRoot) -> dict:
@@ -304,25 +313,13 @@ def weighted_leafroot_to_json_obj(root: WeightedLeafRoot) -> dict:
     }
 
 
-def weighted_leafroot_from_json_obj(obj: dict) -> WeightedLeafRoot:
-    for key in ("host", "weights", "placement"):
-        if key not in obj:
-            raise ValueError(f"missing {key!r}")
-    weights = {
-        tuple(entry["edge"]): _fraction_from_json(entry) for entry in obj["weights"]
-    }
-    margin = obj.get("margin")
+def weighted_leafroot_from_json_obj(obj: object, field: str = "") -> WeightedLeafRoot:
+    """Read a weighted leaf root; ValueError names the malformed field under ``field``."""
+    rec = Record(obj, field, "host", "weights", "placement")
+    margin = rec.value.get("margin")
     return WeightedLeafRoot.build(
-        tree_from_json_obj(obj["host"]),
-        weights,
-        dict(obj["placement"]),
-        margin=None if margin is None else _fraction_from_json(margin),
+        rec.get("host", tree_from_json_obj),
+        dict(rec.get("weights", lambda value, f: items(value, f, _weight_from_json))),
+        rec.get("placement", string_map),
+        margin=None if margin is None else rec.get("margin", _fraction_from_json),
     )
-
-
-def weighted_leafroot_to_json(root: WeightedLeafRoot) -> str:
-    return json.dumps(weighted_leafroot_to_json_obj(root), indent=2, sort_keys=True) + "\n"
-
-
-def weighted_leafroot_from_json(text: str) -> WeightedLeafRoot:
-    return weighted_leafroot_from_json_obj(json.loads(text))

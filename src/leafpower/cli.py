@@ -13,27 +13,24 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, TypeVar
 
-from .audit import (
-    failed_model_dump,
-    lower_bound_certificate,
-    report_to_json_obj,
-    report_to_text,
-)
+from .audit import lower_bound_certificate, report_to_json_obj, report_to_text
 from .certify import (
     build_feasibility_system,
     certify_leaf_power,
     system_to_lp_text,
-    weighted_leafroot_to_json,
+    weighted_leafroot_to_json_obj,
 )
-from .graphs import graph_from_json_obj, graph_to_dot, graph_to_json
+from .graphs import graph_from_json_obj, graph_to_dot, graph_to_json_obj
+from .jsonio import dumps
 from .models import (
     expand_rs,
     rs_model_from_json_obj,
     rs_model_to_dot,
-    rs_model_to_json,
+    rs_model_to_json_obj,
     subtree_model_to_dot,
-    subtree_model_to_json,
+    subtree_model_to_json_obj,
     subtree_model_violations,
 )
 from .rn import MAX_EXPONENTIAL_N, build_exponential_rs_model, build_rdp_model, build_rn
@@ -41,10 +38,12 @@ from .roots import (
     brute_force_leaf_rank,
     leafroot_from_json_obj,
     leafroot_to_dot,
-    leafroot_to_json,
+    leafroot_to_json_obj,
     leafroot_to_rs,
     rs_to_leafroot,
 )
+
+T = TypeVar("T")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -59,8 +58,13 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load_json(path: str) -> object:
-    return json.loads(Path(path).read_text())
+def _read(path: str, parse: Callable[[object], T], what: str) -> T | None:
+    """The parsed JSON file, or None after a one-line message on stderr."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except (OSError, ValueError) as exc:
+        _fail(f"cannot load {what}: {exc}", 2)
+        return None
 
 
 def _cmd_build_rn(args: argparse.Namespace) -> int:
@@ -69,7 +73,7 @@ def _cmd_build_rn(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc), 2)
     text = (
-        graph_to_json(r.graph)
+        dumps(graph_to_json_obj(r.graph))
         if args.format == "json"
         else graph_to_dot(r.graph, name=f"R{args.n}")
     )
@@ -83,7 +87,7 @@ def _cmd_rdp_model(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc), 2)
     text = (
-        subtree_model_to_json(model)
+        dumps(subtree_model_to_json_obj(model))
         if args.format == "json"
         else subtree_model_to_dot(model, name=f"RDP{args.n}")
     )
@@ -97,7 +101,7 @@ def _cmd_rs_model(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc), 2)
     text = (
-        rs_model_to_json(model)
+        dumps(rs_model_to_json_obj(model))
         if args.format == "json"
         else rs_model_to_dot(model, name=f"RS{args.n}")
     )
@@ -109,10 +113,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if args.model is None and args.n is None:
         return _fail("audit needs --n or --model", 2)
     if args.model is not None:
-        try:
-            model = rs_model_from_json_obj(_load_json(args.model))
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            return _fail(f"cannot load model: {exc}", 2)
+        model = _read(args.model, rs_model_from_json_obj, "model")
+        if model is None:
+            return 2
         n = len(model.graph.vertices) // 4
         if args.n is not None and args.n != n:
             return _fail(f"--n {args.n} does not match the model ({n})", 2)
@@ -129,27 +132,26 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             return _fail(str(exc), 2)
     try:
         report = lower_bound_certificate(r, model)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc), 1)
 
     if args.format == "json":
         obj = report_to_json_obj(report)
         if not report.holds:
-            obj = {"model": json.loads(failed_model_dump(model)), "report": obj}
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+            obj = {"model": rs_model_to_json_obj(model), "report": obj}
+        text = dumps(obj)
     else:
         text = report_to_text(report)
         if not report.holds:
-            text += "offending model:\n" + failed_model_dump(model)
+            text += "offending model:\n" + dumps(rs_model_to_json_obj(model))
     _emit(text, args.out)
     return 0 if report.holds else 1
 
 
 def _cmd_leafrank(args: argparse.Namespace) -> int:
-    try:
-        graph = graph_from_json_obj(_load_json(args.graph))
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _fail(f"cannot load graph: {exc}", 2)
+    graph = _read(args.graph, graph_from_json_obj, "graph")
+    if graph is None:
+        return 2
     try:
         rank = brute_force_leaf_rank(graph, args.max_nodes, args.max_k)
     except ValueError as exc:
@@ -159,10 +161,9 @@ def _cmd_leafrank(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    try:
-        graph = graph_from_json_obj(_load_json(args.graph))
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _fail(f"cannot load graph: {exc}", 2)
+    graph = _read(args.graph, graph_from_json_obj, "graph")
+    if graph is None:
+        return 2
     try:
         witness = certify_leaf_power(graph, args.max_internal)
     except ValueError as exc:
@@ -171,7 +172,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         _emit("no root within bound\n", args.out)
         return 1
     if args.format == "json":
-        text = weighted_leafroot_to_json(witness)
+        text = dumps(weighted_leafroot_to_json_obj(witness))
     else:
         system = build_feasibility_system(graph, witness.host, witness.placement)
         lines = ["certified: weighted leaf root found", f"margin: {witness.margin}"]
@@ -185,32 +186,29 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    try:
-        obj = _load_json(args.input)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot load input: {exc}", 2)
     if args.source == "leafroot":
-        try:
-            root = leafroot_from_json_obj(obj)
-        except (ValueError, TypeError, KeyError) as exc:
-            return _fail(f"cannot parse leaf root: {exc}", 2)
+        root = _read(args.input, leafroot_from_json_obj, "leaf root")
+        if root is None:
+            return 2
         model = leafroot_to_rs(root)
         text = (
-            rs_model_to_json(model)
+            dumps(rs_model_to_json_obj(model))
             if args.format == "json"
             else rs_model_to_dot(model)
         )
     else:
-        try:
-            model = rs_model_from_json_obj(obj)
-        except (ValueError, TypeError, KeyError) as exc:
-            return _fail(f"cannot parse model: {exc}", 2)
+        model = _read(args.input, rs_model_from_json_obj, "model")
+        if model is None:
+            return 2
         problems = subtree_model_violations(expand_rs(model))
         if problems:
             return _fail(f"model does not verify: {problems[0]}", 1)
-        root = rs_to_leafroot(model)
+        try:
+            root = rs_to_leafroot(model)
+        except ValueError as exc:
+            return _fail(str(exc), 2)
         text = (
-            leafroot_to_json(root)
+            dumps(leafroot_to_json_obj(root))
             if args.format == "json"
             else leafroot_to_dot(root)
         )
@@ -245,7 +243,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         )
     rows = _report_rows(args.n_min, args.n_max)
     if args.format == "json":
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        text = dumps(rows)
     else:
         header = (
             f"{'n':>3} {'vertices':>8} {'lower':>8} {'upper':>10} "

@@ -6,10 +6,11 @@ single canonical representation and equality / hashing behave structurally.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
+
+from .jsonio import Record, string_pairs, strings
 
 Edge = tuple[str, str]
 
@@ -223,18 +224,10 @@ def graph_to_json_obj(graph: Graph) -> dict:
     }
 
 
-def graph_from_json_obj(obj: dict) -> Graph:
-    if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
-        raise ValueError("expected an object with 'vertices' and 'edges'")
-    return Graph.build(obj["vertices"], [tuple(e) for e in obj["edges"]])
-
-
-def graph_to_json(graph: Graph) -> str:
-    return json.dumps(graph_to_json_obj(graph), indent=2, sort_keys=True) + "\n"
-
-
-def graph_from_json(text: str) -> Graph:
-    return graph_from_json_obj(json.loads(text))
+def graph_from_json_obj(obj: object, field: str = "") -> Graph:
+    """Read a graph; ValueError names the malformed field under ``field``."""
+    rec = Record(obj, field, "vertices", "edges")
+    return Graph.build(rec.get("vertices", strings), rec.get("edges", string_pairs))
 
 
 def graph_to_dot(graph: Graph, *, name: str = "G") -> str:

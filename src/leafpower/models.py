@@ -13,11 +13,11 @@ Two interchangeable forms are provided:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .graphs import Graph, Clique, graph_from_json_obj, graph_to_json_obj
+from .jsonio import Record, entries, integer_map, string_map, strings
 from .trees import (
     Tree,
     ball,
@@ -86,7 +86,7 @@ class RSModel:
             if centers[v] not in host_nodes:
                 raise ValueError(f"center {centers[v]!r} of vertex {v!r} is not in the host tree")
             r = radii[v]
-            if not isinstance(r, int) or r < 0:
+            if isinstance(r, bool) or not isinstance(r, int) or r < 0:
                 raise ValueError(f"radius of vertex {v!r} must be a nonnegative integer")
             cs[v] = centers[v]
             rs[v] = r
@@ -274,23 +274,14 @@ def subtree_model_to_json_obj(model: SubtreeModel) -> dict:
     }
 
 
-def subtree_model_from_json_obj(obj: dict) -> SubtreeModel:
-    for key in ("host", "graph", "assignment"):
-        if key not in obj:
-            raise ValueError(f"missing {key!r}")
+def subtree_model_from_json_obj(obj: object, field: str = "") -> SubtreeModel:
+    """Read a subtree model; ValueError names the malformed field under ``field``."""
+    rec = Record(obj, field, "host", "graph", "assignment")
     return SubtreeModel.build(
-        tree_from_json_obj(obj["host"]),
-        graph_from_json_obj(obj["graph"]),
-        {v: frozenset(nodes) for v, nodes in obj["assignment"].items()},
+        rec.get("host", tree_from_json_obj),
+        rec.get("graph", graph_from_json_obj),
+        rec.get("assignment", lambda value, f: entries(value, f, strings)),
     )
-
-
-def subtree_model_to_json(model: SubtreeModel) -> str:
-    return json.dumps(subtree_model_to_json_obj(model), indent=2, sort_keys=True) + "\n"
-
-
-def subtree_model_from_json(text: str) -> SubtreeModel:
-    return subtree_model_from_json_obj(json.loads(text))
 
 
 def rs_model_to_json_obj(model: RSModel) -> dict:
@@ -302,24 +293,15 @@ def rs_model_to_json_obj(model: RSModel) -> dict:
     }
 
 
-def rs_model_from_json_obj(obj: dict) -> RSModel:
-    for key in ("host", "graph", "centers", "radii"):
-        if key not in obj:
-            raise ValueError(f"missing {key!r}")
+def rs_model_from_json_obj(obj: object, field: str = "") -> RSModel:
+    """Read a ball model; ValueError names the malformed field under ``field``."""
+    rec = Record(obj, field, "host", "graph", "centers", "radii")
     return RSModel.build(
-        tree_from_json_obj(obj["host"]),
-        graph_from_json_obj(obj["graph"]),
-        obj["centers"],
-        obj["radii"],
+        rec.get("host", tree_from_json_obj),
+        rec.get("graph", graph_from_json_obj),
+        rec.get("centers", string_map),
+        rec.get("radii", integer_map),
     )
-
-
-def rs_model_to_json(model: RSModel) -> str:
-    return json.dumps(rs_model_to_json_obj(model), indent=2, sort_keys=True) + "\n"
-
-
-def rs_model_from_json(text: str) -> RSModel:
-    return rs_model_from_json_obj(json.loads(text))
 
 
 def rs_model_to_dot(model: RSModel, *, name: str = "M") -> str:

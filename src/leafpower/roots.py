@@ -8,12 +8,12 @@ distance k.  The smallest workable k is the graph's leaf rank.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
 from .enumtrees import leaf_orbit_representatives, trees_with_leaf_count
-from .graphs import Graph, graph_from_json_obj, graph_to_json_obj
+from .graphs import Graph
+from .jsonio import Record, integer, string_map
 from .models import RSModel
 from .trees import Tree, distances_from, tree_from_json_obj, tree_to_json_obj
 
@@ -28,7 +28,7 @@ class LeafRoot:
 
     @staticmethod
     def build(host: Tree, k: int, placement: dict[str, str]) -> "LeafRoot":
-        if not isinstance(k, int) or k < 1:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise ValueError("k must be a positive integer")
         leaves = set(host.leaves())
         image = list(placement.values())
@@ -43,14 +43,10 @@ def verify_leaf_root(graph: Graph, root: LeafRoot) -> bool:
     """Whether adjacency in ``graph`` matches leaf distance <= k exactly."""
     if set(root.placement) != set(graph.vertices):
         raise ValueError("placement domain must equal the vertex set")
-    dist_from: dict[str, dict[str, int]] = {}
     for i, u in enumerate(graph.vertices):
-        lu = root.placement[u]
-        if lu not in dist_from:
-            dist_from[lu] = distances_from(root.host, lu)
+        dist = distances_from(root.host, root.placement[u])
         for v in graph.vertices[i + 1 :]:
-            close = dist_from[lu][root.placement[v]] <= root.k
-            if close != graph.adjacent(u, v):
+            if (dist[root.placement[v]] <= root.k) != graph.adjacent(u, v):
                 return False
     return True
 
@@ -256,19 +252,14 @@ def leafroot_to_json_obj(root: LeafRoot) -> dict:
     }
 
 
-def leafroot_from_json_obj(obj: dict) -> LeafRoot:
-    for key in ("tree", "k", "placement"):
-        if key not in obj:
-            raise ValueError(f"missing {key!r}")
-    return LeafRoot.build(tree_from_json_obj(obj["tree"]), obj["k"], dict(obj["placement"]))
-
-
-def leafroot_to_json(root: LeafRoot) -> str:
-    return json.dumps(leafroot_to_json_obj(root), indent=2, sort_keys=True) + "\n"
-
-
-def leafroot_from_json(text: str) -> LeafRoot:
-    return leafroot_from_json_obj(json.loads(text))
+def leafroot_from_json_obj(obj: object, field: str = "") -> LeafRoot:
+    """Read a leaf root; ValueError names the malformed field under ``field``."""
+    rec = Record(obj, field, "tree", "k", "placement")
+    return LeafRoot.build(
+        rec.get("tree", tree_from_json_obj),
+        rec.get("k", integer),
+        rec.get("placement", string_map),
+    )
 
 
 def leafroot_to_dot(root: LeafRoot, *, name: str = "R") -> str:

@@ -5,12 +5,12 @@ Tree nodes are strings, as with graphs.  All distances are edge counts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
 from .graphs import Edge, normalize_edge
+from .jsonio import Record, string_pairs, strings
 
 
 @dataclass(frozen=True)
@@ -217,18 +217,10 @@ def tree_to_json_obj(tree: Tree) -> dict:
     }
 
 
-def tree_from_json_obj(obj: dict) -> Tree:
-    if not isinstance(obj, dict) or "nodes" not in obj or "edges" not in obj:
-        raise ValueError("expected an object with 'nodes' and 'edges'")
-    return Tree.build(obj["nodes"], [tuple(e) for e in obj["edges"]])
-
-
-def tree_to_json(tree: Tree) -> str:
-    return json.dumps(tree_to_json_obj(tree), indent=2, sort_keys=True) + "\n"
-
-
-def tree_from_json(text: str) -> Tree:
-    return tree_from_json_obj(json.loads(text))
+def tree_from_json_obj(obj: object, field: str = "") -> Tree:
+    """Read a tree; ValueError names the malformed field under ``field``."""
+    rec = Record(obj, field, "nodes", "edges")
+    return Tree.build(rec.get("nodes", strings), rec.get("edges", string_pairs))
 
 
 def tree_to_dot(tree: Tree, *, name: str = "T") -> str:

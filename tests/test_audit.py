@@ -17,12 +17,14 @@ from leafpower import (
     check_median_cover,
     check_order,
     distance,
+    dumps,
     expand_rs,
-    failed_model_dump,
     leafroot_to_rs,
     lower_bound_certificate,
-    report_to_json,
+    report_to_json_obj,
     report_to_text,
+    rs_model_from_json_obj,
+    rs_model_to_json_obj,
     rs_to_leafroot,
     verify_rs_model,
 )
@@ -249,7 +251,7 @@ class TestReportRendering:
     def test_json_report_shape(self):
         r = build_rn(3)
         rep = lower_bound_certificate(r, build_exponential_rs_model(r))
-        payload = json.loads(report_to_json(rep))
+        payload = json.loads(dumps(report_to_json_obj(rep)))
         assert payload["n"] == 3
         assert payload["holds"] is True
         assert payload["branch_s"] == {"2": "h2_4"}
@@ -258,5 +260,6 @@ class TestReportRendering:
     def test_failed_model_dump_is_valid_model_json(self):
         r = build_rn(3)
         m = build_exponential_rs_model(r)
-        payload = json.loads(failed_model_dump(m))
+        payload = json.loads(dumps(rs_model_to_json_obj(m)))
         assert set(payload) == {"host", "graph", "centers", "radii"}
+        assert rs_model_from_json_obj(payload) == m

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from leafpower import (
     build_feasibility_system,
     certify_leaf_power,
     distance,
+    dumps,
     leaf_power_graph,
     scale_to_integer_leafroot,
     solve_feasibility,
@@ -23,8 +25,8 @@ from leafpower import (
     verify_leaf_root,
     verify_weighted_leafroot,
     weighted_distance,
-    weighted_leafroot_from_json,
-    weighted_leafroot_to_json,
+    weighted_leafroot_from_json_obj,
+    weighted_leafroot_to_json_obj,
 )
 from leafpower.certify import witness_satisfies_system
 
@@ -310,13 +312,31 @@ class TestCertifySerialization:
         w = WeightedLeafRoot.build(
             STAR_HOST, DEMO_WEIGHTS, P3_PLACEMENT, Fraction(1, 5)
         )
-        assert weighted_leafroot_from_json(weighted_leafroot_to_json(w)) == w
+        text = dumps(weighted_leafroot_to_json_obj(w))
+        assert weighted_leafroot_from_json_obj(json.loads(text)) == w
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("margin", {"num": "1", "den": "0"}, "margin"),
+            ("margin", {"num": 1, "den": "5"}, "margin.num"),
+            ("weights", [{"edge": "ila", "num": "1", "den": "2"}], "weights[0].edge"),
+            ("placement", [["a", "la"]], "placement"),
+        ],
+    )
+    def test_malformed_witness_json_names_the_field(self, key, value, field):
+        w = WeightedLeafRoot.build(
+            STAR_HOST, DEMO_WEIGHTS, P3_PLACEMENT, Fraction(1, 5)
+        )
+        payload = {**weighted_leafroot_to_json_obj(w), key: value}
+        with pytest.raises(ValueError, match=re.escape(field)):
+            weighted_leafroot_from_json_obj(payload)
 
     def test_fractions_serialized_as_num_den_strings(self):
         w = WeightedLeafRoot.build(
             STAR_HOST, DEMO_WEIGHTS, P3_PLACEMENT, Fraction(1, 5)
         )
-        payload = json.loads(weighted_leafroot_to_json(w))
+        payload = json.loads(dumps(weighted_leafroot_to_json_obj(w)))
         assert payload["margin"] == {"num": "1", "den": "5"}
         weight_entries = {tuple(e["edge"]): e for e in payload["weights"]}
         assert weight_entries[("i", "la")]["num"] == "3"

@@ -1,21 +1,27 @@
 """End-to-end tests for the command-line interface."""
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafpower import (
     Graph,
     RSModel,
     build_exponential_rs_model,
     build_rn,
-    graph_from_json,
-    graph_to_json,
+    dumps,
+    graph_from_json_obj,
+    graph_to_json_obj,
     leaf_power_graph,
-    leafroot_from_json,
-    rs_model_from_json,
-    rs_model_to_json,
+    leafroot_from_json_obj,
+    rs_model_from_json_obj,
+    rs_model_to_json_obj,
     verify_leaf_root,
     verify_rs_model,
 )
@@ -33,14 +39,14 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
 @pytest.fixture()
 def p3_file(tmp_path):
     path = tmp_path / "p3.json"
-    path.write_text(graph_to_json(path_graph(["a", "b", "c"])))
+    path.write_text(dumps(graph_to_json_obj(path_graph(["a", "b", "c"]))))
     return str(path)
 
 
 @pytest.fixture()
 def c4_file(tmp_path):
     path = tmp_path / "c4.json"
-    path.write_text(graph_to_json(cycle_graph(["a", "b", "c", "d"])))
+    path.write_text(dumps(graph_to_json_obj(cycle_graph(["a", "b", "c", "d"]))))
     return str(path)
 
 
@@ -52,7 +58,7 @@ class TestBuildCommands:
     def test_build_rn_json_parses_to_the_library_graph(self, capsys):
         code, out, _ = run(capsys, "build-rn", "--n", "3")
         assert code == 0
-        assert graph_from_json(out) == build_rn(3).graph
+        assert graph_from_json_obj(json.loads(out)) == build_rn(3).graph
 
     def test_build_rn_dot(self, capsys):
         code, out, _ = run(capsys, "build-rn", "--n", "3", "--format", "dot")
@@ -74,7 +80,7 @@ class TestBuildCommands:
     def test_rs_model_command_round_trips(self, capsys):
         code, out, _ = run(capsys, "rs-model", "--n", "3")
         assert code == 0
-        model = rs_model_from_json(out)
+        model = rs_model_from_json_obj(json.loads(out))
         assert model == build_exponential_rs_model(build_rn(3))
 
     def test_output_file_option(self, capsys, tmp_path):
@@ -84,7 +90,7 @@ class TestBuildCommands:
         )
         assert code == 0
         assert out == ""
-        assert graph_from_json(target.read_text()) == build_rn(3).graph
+        assert graph_from_json_obj(json.loads(target.read_text())) == build_rn(3).graph
 
     def test_outputs_are_byte_stable(self, capsys):
         _, first, _ = run(capsys, "rs-model", "--n", "4")
@@ -114,7 +120,7 @@ class TestAuditCommand:
     def test_audit_imported_model(self, capsys, tmp_path):
         model = build_exponential_rs_model(build_rn(3))
         path = tmp_path / "model.json"
-        path.write_text(rs_model_to_json(model))
+        path.write_text(dumps(rs_model_to_json_obj(model)))
         code, out, _ = run(
             capsys, "audit", "--model", str(path), "--format", "json"
         )
@@ -129,7 +135,7 @@ class TestAuditCommand:
     def test_audit_n_model_mismatch(self, capsys, tmp_path):
         model = build_exponential_rs_model(build_rn(3))
         path = tmp_path / "model.json"
-        path.write_text(rs_model_to_json(model))
+        path.write_text(dumps(rs_model_to_json_obj(model)))
         code, _, err = run(capsys, "audit", "--n", "4", "--model", str(path))
         assert code == 2
         assert "does not match" in err
@@ -143,7 +149,7 @@ class TestAuditCommand:
             {**dict(good.radii.items()), "a3": 1},
         )
         path = tmp_path / "damaged.json"
-        path.write_text(rs_model_to_json(damaged))
+        path.write_text(dumps(rs_model_to_json_obj(damaged)))
         code, _, err = run(capsys, "audit", "--model", str(path))
         assert code == 1
         assert "not a model of R_n" in err
@@ -221,13 +227,13 @@ class TestConvertCommand:
         r = build_rn(3)
         model = build_exponential_rs_model(r)
         model_path = tmp_path / "rs.json"
-        model_path.write_text(rs_model_to_json(model))
+        model_path.write_text(dumps(rs_model_to_json_obj(model)))
 
         code, out, _ = run(
             capsys, "convert", "--from", "rs", "--input", str(model_path)
         )
         assert code == 0
-        root = leafroot_from_json(out)
+        root = leafroot_from_json_obj(json.loads(out))
         assert root.k == 2 * (2**3 - 1) + 2
         assert verify_leaf_root(r.graph, root)
 
@@ -237,24 +243,24 @@ class TestConvertCommand:
             capsys, "convert", "--from", "leafroot", "--input", str(root_path)
         )
         assert code == 0
-        rebuilt = rs_model_from_json(out)
+        rebuilt = rs_model_from_json_obj(json.loads(out))
         assert verify_rs_model(rebuilt)
         assert rebuilt.graph == r.graph
 
     def test_leafroot_conversion_matches_library_graph(self, capsys, tmp_path):
-        from leafpower import LeafRoot, Tree, leafroot_to_json
+        from leafpower import LeafRoot, Tree, leafroot_to_json_obj
 
         host = Tree.build(
             ["u", "v", "lu", "lv"], [("u", "v"), ("u", "lu"), ("v", "lv")]
         )
         root = LeafRoot.build(host, 3, {"a": "lu", "b": "lv"})
         path = tmp_path / "root.json"
-        path.write_text(leafroot_to_json(root))
+        path.write_text(dumps(leafroot_to_json_obj(root)))
         code, out, _ = run(
             capsys, "convert", "--from", "leafroot", "--input", str(path)
         )
         assert code == 0
-        model = rs_model_from_json(out)
+        model = rs_model_from_json_obj(json.loads(out))
         assert model.graph == leaf_power_graph(root)
 
     def test_invalid_rs_model_rejected(self, capsys, tmp_path):
@@ -264,7 +270,7 @@ class TestConvertCommand:
         g = Graph.build(["u", "v"], [("u", "v")])
         bad = RSModel.build(host, g, {"u": "x", "v": "y"}, {"u": 0, "v": 0})
         path = tmp_path / "bad.json"
-        path.write_text(rs_model_to_json(bad))
+        path.write_text(dumps(rs_model_to_json_obj(bad)))
         code, _, err = run(
             capsys, "convert", "--from", "rs", "--input", str(path)
         )
@@ -274,7 +280,7 @@ class TestConvertCommand:
     def test_dot_output(self, capsys, tmp_path):
         model = build_exponential_rs_model(build_rn(3))
         path = tmp_path / "rs.json"
-        path.write_text(rs_model_to_json(model))
+        path.write_text(dumps(rs_model_to_json_obj(model)))
         code, out, _ = run(
             capsys, "convert", "--from", "rs", "--input", str(path),
             "--format", "dot",
@@ -318,3 +324,129 @@ class TestParserBasics:
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+# ---------------------------------------------------------------------------
+# Malformed input: exit 2 with a one-line message, never a traceback
+# ---------------------------------------------------------------------------
+
+P3_DOC = graph_to_json_obj(path_graph(["a", "b", "c"]))
+R3_MODEL_DOC = rs_model_to_json_obj(build_exponential_rs_model(build_rn(3)))
+LEAFROOT_DOC = {
+    "tree": {"nodes": ["c", "x", "y"], "edges": [["c", "x"], ["c", "y"]]},
+    "k": 2,
+    "placement": {"a": "x", "b": "y"},
+}
+
+#: Each command with the option that names its input and a valid document.
+READERS = {
+    "certify": (["certify", "--max-internal", "1", "--graph"], P3_DOC),
+    "leafrank": (["leafrank", "--max-nodes", "5", "--graph"], P3_DOC),
+    "convert-rs": (["convert", "--from", "rs", "--input"], R3_MODEL_DOC),
+    "convert-leafroot": (["convert", "--from", "leafroot", "--input"], LEAFROOT_DOC),
+    "audit": (["audit", "--model"], R3_MODEL_DOC),
+}
+
+
+def run_on_document(path, command: str, doc: object) -> tuple[int, str, str]:
+    argv, _ = READERS[command]
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def replaced(doc: dict, key: str, value: object) -> dict:
+    return {**doc, key: value}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "command, doc, field",
+        [
+            ("certify", replaced(P3_DOC, "edges", 5), "edges"),
+            ("certify", replaced(P3_DOC, "edges", [5]), "edges[0]"),
+            ("leafrank", replaced(P3_DOC, "edges", 5), "edges"),
+            ("leafrank", replaced(P3_DOC, "edges", [5]), "edges[0]"),
+            ("audit", replaced(R3_MODEL_DOC, "centers", ["a"]), "centers"),
+            ("audit", replaced(R3_MODEL_DOC, "centers", {"a": ["x"]}), "centers['a']"),
+            ("certify", {"vertices": "ab", "edges": []}, "vertices"),
+            ("certify", {"vertices": ["a", "b"], "edges": ["ab"]}, "edges[0]"),
+            ("convert-leafroot", replaced(LEAFROOT_DOC, "k", True), "k"),
+            ("convert-leafroot", replaced(LEAFROOT_DOC, "placement", [["a", "x"], ["b", "y"]]), "placement"),
+            ("convert-rs", replaced(R3_MODEL_DOC, "graph", {"vertices": [], "edges": 1}), "graph.edges"),
+            ("leafrank", ["a", "b"], "the document"),
+        ],
+    )
+    def test_exits_two_naming_the_field(self, tmp_path, command, doc, field):
+        code, out, err = run_on_document(tmp_path / "input.json", command, doc)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert f"{field} must be" in err
+
+    def test_model_without_vertices_is_a_usage_error(self, tmp_path):
+        doc = {
+            "host": {"nodes": ["x"], "edges": []},
+            "graph": {"vertices": [], "edges": []},
+            "centers": {},
+            "radii": {},
+        }
+        code, _, err = run_on_document(tmp_path / "input.json", "convert-rs", doc)
+        assert code == 2
+        assert err == "model has no vertices\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-1, 3)
+    | st.sampled_from(["", "a", "b", "c", "x", "y", "ab", "h0"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["a", "b", "x", "vertices", "edges", "nodes", "k", "placement"]),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated(draw, doc: object) -> object:
+    """``doc`` with one value replaced by random JSON or one key deleted."""
+    doc = copy.deepcopy(doc)
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    if parent is None:
+        return draw(JSON_VALUES)
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(JSON_VALUES)
+    return doc
+
+
+@st.composite
+def command_inputs(draw) -> tuple[str, object]:
+    command = draw(st.sampled_from(sorted(READERS)))
+    doc = draw(st.one_of(JSON_VALUES, mutated(READERS[command][1])))
+    return command, doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+@settings(max_examples=500)
+@given(command_inputs())
+def test_random_and_mutated_json_never_escapes(fuzz_path, case):
+    command, doc = case
+    code, _, err = run_on_document(fuzz_path, command, doc)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(err.splitlines()) == 1

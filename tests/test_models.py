@@ -21,16 +21,17 @@ from leafpower import (
     clique_tree_model,
     cover,
     distance,
+    dumps,
     expand_rs,
     is_chordal,
     maximal_cliques,
-    rs_model_from_json,
+    rs_model_from_json_obj,
     rs_model_to_dot,
-    rs_model_to_json,
+    rs_model_to_json_obj,
     rs_model_violations,
-    subtree_model_from_json,
+    subtree_model_from_json_obj,
     subtree_model_to_dot,
-    subtree_model_to_json,
+    subtree_model_to_json_obj,
     subtree_model_violations,
     verify_rs_model,
     verify_subtree_model,
@@ -96,6 +97,12 @@ class TestRSModelBuild:
         g = path_graph(["u", "v"])
         with pytest.raises(ValueError, match="nonnegative integer"):
             RSModel.build(t, g, {"u": "x", "v": "y"}, {"u": -1, "v": 0})
+
+    def test_boolean_radius_rejected(self):
+        t = path_tree(["x", "y"])
+        g = path_graph(["u", "v"])
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            RSModel.build(t, g, {"u": "x", "v": "y"}, {"u": True, "v": 0})
 
     def test_unknown_center_rejected(self):
         t = path_tree(["x", "y"])
@@ -414,19 +421,20 @@ class TestModelSerialization:
         rng = random.Random(3)
         for _ in range(10):
             _, m = random_ball_model(rng)
-            assert subtree_model_from_json(subtree_model_to_json(m)) == m
+            text = dumps(subtree_model_to_json_obj(m))
+            assert subtree_model_from_json_obj(json.loads(text)) == m
 
     def test_rs_model_json_round_trip(self):
         t = path_tree(["x", "y", "z"])
         g = path_graph(["u", "v"])
         m = RSModel.build(t, g, {"u": "x", "v": "z"}, {"u": 1, "v": 1})
-        assert rs_model_from_json(rs_model_to_json(m)) == m
+        assert rs_model_from_json_obj(json.loads(dumps(rs_model_to_json_obj(m)))) == m
 
     def test_rs_model_json_shape(self):
         t = path_tree(["x", "y"])
         g = Graph.build(["u"], [])
         m = RSModel.build(t, g, {"u": "x"}, {"u": 1})
-        payload = json.loads(rs_model_to_json(m))
+        payload = json.loads(dumps(rs_model_to_json_obj(m)))
         assert set(payload) == {"host", "graph", "centers", "radii"}
         assert payload["radii"] == {"u": 1}
 

@@ -13,12 +13,13 @@ from leafpower import (
     Tree,
     brute_force_leaf_rank,
     distance,
+    dumps,
     expand_rs,
     is_cluster_graph,
     leaf_power_graph,
-    leafroot_from_json,
+    leafroot_from_json_obj,
     leafroot_to_dot,
-    leafroot_to_json,
+    leafroot_to_json_obj,
     leafroot_to_rs,
     rs_to_leafroot,
     verify_leaf_root,
@@ -52,6 +53,11 @@ class TestLeafRootBuild:
         t = star_tree("c", ["x", "y"])
         with pytest.raises(ValueError, match="k must be a positive integer"):
             LeafRoot.build(t, 0, {"a": "x", "b": "y"})
+
+    def test_boolean_k_rejected(self):
+        t = star_tree("c", ["x", "y"])
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            LeafRoot.build(t, True, {"a": "x", "b": "y"})
 
     def test_non_injective_placement_rejected(self):
         t = star_tree("c", ["x", "y"])
@@ -258,12 +264,12 @@ class TestLeafRootSerialization:
         root = LeafRoot.build(
             caterpillar_host(), 3, {"a": "lu", "b": "lv", "c": "lw"}
         )
-        assert leafroot_from_json(leafroot_to_json(root)) == root
+        assert leafroot_from_json_obj(json.loads(dumps(leafroot_to_json_obj(root)))) == root
 
     def test_json_shape(self):
         t = star_tree("c", ["x", "y"])
         root = LeafRoot.build(t, 2, {"a": "x", "b": "y"})
-        payload = json.loads(leafroot_to_json(root))
+        payload = json.loads(dumps(leafroot_to_json_obj(root)))
         assert set(payload) == {"tree", "k", "placement"}
         assert payload["k"] == 2
         assert payload["placement"] == {"a": "x", "b": "y"}

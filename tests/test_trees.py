@@ -14,11 +14,12 @@ from leafpower import (
     connector,
     distance,
     distances_from,
+    dumps,
     median,
-    tree_from_json,
+    tree_from_json_obj,
     tree_path,
     tree_to_dot,
-    tree_to_json,
+    tree_to_json_obj,
 )
 from leafpower.trees import is_connected_subset
 
@@ -242,11 +243,11 @@ class TestConnectedSubset:
 class TestTreeSerialization:
     @given(random_trees(max_nodes=9))
     def test_json_round_trip(self, t: Tree):
-        assert tree_from_json(tree_to_json(t)) == t
+        assert tree_from_json_obj(json.loads(dumps(tree_to_json_obj(t)))) == t
 
     def test_json_shape(self):
         t = path_tree(["a", "b"])
-        payload = json.loads(tree_to_json(t))
+        payload = json.loads(dumps(tree_to_json_obj(t)))
         assert payload == {"nodes": ["a", "b"], "edges": [["a", "b"]]}
 
     def test_dot_contains_nodes_and_edges(self):
