@@ -198,9 +198,10 @@ def certify_leaf_power(graph: Graph, max_internal: int) -> WeightedLeafRoot | No
 
     Every topology with |V| leaves, at most ``max_internal`` internal nodes
     and no degree-2 nodes is tried with every placement (the first vertex only
-    on one leaf per symmetry orbit).  Returns the first feasible witness; None
-    means no root exists WITHIN THIS BOUND, which is not a proof that the
-    graph is no leaf power.
+    on one leaf per symmetry orbit).  Returns the first feasible witness, after
+    checking it against the graph by exact path sums; None means no root
+    exists WITHIN THIS BOUND, which is not a proof that the graph is no leaf
+    power.  A witness that fails the check raises RuntimeError.
     """
     if max_internal < 1:
         raise ValueError("max_internal must be at least 1")
@@ -216,9 +217,14 @@ def certify_leaf_power(graph: Graph, max_internal: int) -> WeightedLeafRoot | No
                 system = build_feasibility_system(graph, host, placement)
                 result = solve_feasibility(system)
                 if result.feasible:
-                    return WeightedLeafRoot.build(
+                    witness = WeightedLeafRoot.build(
                         host, result.weights, placement, margin=result.delta
                     )
+                    if not verify_weighted_leafroot(graph, witness):
+                        raise RuntimeError(
+                            "certificate invalid: witness fails the path-sum check"
+                        )
+                    return witness
     return None
 
 

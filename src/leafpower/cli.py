@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from .audit import lower_bound_certificate, report_to_json_obj, report_to_text
 from .certify import (
@@ -45,96 +45,79 @@ from .roots import (
 
 T = TypeVar("T")
 
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+#: What a command hands to :func:`main`: the text to write and the exit code.  A refusal
+#: raises ValueError (exit 2) or _Refused (exit 1) instead, and then nothing is written.
+Result = tuple[str, int]
 
 
-def _fail(message: str, code: int) -> int:
-    print(message, file=sys.stderr)
-    return code
+class _Refused(ValueError):
+    """Input that reads but does not verify: exit 1 with the message, no output."""
 
 
-def _read(path: str, parse: Callable[[object], T], what: str) -> T | None:
-    """The parsed JSON file, or None after a one-line message on stderr."""
+def _read(path: str, parse: Callable[[object], T], what: str) -> T:
+    """The parsed JSON file; ValueError with a one-line message if it cannot be read."""
     try:
         return parse(json.loads(Path(path).read_text()))
-    except (OSError, ValueError) as exc:
-        _fail(f"cannot load {what}: {exc}", 2)
-        return None
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValueError(f"cannot load {what}: {exc}") from None
 
 
-def _cmd_build_rn(args: argparse.Namespace) -> int:
-    try:
-        r = build_rn(args.n)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    text = (
-        dumps(graph_to_json_obj(r.graph))
-        if args.format == "json"
-        else graph_to_dot(r.graph, name=f"R{args.n}")
-    )
-    _emit(text, args.out)
-    return 0
+def _json_or_dot(
+    args: argparse.Namespace, obj: object, to_json_obj: Callable, to_dot: Callable, **dot: str
+) -> Result:
+    if args.format == "json":
+        return dumps(to_json_obj(obj)), 0
+    return to_dot(obj, **dot), 0
 
 
-def _cmd_rdp_model(args: argparse.Namespace) -> int:
-    try:
-        model = build_rdp_model(build_rn(args.n))
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    text = (
-        dumps(subtree_model_to_json_obj(model))
-        if args.format == "json"
-        else subtree_model_to_dot(model, name=f"RDP{args.n}")
-    )
-    _emit(text, args.out)
-    return 0
+class _Builder(NamedTuple):
+    """One command that prints an object built from ``--n``."""
+
+    help: str
+    build: Callable[[int], object]
+    to_json_obj: Callable[[object], object]
+    to_dot: Callable[..., str]
+    dot_prefix: str
 
 
-def _cmd_rs_model(args: argparse.Namespace) -> int:
-    try:
-        model = build_exponential_rs_model(build_rn(args.n))
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    text = (
-        dumps(rs_model_to_json_obj(model))
-        if args.format == "json"
-        else rs_model_to_dot(model, name=f"RS{args.n}")
-    )
-    _emit(text, args.out)
-    return 0
+_BUILDERS = {
+    "build-rn": _Builder(
+        "construct the graph R_n",
+        lambda n: build_rn(n).graph, graph_to_json_obj, graph_to_dot, "R",
+    ),
+    "rdp-model": _Builder(
+        "caterpillar model of R_n (root-directed paths)",
+        lambda n: build_rdp_model(build_rn(n)),
+        subtree_model_to_json_obj, subtree_model_to_dot, "RDP",
+    ),
+    "rs-model": _Builder(
+        "exponential-radius ball model of R_n",
+        lambda n: build_exponential_rs_model(build_rn(n)),
+        rs_model_to_json_obj, rs_model_to_dot, "RS",
+    ),
+}
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
+def _cmd_build(args: argparse.Namespace) -> Result:
+    row = args.builder
+    obj = row.build(args.n)
+    return _json_or_dot(args, obj, row.to_json_obj, row.to_dot, name=f"{row.dot_prefix}{args.n}")
+
+
+def _cmd_audit(args: argparse.Namespace) -> Result:
     if args.model is None and args.n is None:
-        return _fail("audit needs --n or --model", 2)
-    if args.model is not None:
-        model = _read(args.model, rs_model_from_json_obj, "model")
-        if model is None:
-            return 2
-        n = len(model.graph.vertices) // 4
-        if args.n is not None and args.n != n:
-            return _fail(f"--n {args.n} does not match the model ({n})", 2)
-    else:
-        n = args.n
-    try:
-        r = build_rn(n)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    if args.model is None:
-        try:
-            model = build_exponential_rs_model(r)
-        except ValueError as exc:
-            return _fail(str(exc), 2)
+        raise ValueError("audit needs --n or --model")
+    model = None if args.model is None else _read(args.model, rs_model_from_json_obj, "model")
+    n = args.n if model is None else len(model.graph.vertices) // 4
+    if args.n is not None and args.n != n:
+        raise ValueError(f"--n {args.n} does not match the model ({n})")
+    r = build_rn(n)
+    if model is None:
+        model = build_exponential_rs_model(r)
     try:
         report = lower_bound_certificate(r, model)
     except ValueError as exc:
-        return _fail(str(exc), 1)
-
+        raise _Refused(str(exc)) from None
     if args.format == "json":
         obj = report_to_json_obj(report)
         if not report.holds:
@@ -144,83 +127,46 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         text = report_to_text(report)
         if not report.holds:
             text += "offending model:\n" + dumps(rs_model_to_json_obj(model))
-    _emit(text, args.out)
-    return 0 if report.holds else 1
+    return text, 0 if report.holds else 1
 
 
-def _cmd_leafrank(args: argparse.Namespace) -> int:
+def _cmd_leafrank(args: argparse.Namespace) -> Result:
     graph = _read(args.graph, graph_from_json_obj, "graph")
-    if graph is None:
-        return 2
-    try:
-        rank = brute_force_leaf_rank(graph, args.max_nodes, args.max_k)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    _emit(("unknown" if rank is None else str(rank)) + "\n", args.out)
-    return 0 if rank is not None else 1
+    rank = brute_force_leaf_rank(graph, args.max_nodes, args.max_k)
+    return ("unknown" if rank is None else str(rank)) + "\n", 0 if rank is not None else 1
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
+def _cmd_certify(args: argparse.Namespace) -> Result:
     graph = _read(args.graph, graph_from_json_obj, "graph")
-    if graph is None:
-        return 2
-    try:
-        witness = certify_leaf_power(graph, args.max_internal)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    witness = certify_leaf_power(graph, args.max_internal)
     if witness is None:
-        _emit("no root within bound\n", args.out)
-        return 1
+        return "no root within bound\n", 1
     if args.format == "json":
-        text = dumps(weighted_leafroot_to_json_obj(witness))
-    else:
-        system = build_feasibility_system(graph, witness.host, witness.placement)
-        lines = ["certified: weighted leaf root found", f"margin: {witness.margin}"]
-        for (u, v), w in sorted(witness.weights.items()):
-            lines.append(f"weight {u} -- {v}: {w}")
-        for vertex, leaf in sorted(witness.placement.items()):
-            lines.append(f"place {vertex} at {leaf}")
-        text = "\n".join(lines) + "\n\n" + system_to_lp_text(system)
-    _emit(text, args.out)
-    return 0
+        return dumps(weighted_leafroot_to_json_obj(witness)), 0
+    system = build_feasibility_system(graph, witness.host, witness.placement)
+    lines = ["certified: weighted leaf root found", f"margin: {witness.margin}"]
+    lines += [f"weight {u} -- {v}: {w}" for (u, v), w in sorted(witness.weights.items())]
+    lines += [f"place {vertex} at {leaf}" for vertex, leaf in sorted(witness.placement.items())]
+    return "\n".join(lines) + "\n\n" + system_to_lp_text(system), 0
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
+def _cmd_convert(args: argparse.Namespace) -> Result:
     if args.source == "leafroot":
         root = _read(args.input, leafroot_from_json_obj, "leaf root")
-        if root is None:
-            return 2
-        model = leafroot_to_rs(root)
-        text = (
-            dumps(rs_model_to_json_obj(model))
-            if args.format == "json"
-            else rs_model_to_dot(model)
-        )
-    else:
-        model = _read(args.input, rs_model_from_json_obj, "model")
-        if model is None:
-            return 2
-        problems = subtree_model_violations(expand_rs(model))
-        if problems:
-            return _fail(f"model does not verify: {problems[0]}", 1)
-        try:
-            root = rs_to_leafroot(model)
-        except ValueError as exc:
-            return _fail(str(exc), 2)
-        text = (
-            dumps(leafroot_to_json_obj(root))
-            if args.format == "json"
-            else leafroot_to_dot(root)
-        )
-    _emit(text, args.out)
-    return 0
+        return _json_or_dot(args, leafroot_to_rs(root), rs_model_to_json_obj, rs_model_to_dot)
+    model = _read(args.input, rs_model_from_json_obj, "model")
+    problems = subtree_model_violations(expand_rs(model))
+    if problems:
+        raise _Refused(f"model does not verify: {problems[0]}")
+    return _json_or_dot(args, rs_to_leafroot(model), leafroot_to_json_obj, leafroot_to_dot)
 
 
-def _report_rows(n_min: int, n_max: int) -> list[dict]:
+def _cmd_report(args: argparse.Namespace) -> Result:
+    if not 3 <= args.n_min <= args.n_max <= MAX_EXPONENTIAL_N:
+        raise ValueError(f"range must satisfy 3 <= n-min <= n-max <= {MAX_EXPONENTIAL_N}")
     rows = []
-    for n in range(n_min, n_max + 1):
-        r = build_rn(n)
-        model = build_exponential_rs_model(r)
+    for n in range(args.n_min, args.n_max + 1):
+        model = build_exponential_rs_model(build_rn(n))
         max_radius = max(model.radii[v] for v in model.graph.vertices)
         rows.append(
             {
@@ -233,39 +179,20 @@ def _report_rows(n_min: int, n_max: int) -> list[dict]:
                 "lower_bound_in_vertices": f"2^(({4 * n}-8)/4)",
             }
         )
-    return rows
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    if not 3 <= args.n_min <= args.n_max <= MAX_EXPONENTIAL_N:
-        return _fail(
-            f"range must satisfy 3 <= n-min <= n-max <= {MAX_EXPONENTIAL_N}", 2
-        )
-    rows = _report_rows(args.n_min, args.n_max)
     if args.format == "json":
-        text = dumps(rows)
-    else:
-        header = (
-            f"{'n':>3} {'vertices':>8} {'lower':>8} {'upper':>10} "
-            f"{'max_radius':>10}  bound in n / in vertices"
-        )
-        lines = [header]
-        for row in rows:
-            lines.append(
-                f"{row['n']:>3} {row['vertices']:>8} {row['lower_bound']:>8} "
-                f"{row['upper_bound']:>10} {row['max_radius']:>10}  "
-                f"{row['lower_bound_in_parameter']} = "
-                f"{row['lower_bound_in_vertices']} = {row['lower_bound']}"
-            )
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+        return dumps(rows), 0
+    columns = ("n", "vertices", "lower_bound", "upper_bound", "max_radius")
+    bound = ("lower_bound_in_parameter", "lower_bound_in_vertices", "lower_bound")
+    cells = "{:>3} {:>8} {:>8} {:>10} {:>10}  {}".format
+    lines = [cells("n", "vertices", "lower", "upper", "max_radius", "bound in n / in vertices")]
+    for row in rows:
+        lines.append(cells(*(row[c] for c in columns), " = ".join(str(row[b]) for b in bound)))
+    return "\n".join(lines) + "\n", 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="leafpower",
-        description="Leaf powers, tree representations, and the hard family R_n.",
+        prog="leafpower", description="Leaf powers, tree representations, and the hard family R_n."
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -273,20 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="output file (default stdout)")
 
-    p = sub.add_parser("build-rn", help="construct the graph R_n")
-    p.add_argument("--n", type=int, required=True)
-    add_common(p, ("json", "dot"))
-    p.set_defaults(func=_cmd_build_rn)
-
-    p = sub.add_parser("rdp-model", help="caterpillar model of R_n (root-directed paths)")
-    p.add_argument("--n", type=int, required=True)
-    add_common(p, ("json", "dot"))
-    p.set_defaults(func=_cmd_rdp_model)
-
-    p = sub.add_parser("rs-model", help="exponential-radius ball model of R_n")
-    p.add_argument("--n", type=int, required=True)
-    add_common(p, ("json", "dot"))
-    p.set_defaults(func=_cmd_rs_model)
+    for name, row in _BUILDERS.items():
+        p = sub.add_parser(name, help=row.help)
+        p.add_argument("--n", type=int, required=True)
+        add_common(p, ("json", "dot"))
+        p.set_defaults(func=_cmd_build, builder=row)
 
     p = sub.add_parser("audit", help="run the lower-bound checks on a ball model of R_n")
     p.add_argument("--n", type=int, default=None)
@@ -308,12 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("convert", help="convert between leaf roots and ball models")
-    p.add_argument(
-        "--from",
-        dest="source",
-        choices=("leafroot", "rs"),
-        required=True,
-    )
+    p.add_argument("--from", dest="source", choices=("leafroot", "rs"), required=True)
     p.add_argument("--input", required=True)
     add_common(p, ("json", "dot"))
     p.set_defaults(func=_cmd_convert)
@@ -328,8 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the only place that writes output or maps errors to exit codes."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        text, code = args.func(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 1 if isinstance(exc, _Refused) else 2
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        Path(args.out).write_text(text)
+    return code
 
 
 if __name__ == "__main__":

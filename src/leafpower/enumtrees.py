@@ -61,24 +61,16 @@ def topology_trees(num_leaves: int, max_internal: int) -> Iterator[Tree]:
 
     Every internal node has degree at least three, so these are exactly the
     shapes that remain after suppressing subdivision nodes.  ``max_internal``
-    bounds the number of internal nodes.
+    bounds the number of internal nodes.  They are the trees of
+    :func:`trees_with_leaf_count` without a degree-2 node, in the same order.
     """
     if num_leaves < 1:
         raise ValueError("need at least one leaf")
     if max_internal < 0:
         raise ValueError("max_internal must be nonnegative")
-    if num_leaves == 1:
-        yield Tree.build(["n0"], [])
-        return
-    if num_leaves == 2:
-        yield Tree.build(["n0", "n1"], [("n0", "n1")])
-        return
-    for internal in range(1, max_internal + 1):
-        for t in nonisomorphic_trees(num_leaves + internal):
-            if len(t.leaves()) != num_leaves:
-                continue
-            if all(t.degree(v) >= 3 for v in t.nodes if t.degree(v) > 1):
-                yield t
+    for t in trees_with_leaf_count(num_leaves, num_leaves + max_internal):
+        if all(t.degree(v) != 2 for v in t.nodes):
+            yield t
 
 
 def rooted_canonical_form(tree: Tree, root: str) -> tuple:

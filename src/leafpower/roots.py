@@ -180,12 +180,13 @@ def brute_force_leaf_rank(
 
     best: int | None = None
     for host in trees_with_leaf_count(num, max_nodes):
-        limit = max_k if max_k is not None else _max_relevant_k(host)
+        leaf_dist = {leaf: distances_from(host, leaf) for leaf in host.leaves()}
+        limit = max_k if max_k is not None else _max_relevant_k(leaf_dist)
         if best is not None:
             limit = min(limit, best - 1)
         if limit < 1:
             break
-        found = _best_k_on_host(graph, host, limit)
+        found = _best_k_on_host(graph, host, limit, leaf_dist)
         if found is not None:
             best = found
             if best == 1:
@@ -193,22 +194,20 @@ def brute_force_leaf_rank(
     return best
 
 
-def _max_relevant_k(host: Tree) -> int:
-    leaves = host.leaves()
-    worst = 1
-    for leaf in leaves:
-        dist = distances_from(host, leaf)
-        worst = max(worst, max(dist[x] for x in leaves))
-    return worst
+def _max_relevant_k(leaf_dist: dict[str, dict[str, int]]) -> int:
+    """The largest leaf-to-leaf distance (at least 1), from the BFS map of every leaf."""
+    return max([1] + [dist[x] for dist in leaf_dist.values() for x in leaf_dist])
 
 
-def _best_k_on_host(graph: Graph, host: Tree, limit: int) -> int | None:
-    """Minimal workable k <= limit over all placements on this host, else None."""
+def _best_k_on_host(
+    graph: Graph, host: Tree, limit: int, leaf_dist: dict[str, dict[str, int]]
+) -> int | None:
+    """Minimal workable k <= limit over all placements on this host, else None.
+
+    ``leaf_dist`` maps every leaf of the host to its BFS distance map.
+    """
     leaves = list(host.leaves())
     vertices = list(graph.vertices)
-    leaf_dist = {
-        leaf: distances_from(host, leaf) for leaf in leaves
-    }
     first_choices = leaf_orbit_representatives(host)
 
     best: int | None = None

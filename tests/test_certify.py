@@ -28,7 +28,8 @@ from leafpower import (
     weighted_leafroot_from_json_obj,
     weighted_leafroot_to_json_obj,
 )
-from leafpower.certify import witness_satisfies_system
+import leafpower.certify as certify_module
+from leafpower.certify import FeasibilityResult, witness_satisfies_system
 
 from conftest import complete_graph, cycle_graph, path_graph
 
@@ -222,6 +223,16 @@ class TestCertifyLeafPower:
         assert certify_leaf_power(
             cycle_graph(["a", "b", "c", "d", "e"]), 3
         ) is None
+
+    def test_wrong_lp_point_is_caught_by_the_recheck(self, monkeypatch):
+        # Unit weights put every pair of leaves at distance 2, so P3's edges fail.
+        def wrong_point(system):
+            weights = {e: Fraction(1) for e in system.edge_vars}
+            return FeasibilityResult(feasible=True, delta=Fraction(1, 3), weights=weights)
+
+        monkeypatch.setattr(certify_module, "solve_feasibility", wrong_point)
+        with pytest.raises(RuntimeError, match="certificate invalid"):
+            certify_leaf_power(P3, 2)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="max_internal must be at least 1"):

@@ -44,6 +44,18 @@ def p3_file(tmp_path):
 
 
 @pytest.fixture()
+def damaged_model_file(tmp_path):
+    """R_3's ball model with the radius of a3 lowered to 1: not a model of R_3."""
+    good = build_exponential_rs_model(build_rn(3))
+    damaged = RSModel.build(
+        good.host, good.graph, dict(good.centers), {**dict(good.radii.items()), "a3": 1}
+    )
+    path = tmp_path / "damaged.json"
+    path.write_text(dumps(rs_model_to_json_obj(damaged)))
+    return str(path)
+
+
+@pytest.fixture()
 def c4_file(tmp_path):
     path = tmp_path / "c4.json"
     path.write_text(dumps(graph_to_json_obj(cycle_graph(["a", "b", "c", "d"]))))
@@ -140,17 +152,8 @@ class TestAuditCommand:
         assert code == 2
         assert "does not match" in err
 
-    def test_audit_invalid_model_fails_with_code_one(self, capsys, tmp_path):
-        good = build_exponential_rs_model(build_rn(3))
-        damaged = RSModel.build(
-            good.host,
-            good.graph,
-            dict(good.centers),
-            {**dict(good.radii.items()), "a3": 1},
-        )
-        path = tmp_path / "damaged.json"
-        path.write_text(dumps(rs_model_to_json_obj(damaged)))
-        code, _, err = run(capsys, "audit", "--model", str(path))
+    def test_audit_invalid_model_fails_with_code_one(self, capsys, damaged_model_file):
+        code, _, err = run(capsys, "audit", "--model", damaged_model_file)
         assert code == 1
         assert "not a model of R_n" in err
 
@@ -316,6 +319,40 @@ class TestReportCommand:
         assert code == 2
 
 
+class TestOutputPath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build-rn", "--n", "2"],
+            ["report", "--n-min", "5", "--n-max", "3"],
+            ["leafrank", "--graph", "no/such/dir/graph.json", "--max-nodes", "6"],
+        ],
+    )
+    def test_refused_command_writes_no_output_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "out.txt"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2
+        assert out == "" and err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("argv", [["audit", "--model"], ["convert", "--from", "rs", "--input"]])
+    def test_unverified_model_writes_no_output_file(self, capsys, tmp_path, damaged_model_file, argv):
+        target = tmp_path / "out.txt"
+        code, out, err = run(capsys, *argv, damaged_model_file, "--out", str(target))
+        assert code == 1
+        assert out == "" and err
+        assert not target.exists()
+
+    def test_negative_verdict_is_written_to_the_output_file(self, capsys, tmp_path, c4_file):
+        target = tmp_path / "out.txt"
+        code, out, _ = run(
+            capsys, "certify", "--graph", c4_file, "--max-internal", "2", "--out", str(target)
+        )
+        assert code == 1
+        assert out == ""
+        assert target.read_text() == "no root within bound\n"
+
+
 class TestParserBasics:
     def test_no_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
@@ -349,8 +386,13 @@ READERS = {
 
 
 def run_on_document(path, command: str, doc: object) -> tuple[int, str, str]:
-    argv, _ = READERS[command]
     path.write_text(json.dumps(doc))
+    return run_on_document_text(path, command)
+
+
+def run_on_document_text(path, command: str) -> tuple[int, str, str]:
+    """Run ``command`` on the file at ``path`` as it stands."""
+    argv, _ = READERS[command]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*argv, str(path)])
@@ -385,6 +427,16 @@ class TestMalformedInput:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert f"{field} must be" in err
+
+    @pytest.mark.parametrize("command", sorted(READERS))
+    def test_deeply_nested_input_is_a_usage_error(self, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run_on_document_text(path, command)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("cannot load ") and "recursion" in err
 
     def test_model_without_vertices_is_a_usage_error(self, tmp_path):
         doc = {
