@@ -4,7 +4,8 @@ Every command writes deterministic output (sorted keys, canonical edge order)
 to stdout or --out, so identical invocations produce byte-identical files.
 Exit codes: 0 success; 1 verification or certification failure (audit does not
 hold, no leaf root found, imported model does not verify); 2 usage errors,
-including unreadable or unparsable input files.
+including unreadable or unparsable input files and an --out file that cannot
+be written.
 """
 
 from __future__ import annotations
@@ -60,6 +61,13 @@ def _read(path: str, parse: Callable[[object], T], what: str) -> T:
         return parse(json.loads(Path(path).read_text()))
     except (OSError, ValueError, RecursionError) as exc:
         raise ValueError(f"cannot load {what}: {exc}") from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output: {exc}") from None
 
 
 def _json_or_dot(
@@ -245,13 +253,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text, code = args.func(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            _write(args.out, text)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 1 if isinstance(exc, _Refused) else 2
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
     return code
 
 

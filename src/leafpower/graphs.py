@@ -230,11 +230,17 @@ def graph_from_json_obj(obj: object, field: str = "") -> Graph:
     return Graph.build(rec.get("vertices", strings), rec.get("edges", string_pairs))
 
 
+def dot_quote(text: str) -> str:
+    """``text`` as a quoted DOT string: every name and label goes through here."""
+    return '"' + text.replace('"', '\\"') + '"'
+
+
+def dot_graph(name: str, statements: Iterable[str], edges: Iterable[Edge]) -> str:
+    """An undirected DOT graph: the given statement lines, then one line per edge."""
+    lines = [f"graph {name} {{", *statements]
+    lines += [f"  {dot_quote(u)} -- {dot_quote(v)};" for u, v in edges]
+    return "\n".join(lines) + "\n}\n"
+
+
 def graph_to_dot(graph: Graph, *, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
-    for v in graph.vertices:
-        lines.append(f'  "{v}";')
-    for u, v in graph.edges:
-        lines.append(f'  "{u}" -- "{v}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return dot_graph(name, [f"  {dot_quote(v)};" for v in graph.vertices], graph.edges)

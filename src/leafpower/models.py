@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graphs import Graph, Clique, graph_from_json_obj, graph_to_json_obj
+from .graphs import Graph, Clique, dot_graph, dot_quote, graph_from_json_obj, graph_to_json_obj
 from .jsonio import Record, entries, integer_map, string_map, strings
 from .trees import (
     Tree,
@@ -308,19 +308,17 @@ def rs_model_to_dot(model: RSModel, *, name: str = "M") -> str:
     centers_at: dict[str, list[str]] = {}
     for v in model.graph.vertices:
         centers_at.setdefault(model.centers[v], []).append(v)
-    lines = [f"graph {name} {{"]
+    lines = []
     for node in model.host.nodes:
         if node in centers_at:
             marks = ", ".join(
                 f"{v} r={model.radii[v]}" for v in sorted(centers_at[node])
             )
-            lines.append(f'  "{node}" [label="{node}: {marks}", shape=box];')
+            text = dot_quote(f"{node}: {marks}")
+            lines.append(f"  {dot_quote(node)} [label={text}, shape=box];")
         else:
-            lines.append(f'  "{node}";')
-    for u, v in model.host.edges:
-        lines.append(f'  "{u}" -- "{v}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            lines.append(f"  {dot_quote(node)};")
+    return dot_graph(name, lines, model.host.edges)
 
 
 _DOT_PALETTE = (
@@ -344,13 +342,11 @@ def subtree_model_to_dot(model: SubtreeModel, *, name: str = "M") -> str:
         v: _DOT_PALETTE[i % len(_DOT_PALETTE)]
         for i, v in enumerate(model.graph.vertices)
     }
-    lines = [f"graph {name} {{", "  node [style=filled];"]
+    lines = ["  node [style=filled];"]
     for node in model.host.nodes:
         covering = sorted(cover(model, node))
         label = ",".join(covering)
         fill = color_of[covering[0]] if covering else "white"
-        lines.append(f'  "{node}" [label="{node}: {{{label}}}", fillcolor="{fill}"];')
-    for u, v in model.host.edges:
-        lines.append(f'  "{u}" -- "{v}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        text = dot_quote(f"{node}: {{{label}}}")
+        lines.append(f'  {dot_quote(node)} [label={text}, fillcolor="{fill}"];')
+    return dot_graph(name, lines, model.host.edges)

@@ -24,7 +24,7 @@ from .models import (
     rs_model_violations,
     subtree_model_violations,
 )
-from .trees import Tree, distances_from
+from .trees import Tree, distances_from, is_connected_subset
 
 #: Largest n for which build_exponential_rs_model will construct a host tree
 #: (the host has on the order of 2^n nodes; 2^16 is still desk-feasible).
@@ -143,23 +143,15 @@ def build_rdp_model(r: RnGraph) -> SubtreeModel:
 def is_rooted_directed_path_model(model: SubtreeModel, root: str) -> bool:
     """Whether every assigned subtree is a path directed away from ``root``.
 
-    A node set is such a path exactly when its members sit at pairwise
-    distinct depths and, sorted by depth, consecutive members are adjacent in
-    the host: the set is then a descending ancestor-to-descendant path.
+    A connected node set has one member nearest ``root`` and grows downward
+    from it; it is a descending ancestor-to-descendant path exactly when no
+    two members sit at the same depth.
     """
     depth = distances_from(model.host, root)
-    for nodes in model.assignment.values():
-        if not nodes:
-            return False
-        ordered = sorted(nodes, key=lambda x: depth[x])
-        depths = [depth[x] for x in ordered]
-        if len(set(depths)) != len(depths):
-            return False
-        adjacency = model.host._adjacency
-        for p, q in zip(ordered, ordered[1:]):
-            if q not in adjacency[p]:
-                return False
-    return True
+    return all(
+        is_connected_subset(model.host, nodes) and len({depth[x] for x in nodes}) == len(nodes)
+        for nodes in model.assignment.values()
+    )
 
 
 def build_exponential_rs_model(r: RnGraph) -> RSModel:

@@ -9,13 +9,12 @@ distance k.  The smallest workable k is the graph's leaf rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .enumtrees import leaf_orbit_representatives, trees_with_leaf_count
-from .graphs import Graph
+from .graphs import Graph, dot_graph, dot_quote
 from .jsonio import Record, integer, string_map
-from .models import RSModel
-from .trees import Tree, distances_from, tree_from_json_obj, tree_to_json_obj
+from .models import RSModel, rs_model_violations
+from .trees import Tree, distances_from, tree_from_json_obj, tree_path, tree_to_json_obj
 
 
 @dataclass(frozen=True)
@@ -43,12 +42,7 @@ def verify_leaf_root(graph: Graph, root: LeafRoot) -> bool:
     """Whether adjacency in ``graph`` matches leaf distance <= k exactly."""
     if set(root.placement) != set(graph.vertices):
         raise ValueError("placement domain must equal the vertex set")
-    for i, u in enumerate(graph.vertices):
-        dist = distances_from(root.host, root.placement[u])
-        for v in graph.vertices[i + 1 :]:
-            if (dist[root.placement[v]] <= root.k) != graph.adjacent(u, v):
-                return False
-    return True
+    return leaf_power_graph(root).edges == graph.edges
 
 
 def leaf_power_graph(root: LeafRoot) -> Graph:
@@ -76,7 +70,8 @@ def leafroot_to_rs(root: LeafRoot, graph: Graph | None = None) -> RSModel:
     Every host edge is subdivided once and each vertex is centered on its own
     leaf.  Two leaves at distance d in the original host end up at distance 2d
     in the subdivided host, so balls of radius k intersect exactly when
-    d <= k: the model represents the same graph, with max radius k.
+    d <= k: the model represents the same graph, with max radius k.  The model
+    is re-checked against the graph; a failure raises RuntimeError.
     """
     if graph is None:
         graph = leaf_power_graph(root)
@@ -96,15 +91,20 @@ def leafroot_to_rs(root: LeafRoot, graph: Graph | None = None) -> RSModel:
 
     centers = {v: root.placement[v] for v in graph.vertices}
     radii = {v: root.k for v in graph.vertices}
-    return RSModel.build(host, graph, centers, radii)
+    model = RSModel.build(host, graph, centers, radii)
+    problems = rs_model_violations(model)
+    if problems:
+        raise RuntimeError(f"construction invalid: {problems[0]}")
+    return model
 
 
 def rs_to_leafroot(model: RSModel) -> LeafRoot:
     """Turn a verifying ball model with max radius k into a (2k+2)-leaf root.
 
-    Each vertex gets a brand-new leaf fastened to its center by a path of
-    length k+1-r_v; leaves of the host that carry no vertex are then pruned
-    away.  For placed leaves u, v the distance becomes
+    The host is cut down to the smallest subtree holding every center (the
+    union of the paths from one center to all others), and each vertex gets a
+    brand-new leaf fastened to its center by a path of length k+1-r_v.  A lone
+    vertex keeps only its leaf.  For placed leaves u, v the distance becomes
     (k+1-r_u) + dist(c_u, c_v) + (k+1-r_v), which is at most 2k+2 exactly when
     the balls intersected.
     """
@@ -112,51 +112,30 @@ def rs_to_leafroot(model: RSModel) -> LeafRoot:
     if not vertices:
         raise ValueError("model has no vertices")
     k = max(model.radii[v] for v in vertices)
+    taken = set(model.host.nodes)
+    if len(vertices) == 1:
+        leaf = _fresh_name(f"leaf.{vertices[0]}", taken)
+        return LeafRoot.build(Tree.build([leaf], []), 2 * k + 2, {vertices[0]: leaf})
 
-    adjacency: dict[str, set[str]] = {x: set() for x in model.host.nodes}
-    for x, y in model.host.edges:
-        adjacency[x].add(y)
-        adjacency[y].add(x)
-
-    taken = set(adjacency)
+    first = model.centers[vertices[0]]
+    core = set().union(*(tree_path(model.host, first, model.centers[v]) for v in vertices))
+    nodes = list(core)
+    edges = [(x, y) for x, y in model.host.edges if x in core and y in core]
     placement: dict[str, str] = {}
     for v in vertices:
-        attach = model.centers[v]
-        length = k + 1 - model.radii[v]
-        prev = attach
-        for j in range(1, length):
+        prev = model.centers[v]
+        for j in range(1, k + 1 - model.radii[v]):
             stem = _fresh_name(f"stem.{v}.{j}", taken)
             taken.add(stem)
-            adjacency[stem] = set()
-            adjacency[prev].add(stem)
-            adjacency[stem].add(prev)
+            nodes.append(stem)
+            edges.append((prev, stem))
             prev = stem
         leaf = _fresh_name(f"leaf.{v}", taken)
         taken.add(leaf)
-        adjacency[leaf] = set()
-        adjacency[prev].add(leaf)
-        adjacency[leaf].add(prev)
+        nodes.append(leaf)
+        edges.append((prev, leaf))
         placement[v] = leaf
-
-    placed = set(placement.values())
-    queue = [x for x in adjacency if len(adjacency[x]) <= 1 and x not in placed]
-    while queue:
-        x = queue.pop()
-        if x not in adjacency or x in placed or len(adjacency[x]) > 1:
-            continue
-        if len(adjacency) == 1:
-            break
-        for y in adjacency.pop(x):
-            adjacency[y].discard(x)
-            if len(adjacency[y]) <= 1 and y not in placed:
-                queue.append(y)
-
-    nodes = sorted(adjacency)
-    edges = sorted(
-        (x, y) for x in adjacency for y in adjacency[x] if x < y
-    )
-    host = Tree.build(nodes, edges)
-    return LeafRoot.build(host, 2 * k + 2, placement)
+    return LeafRoot.build(Tree.build(sorted(nodes), edges), 2 * k + 2, placement)
 
 
 def brute_force_leaf_rank(
@@ -263,13 +242,11 @@ def leafroot_from_json_obj(obj: object, field: str = "") -> LeafRoot:
 
 def leafroot_to_dot(root: LeafRoot, *, name: str = "R") -> str:
     by_leaf = {leaf: v for v, leaf in root.placement.items()}
-    lines = [f"graph {name} {{", f'  label="k = {root.k}";']
+    lines = [f'  label="k = {root.k}";']
     for x in root.host.nodes:
         if x in by_leaf:
-            lines.append(f'  "{x}" [label="{x} ({by_leaf[x]})", shape=box];')
+            text = dot_quote(f"{x} ({by_leaf[x]})")
+            lines.append(f"  {dot_quote(x)} [label={text}, shape=box];")
         else:
-            lines.append(f'  "{x}";')
-    for u, v in root.host.edges:
-        lines.append(f'  "{u}" -- "{v}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            lines.append(f"  {dot_quote(x)};")
+    return dot_graph(name, lines, root.host.edges)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .graphs import Edge, normalize_edge
+from .graphs import Edge, dot_graph, dot_quote, normalize_edge
 from .jsonio import Record, string_pairs, strings
 
 
@@ -40,8 +40,7 @@ class Tree:
         if len(es) != len(ns) - 1:
             raise ValueError(f"a tree on {len(ns)} nodes needs {len(ns) - 1} edges, got {len(es)}")
         tree = Tree(nodes=ns, edges=tuple(sorted(es)))
-        reached = set(tree._bfs_order(ns[0]))
-        if len(reached) != len(ns):
+        if len(tree._parent) != len(ns):
             raise ValueError("edges do not connect all nodes")
         return tree
 
@@ -52,6 +51,22 @@ class Tree:
             adj[u].append(v)
             adj[v].append(u)
         return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+
+    @cached_property
+    def _parent(self) -> Mapping[str, str | None]:
+        """Each reachable node's parent in a breadth-first search from ``nodes[0]``.
+
+        The root maps to None.  Every path question climbs this map, so a tree
+        is searched once; ``build`` checks connectivity by its size.
+        """
+        parent: dict[str, str | None] = {self.nodes[0]: None}
+        order = [self.nodes[0]]
+        for x in order:
+            for y in self._adjacency[x]:
+                if y not in parent:
+                    parent[y] = x
+                    order.append(y)
+        return parent
 
     @property
     def n(self) -> int:
@@ -67,39 +82,23 @@ class Tree:
         """All nodes of degree at most one, in node order (a lone node counts)."""
         return tuple(v for v in self.nodes if len(self._adjacency[v]) <= 1)
 
-    def _bfs_order(self, start: str) -> list[str]:
-        order = [start]
-        seen = {start}
-        i = 0
-        while i < len(order):
-            for w in self._adjacency[order[i]]:
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
-            i += 1
-        return order
-
 
 def tree_path(tree: Tree, u: str, v: str) -> tuple[str, ...]:
-    """The unique path from u to v, inclusive of both endpoints."""
-    if u not in tree._adjacency or v not in tree._adjacency:
+    """The unique path from u to v, inclusive of both endpoints.
+
+    Climbs from u to the root, then from v until that chain is met.
+    """
+    parent = tree._parent
+    if u not in parent or v not in parent:
         raise ValueError("path endpoints must be tree nodes")
-    if u == v:
-        return (u,)
-    parent: dict[str, str] = {u: u}
-    frontier = [u]
-    while frontier and v not in parent:
-        nxt = []
-        for x in frontier:
-            for y in tree.neighbors(x):
-                if y not in parent:
-                    parent[y] = x
-                    nxt.append(y)
-        frontier = nxt
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    return tuple(reversed(path))
+    up = [u]
+    while (p := parent[up[-1]]) is not None:
+        up.append(p)
+    position = {x: i for i, x in enumerate(up)}
+    down = [v]
+    while down[-1] not in position:
+        down.append(parent[down[-1]])
+    return tuple(up[: position[down[-1]]]) + tuple(reversed(down))
 
 
 def distance(tree: Tree, u: str, v: str) -> int:
@@ -159,23 +158,18 @@ def connector(tree: Tree, leaf: str) -> str:
 
 
 def is_connected_subset(tree: Tree, subset: Iterable[str]) -> bool:
-    """Whether ``subset`` induces a (nonempty) subtree."""
+    """Whether ``subset`` induces a (nonempty) subtree.
+
+    Each component of the induced forest has exactly one member whose parent
+    lies outside the subset (its node nearest the root), so the subset is
+    connected exactly when one member has such a parent.
+    """
     sub = frozenset(subset)
-    if not sub:
-        return False
+    parent = tree._parent
     for v in sub:
-        if v not in tree._adjacency:
+        if v not in parent:
             raise ValueError(f"node {v!r} is not in the tree")
-    start = next(iter(sub))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        x = frontier.pop()
-        for y in tree.neighbors(x):
-            if y in sub and y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == len(sub)
+    return sum(parent[v] not in sub for v in sub) == 1
 
 
 def connecting_path(tree: Tree, a: Iterable[str], b: Iterable[str]) -> tuple[str, ...]:
@@ -192,22 +186,11 @@ def connecting_path(tree: Tree, a: Iterable[str], b: Iterable[str]) -> tuple[str
         raise ValueError("arguments must induce nonempty subtrees")
     if a_set & b_set:
         raise ValueError("subtrees not disjoint")
-    parent: dict[str, str | None] = {v: None for v in a_set}
-    frontier = sorted(a_set)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            if x in b_set:
-                path = [x]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                return tuple(reversed(path))
-            for y in tree.neighbors(x):
-                if y not in parent:
-                    parent[y] = x
-                    nxt.append(y)
-        frontier = nxt
-    raise ValueError("subtrees are not connected to each other")
+    path = tree_path(tree, next(iter(a_set)), next(iter(b_set)))
+    # The path meets subtree a in a prefix and subtree b in a suffix.
+    in_a = sum(x in a_set for x in path)
+    in_b = sum(x in b_set for x in path)
+    return path[in_a - 1 : len(path) - in_b + 1]
 
 
 def tree_to_json_obj(tree: Tree) -> dict:
@@ -224,10 +207,4 @@ def tree_from_json_obj(obj: object, field: str = "") -> Tree:
 
 
 def tree_to_dot(tree: Tree, *, name: str = "T") -> str:
-    lines = [f"graph {name} {{"]
-    for v in tree.nodes:
-        lines.append(f'  "{v}";')
-    for u, v in tree.edges:
-        lines.append(f'  "{u}" -- "{v}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return dot_graph(name, [f"  {dot_quote(v)};" for v in tree.nodes], tree.edges)

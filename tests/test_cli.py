@@ -343,6 +343,14 @@ class TestOutputPath:
         assert out == "" and err
         assert not target.exists()
 
+    def test_unwritable_output_path_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing_dir" / "x.json"
+        code, out, err = run(capsys, "build-rn", "--n", "3", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and str(target) in err
+        assert not target.exists()
+
     def test_negative_verdict_is_written_to_the_output_file(self, capsys, tmp_path, c4_file):
         target = tmp_path / "out.txt"
         code, out, _ = run(

@@ -23,10 +23,15 @@ def fm_feasible(rows: list[tuple[list[Fraction], str, Fraction]],
                 num_vars: int) -> bool:
     """Decide feasibility of {rows, x >= 0} by Fourier-Motzkin elimination.
 
-    Everything is normalized to <= constraints; equalities become two
-    inequalities; nonnegativity adds -x_j <= 0.
+    Everything is normalized to <= constraints; nonnegativity adds
+    -x_j <= 0.  Each equality with a nonzero coefficient is solved for one
+    variable, which is substituted everywhere (its nonnegativity row included)
+    before elimination starts.  Split into two inequalities instead, an
+    equality lands on both sides of every elimination step, and four variables
+    can then grow the system past a billion rows.
     """
     system: list[tuple[list[Fraction], Fraction]] = []
+    equalities: list[tuple[list[Fraction], Fraction]] = []
 
     def push(coeffs: list[Fraction], rhs: Fraction) -> None:
         system.append(([Fraction(c) for c in coeffs], Fraction(rhs)))
@@ -37,14 +42,29 @@ def fm_feasible(rows: list[tuple[list[Fraction], str, Fraction]],
         elif sense == GE:
             push([-c for c in coeffs], -rhs)
         elif sense == EQ:
-            push(coeffs, rhs)
-            push([-c for c in coeffs], -rhs)
+            equalities.append(([Fraction(c) for c in coeffs], Fraction(rhs)))
         else:
             raise ValueError(sense)
     for j in range(num_vars):
         unit = [Fraction(0)] * num_vars
         unit[j] = Fraction(-1)
         push(unit, Fraction(0))
+
+    while equalities:
+        eq, eq_rhs = equalities.pop()
+        pivot = next((j for j, c in enumerate(eq) if c != 0), None)
+        if pivot is None:
+            if eq_rhs != 0:
+                return False
+            continue
+
+        def substitute(row):
+            coeffs, rhs = row
+            factor = coeffs[pivot] / eq[pivot]
+            return [c - factor * e for c, e in zip(coeffs, eq)], rhs - factor * eq_rhs
+
+        equalities = [substitute(row) for row in equalities]
+        system = [substitute(row) for row in system]
 
     for j in range(num_vars):
         lower, upper, rest = [], [], []

@@ -10,22 +10,29 @@ import pytest
 from leafpower import (
     Graph,
     LeafRoot,
+    RSModel,
     Tree,
     brute_force_leaf_rank,
     distance,
     dumps,
     expand_rs,
+    graph_to_dot,
     is_cluster_graph,
     leaf_power_graph,
     leafroot_from_json_obj,
     leafroot_to_dot,
     leafroot_to_json_obj,
     leafroot_to_rs,
+    rs_model_to_dot,
     rs_to_leafroot,
+    subtree_model_to_dot,
+    tree_to_dot,
     verify_leaf_root,
     verify_rs_model,
     verify_subtree_model,
 )
+
+from leafpower import roots
 
 from conftest import (
     complete_graph,
@@ -145,6 +152,17 @@ class TestLeafRootToBallModel:
         with pytest.raises(ValueError, match="does not verify"):
             leafroot_to_rs(root, Graph.build(["a", "b", "c"], []))
 
+    def test_broken_construction_is_caught_by_the_recheck(self, monkeypatch):
+        # Handed a graph without edges, the subdivided host's balls still meet.
+        root = LeafRoot.build(
+            caterpillar_host(), 3, {"a": "lu", "b": "lv", "c": "lw"}
+        )
+        monkeypatch.setattr(
+            roots, "leaf_power_graph", lambda r: Graph.build(sorted(r.placement), [])
+        )
+        with pytest.raises(RuntimeError, match="construction invalid"):
+            leafroot_to_rs(root)
+
 
 class TestBallModelToLeafRoot:
     def test_round_trip_through_ball_model(self):
@@ -170,6 +188,14 @@ class TestBallModelToLeafRoot:
         assert back.k == 2
         assert verify_leaf_root(g, back)
         assert len(back.host.nodes) == 4
+
+    def test_lone_vertex_keeps_only_its_leaf(self):
+        t = path_tree(["leaf.a", "x", "y"])
+        m = RSModel.build(t, Graph.build(["a"], []), {"a": "x"}, {"a": 2})
+        back = rs_to_leafroot(m)
+        assert back.host.nodes == ("_leaf.a",)
+        assert back.k == 6
+        assert back.placement == {"a": "_leaf.a"}
 
     def test_empty_model_rejected(self):
         from leafpower import RSModel
@@ -280,3 +306,21 @@ class TestLeafRootSerialization:
         dot = leafroot_to_dot(root)
         assert "k = 2" in dot
         assert "shape=box" in dot
+
+    def test_dot_escapes_quotes_in_names(self):
+        root = LeafRoot.build(star_tree('x"y', ["p", "q"]), 2, {'v"1': "p", "w": "q"})
+        model = leafroot_to_rs(root)
+        dots = [
+            graph_to_dot(model.graph),
+            tree_to_dot(root.host),
+            leafroot_to_dot(root),
+            rs_model_to_dot(model),
+            subtree_model_to_dot(expand_rs(model)),
+        ]
+        for dot in dots:
+            for line in dot.splitlines():
+                assert line.replace('\\"', "").count('"') % 2 == 0, line
+        assert '  "v\\"1" -- "w";' in dots[0]
+        assert '  "x\\"y";' in dots[1]
+        assert '  "p" [label="p (v\\"1)", shape=box];' in dots[2]
+        assert '  "p" [label="p: v\\"1 r=2", shape=box];' in dots[3]

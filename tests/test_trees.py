@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import json
 
+import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from leafpower import (
@@ -234,6 +235,46 @@ class TestConnectedSubset:
         assert not is_connected_subset(t, frozenset({"a", "c"}))
         assert is_connected_subset(t, frozenset({"b"}))
         assert not is_connected_subset(t, frozenset())
+
+
+# ---------------------------------------------------------------------------
+# The parent-map climbs against networkx as an independent oracle
+# ---------------------------------------------------------------------------
+
+def _nx_tree(t: Tree) -> nx.Graph:
+    g = nx.Graph(list(t.edges))
+    g.add_nodes_from(t.nodes)
+    return g
+
+
+def _grow(data, t: Tree, start: str, allowed: set[str]) -> frozenset[str]:
+    """A connected node set inside ``allowed``, grown from ``start`` by random neighbours."""
+    part = {start}
+    for _ in range(data.draw(st.integers(1, 4))):
+        frontier = sorted(({y for x in part for y in t.neighbors(x)} & allowed) - part)
+        if not frontier:
+            break
+        part.add(data.draw(st.sampled_from(frontier)))
+    return frozenset(part)
+
+
+class TestClimbsAgainstNetworkx:
+    @given(random_trees(max_nodes=10), st.data())
+    def test_is_connected_subset_agrees_with_induced_subgraph(self, t: Tree, data):
+        subset = data.draw(st.sets(st.sampled_from(t.nodes)))
+        expected = bool(subset) and nx.is_connected(_nx_tree(t).subgraph(subset))
+        assert is_connected_subset(t, subset) == expected
+
+    @given(random_trees(min_nodes=4, max_nodes=10), st.data())
+    def test_connecting_path_is_the_shortest_path_between_subtrees(self, t: Tree, data):
+        a = _grow(data, t, data.draw(st.sampled_from(t.nodes)), set(t.nodes))
+        rest = {v for v in t.nodes if v not in a}
+        assume(rest)
+        b = _grow(data, t, data.draw(st.sampled_from(sorted(rest))), rest)
+        assume(len(a) > 1 and len(b) > 1)
+        dist, paths = nx.multi_source_dijkstra(_nx_tree(t), a)
+        nearest = min(b, key=dist.__getitem__)
+        assert connecting_path(t, a, b) == tuple(paths[nearest])
 
 
 # ---------------------------------------------------------------------------
