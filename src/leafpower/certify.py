@@ -202,6 +202,11 @@ def certify_leaf_power(graph: Graph, max_internal: int) -> WeightedLeafRoot | No
     checking it against the graph by exact path sums; None means no root
     exists WITHIN THIS BOUND, which is not a proof that the graph is no leaf
     power.  A witness that fails the check raises RuntimeError.
+
+    Such a topology has at most |V| - 2 internal nodes, so ``max_internal``
+    >= |V| - 2 covers every topology, and None then rules out every weighted
+    leaf root.  That verdict still trusts the simplex: an infeasible LP
+    carries no certificate yet.
     """
     if max_internal < 1:
         raise ValueError("max_internal must be at least 1")

@@ -63,12 +63,16 @@ def topology_trees(num_leaves: int, max_internal: int) -> Iterator[Tree]:
     shapes that remain after suppressing subdivision nodes.  ``max_internal``
     bounds the number of internal nodes.  They are the trees of
     :func:`trees_with_leaf_count` without a degree-2 node, in the same order.
+
+    Counting degrees, ``L + 3I <= 2(L + I - 1)``, so such a tree with L leaves
+    has at most ``L - 2`` internal nodes, and larger orders are never built.
     """
     if num_leaves < 1:
         raise ValueError("need at least one leaf")
     if max_internal < 0:
         raise ValueError("max_internal must be nonnegative")
-    for t in trees_with_leaf_count(num_leaves, num_leaves + max_internal):
+    internal = min(max_internal, max(num_leaves - 2, 0))
+    for t in trees_with_leaf_count(num_leaves, num_leaves + internal):
         if all(t.degree(v) != 2 for v in t.nodes):
             yield t
 

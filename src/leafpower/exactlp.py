@@ -24,6 +24,8 @@ UNBOUNDED = "unbounded"
 
 Row = tuple[Sequence[Fraction | int], str, Fraction | int]
 
+_FLIPPED = {LE: GE, GE: LE, EQ: EQ}
+
 
 @dataclass(frozen=True)
 class Solution:
@@ -36,138 +38,93 @@ def maximize(objective: Sequence[Fraction | int], rows: Sequence[Row]) -> Soluti
     """Maximize objective . x subject to the rows, over x >= 0."""
     n = len(objective)
     cost = [Fraction(c) for c in objective]
-
-    coeffs: list[list[Fraction]] = []
-    senses: list[str] = []
-    rhs: list[Fraction] = []
-    for row_coeffs, sense, value in rows:
+    for row_coeffs, sense, _ in rows:
         if len(row_coeffs) != n:
             raise ValueError("row length does not match variable count")
-        if sense not in (LE, GE, EQ):
+        if sense not in _FLIPPED:
             raise ValueError(f"unknown sense {sense!r}")
-        a = [Fraction(c) for c in row_coeffs]
-        b = Fraction(value)
-        if b < 0:
-            a = [-c for c in a]
-            b = -b
-            sense = {LE: GE, GE: LE, EQ: EQ}[sense]
-        coeffs.append(a)
-        senses.append(sense)
-        rhs.append(b)
 
-    m = len(coeffs)
-    # Column layout: structural | slack/surplus | artificial | rhs.
-    num_extra = sum(1 for s in senses if s != EQ)
-    num_art = sum(1 for s in senses if s != LE)
-    total = n + num_extra + num_art
+    # Column layout: structural | slack/surplus | artificial | rhs.  A row with
+    # a negative rhs is negated, which swaps <= and >=; every row that is not
+    # <= after that gets an artificial column.
+    num_extra = sum(1 for _, s, _ in rows if s != EQ)
+    num_art = sum(1 for _, s, v in rows if (_FLIPPED[s] if v < 0 else s) != LE)
+    art_start = n + num_extra
+    total = art_start + num_art
 
-    tableau = [[Fraction(0)] * (total + 1) for _ in range(m)]
-    basis = [-1] * m
-    extra_at = n
-    art_at = n + num_extra
-    artificial_cols: set[int] = set()
-    for i in range(m):
-        for j in range(n):
-            tableau[i][j] = coeffs[i][j]
-        tableau[i][total] = rhs[i]
-        if senses[i] == LE:
-            tableau[i][extra_at] = Fraction(1)
-            basis[i] = extra_at
+    tableau: list[list[Fraction]] = []
+    basis: list[int] = []
+    extra_at, art_at = n, art_start
+    for row_coeffs, sense, value in rows:
+        sign = -1 if value < 0 else 1
+        row = [sign * Fraction(c) for c in row_coeffs] + [Fraction(0)] * (total - n)
+        row.append(sign * Fraction(value))
+        sense = _FLIPPED[sense] if sign < 0 else sense
+        if sense != EQ:
+            row[extra_at] = Fraction(1 if sense == LE else -1)
             extra_at += 1
-        elif senses[i] == GE:
-            tableau[i][extra_at] = Fraction(-1)
-            extra_at += 1
-            tableau[i][art_at] = Fraction(1)
-            basis[i] = art_at
-            artificial_cols.add(art_at)
-            art_at += 1
+        if sense == LE:
+            basis.append(extra_at - 1)
         else:
-            tableau[i][art_at] = Fraction(1)
-            basis[i] = art_at
-            artificial_cols.add(art_at)
+            row[art_at] = Fraction(1)
+            basis.append(art_at)
             art_at += 1
+        tableau.append(row)
 
     def pivot(row: int, col: int) -> None:
-        inv = Fraction(1) / tableau[row][col]
-        tableau[row] = [c * inv for c in tableau[row]]
-        for i in range(len(tableau)):
-            if i != row and tableau[i][col] != 0:
-                factor = tableau[i][col]
-                tableau[i] = [
-                    a - factor * b for a, b in zip(tableau[i], tableau[row])
-                ]
+        inv = 1 / tableau[row][col]
+        tableau[row] = pivot_row = [c * inv for c in tableau[row]]
+        for i, other in enumerate(tableau):
+            factor = other[col]
+            if i != row and factor != 0:
+                tableau[i] = [a - factor * b for a, b in zip(other, pivot_row)]
+        basis[row] = col
 
-    def run_simplex(cost_vec: list[Fraction], allowed: list[int]) -> str:
-        while True:
-            reduced = {}
-            for j in allowed:
-                rc = cost_vec[j]
-                for i in range(len(tableau)):
-                    cb = cost_vec[basis[i]]
-                    if cb != 0:
-                        rc -= cb * tableau[i][j]
-                reduced[j] = rc
-            entering = None
-            for j in allowed:
-                if reduced[j] > 0:
-                    entering = j
-                    break
-            if entering is None:
-                return OPTIMAL
-            leaving = None
-            best_ratio = None
-            for i in range(len(tableau)):
-                if tableau[i][entering] > 0:
-                    ratio = tableau[i][total] / tableau[i][entering]
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[leaving])
-                    ):
-                        best_ratio = ratio
-                        leaving = i
-            if leaving is None:
-                return UNBOUNDED
-            pivot(leaving, entering)
-            basis[leaving] = entering
+    def simplex(cost_vec: list[Fraction], columns: range) -> str:
+        """Bland's rule over ``columns``.  While it runs, the last tableau row
+        holds the reduced costs, so every pivot updates them with the rest."""
+        reduced = cost_vec + [Fraction(0)] * (total + 1 - len(cost_vec))
+        # Basic columns are unit columns: one subtraction per row prices each out.
+        for row, b in zip(tableau, basis):
+            factor = reduced[b]
+            if factor != 0:
+                reduced = [r - factor * a for r, a in zip(reduced, row)]
+        tableau.append(reduced)
+        while (entering := next((j for j in columns if tableau[-1][j] > 0), None)) is not None:
+            # Smallest ratio leaves; ties go to the smallest basis index.
+            ratios = [
+                (row[total] / row[entering], b, i)
+                for i, (row, b) in enumerate(zip(tableau, basis))
+                if row[entering] > 0
+            ]
+            if not ratios:
+                break
+            pivot(min(ratios)[2], entering)
+        tableau.pop()
+        return OPTIMAL if entering is None else UNBOUNDED
 
-    if artificial_cols:
-        phase1_cost = [Fraction(0)] * (total + 1)
-        for j in artificial_cols:
-            phase1_cost[j] = Fraction(-1)
-        status = run_simplex(phase1_cost, list(range(total)))
-        if status != OPTIMAL:
+    if num_art:
+        phase1_cost = [Fraction(0)] * art_start + [Fraction(-1)] * num_art
+        if simplex(phase1_cost, range(total)) != OPTIMAL:
             raise RuntimeError("phase 1 cannot be unbounded")
-        infeas = sum(tableau[i][total] for i in range(len(tableau)) if basis[i] in artificial_cols)
-        if infeas > 0:
+        if sum(row[total] for row, b in zip(tableau, basis) if b >= art_start) > 0:
             return Solution(status=INFEASIBLE, x=None, objective=None)
         # Drive surviving artificials out of the basis; drop redundant rows.
         for i in reversed(range(len(tableau))):
-            if basis[i] not in artificial_cols:
-                continue
-            pivot_col = None
-            for j in range(n + num_extra):
-                if tableau[i][j] != 0:
-                    pivot_col = j
-                    break
-            if pivot_col is None:
-                del tableau[i]
-                del basis[i]
-            else:
-                pivot(i, pivot_col)
-                basis[i] = pivot_col
+            if basis[i] >= art_start:
+                pivot_col = next((j for j in range(art_start) if tableau[i][j] != 0), None)
+                if pivot_col is None:
+                    del tableau[i]
+                    del basis[i]
+                else:
+                    pivot(i, pivot_col)
 
-    phase2_cost = [Fraction(0)] * (total + 1)
-    for j in range(n):
-        phase2_cost[j] = cost[j]
-    allowed = [j for j in range(n + num_extra) if j not in artificial_cols]
-    status = run_simplex(phase2_cost, allowed)
-    if status == UNBOUNDED:
+    if simplex(cost, range(art_start)) == UNBOUNDED:
         return Solution(status=UNBOUNDED, x=None, objective=None)
 
     x = [Fraction(0)] * n
-    for i in range(len(tableau)):
-        if basis[i] < n:
-            x[basis[i]] = tableau[i][total]
+    for row, b in zip(tableau, basis):
+        if b < n:
+            x[b] = row[total]
     value = sum(c * v for c, v in zip(cost, x))
     return Solution(status=OPTIMAL, x=tuple(x), objective=value)

@@ -231,7 +231,13 @@ def graph_from_json_obj(obj: object, field: str = "") -> Graph:
 
 
 def dot_quote(text: str) -> str:
-    """``text`` as a quoted DOT string: every name and label goes through here."""
+    """``text`` as a quoted DOT string: every name and label goes through here.
+
+    DOT has no escape for a final backslash (``"x\\"`` reads as an escaped
+    quote), so such text is refused with ValueError.
+    """
+    if text.endswith("\\"):
+        raise ValueError(f"DOT cannot quote text ending in a backslash: {text!r}")
     return '"' + text.replace('"', '\\"') + '"'
 
 

@@ -280,6 +280,24 @@ class TestConvertCommand:
         assert code == 1
         assert "model does not verify" in err
 
+    def test_dot_refuses_a_name_ending_in_a_backslash(self, capsys, tmp_path):
+        from leafpower import LeafRoot, Tree, leafroot_to_json_obj
+
+        host = Tree.build(["u\\", "lu", "lv"], [("u\\", "lu"), ("u\\", "lv")])
+        root = LeafRoot.build(host, 2, {"a": "lu", "b": "lv"})
+        path = tmp_path / "root.json"
+        path.write_text(dumps(leafroot_to_json_obj(root)))
+        target = tmp_path / "out.dot"
+        argv = ["convert", "--from", "leafroot", "--input", str(path)]
+        code, out, err = run(capsys, *argv, "--format", "dot", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "backslash" in err
+        assert not target.exists()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert '"u\\\\"' in out
+
     def test_dot_output(self, capsys, tmp_path):
         model = build_exponential_rs_model(build_rn(3))
         path = tmp_path / "rs.json"

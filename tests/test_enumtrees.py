@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import given
 
 from leafpower import (
@@ -14,6 +15,7 @@ from leafpower import (
     topology_trees,
     trees_with_leaf_count,
 )
+from leafpower import enumtrees
 from leafpower.enumtrees import rooted_canonical_form
 
 from conftest import path_tree, random_trees, star_tree
@@ -106,6 +108,32 @@ class TestTopologyTrees:
             for node in t.nodes:
                 if node not in t.leaves():
                     assert t.degree(node) >= 3
+
+
+    @pytest.mark.parametrize("max_internal", range(6))
+    @pytest.mark.parametrize("num_leaves", range(1, 7))
+    def test_same_trees_as_the_uncapped_filter(self, num_leaves, max_internal):
+        uncapped = [
+            t
+            for t in trees_with_leaf_count(num_leaves, num_leaves + max_internal)
+            if all(t.degree(v) != 2 for v in t.nodes)
+        ]
+        capped = list(topology_trees(num_leaves, max_internal))
+        assert [(t.nodes, t.edges) for t in capped] == [(t.nodes, t.edges) for t in uncapped]
+
+    def test_no_order_beyond_two_internal_nodes_is_built_for_four_leaves(self, monkeypatch):
+        build = enumtrees.nonisomorphic_trees
+
+        def bounded(order):
+            if order > 6:
+                raise AssertionError(f"built trees of order {order}")
+            return build(order)
+
+        monkeypatch.setattr(enumtrees, "nonisomorphic_trees", bounded)
+        trees = list(topology_trees(4, 50))
+        assert [(t.nodes, t.edges) for t in trees] == [
+            (t.nodes, t.edges) for t in topology_trees(4, 2)
+        ]
 
 
 class TestRootedCanonicalForm:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -160,6 +161,29 @@ class TestKnownPrograms:
         )
         assert s.status == "optimal"
         assert s.objective == 2
+
+    def test_beale_cycling_program_terminates_at_the_optimum(self):
+        # Beale (1955): the textbook rule cycles on this program; Bland's
+        # rule must not.
+        s = maximize(
+            [Fraction(3, 4), -20, Fraction(1, 2), -6],
+            [
+                ([Fraction(1, 4), -8, -1, 9], LE, 0),
+                ([Fraction(1, 2), -12, Fraction(-1, 2), 3], LE, 0),
+                ([0, 0, 1, 0], LE, 1),
+            ],
+        )
+        assert s.status == "optimal"
+        assert s.objective == Fraction(5, 4)
+        assert s.x == (1, 0, 1, 0)
+
+    def test_row_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="row length"):
+            maximize([1, 1], [([1], LE, 1)])
+
+    def test_unknown_sense_rejected(self):
+        with pytest.raises(ValueError, match="unknown sense"):
+            maximize([1], [([1], "<", 1)])
 
 
 # ---------------------------------------------------------------------------

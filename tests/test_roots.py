@@ -324,3 +324,17 @@ class TestLeafRootSerialization:
         assert '  "x\\"y";' in dots[1]
         assert '  "p" [label="p (v\\"1)", shape=box];' in dots[2]
         assert '  "p" [label="p: v\\"1 r=2", shape=box];' in dots[3]
+
+    def test_dot_refuses_names_ending_in_a_backslash(self):
+        root = LeafRoot.build(star_tree("x\\", ["p", "q"]), 2, {"v\\": "p", "w": "q"})
+        model = leafroot_to_rs(root)
+        writers = [
+            lambda: graph_to_dot(model.graph),
+            lambda: tree_to_dot(root.host),
+            lambda: leafroot_to_dot(root),
+            lambda: rs_model_to_dot(model),
+            lambda: subtree_model_to_dot(expand_rs(model)),
+        ]
+        for write in writers:
+            with pytest.raises(ValueError, match="backslash"):
+                write()
