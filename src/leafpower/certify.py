@@ -159,17 +159,24 @@ def build_feasibility_system(graph: Graph, host: Tree, placement: dict[str, str]
 
 
 def solve_feasibility(system: FeasibilitySystem) -> FeasibilityResult:
-    """Maximize delta exactly; feasible means optimal delta is strictly positive."""
+    """Maximize delta exactly; feasible means optimal delta is strictly positive.
+
+    Every verdict is re-checked with ``exactlp.certificate_error``: the dual
+    bound behind an optimal delta, or the Farkas combination behind an
+    infeasible system.  A certificate that fails raises RuntimeError.
+    """
     num_vars = len(system.edge_vars) + 1
     objective = [Fraction(0)] * num_vars
     objective[-1] = Fraction(1)
-    solution = exactlp.maximize(
-        objective, [(coeffs, sense, rhs) for _, coeffs, sense, rhs in system.rows]
-    )
-    if solution.status == exactlp.INFEASIBLE:
-        return FeasibilityResult(feasible=False, delta=None, weights=None)
+    rows = [(coeffs, sense, rhs) for _, coeffs, sense, rhs in system.rows]
+    solution = exactlp.maximize(objective, rows)
     if solution.status == exactlp.UNBOUNDED:
         raise RuntimeError("objective unbounded despite the delta cap")
+    error = exactlp.certificate_error(objective, rows, solution)
+    if error is not None:
+        raise RuntimeError(f"certificate invalid: {error}")
+    if solution.status == exactlp.INFEASIBLE:
+        return FeasibilityResult(feasible=False, delta=None, weights=None)
     delta = solution.x[num_vars - 1]
     if delta <= 0:
         return FeasibilityResult(feasible=False, delta=delta, weights=None)
@@ -205,8 +212,8 @@ def certify_leaf_power(graph: Graph, max_internal: int) -> WeightedLeafRoot | No
 
     Such a topology has at most |V| - 2 internal nodes, so ``max_internal``
     >= |V| - 2 covers every topology, and None then rules out every weighted
-    leaf root.  That verdict still trusts the simplex: an infeasible LP
-    carries no certificate yet.
+    leaf root.  Every LP behind that verdict carries a dual or Farkas
+    certificate, checked by ``solve_feasibility`` before it is believed.
     """
     if max_internal < 1:
         raise ValueError("max_internal must be at least 1")

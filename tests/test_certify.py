@@ -1,6 +1,7 @@
 """Tests for weighted leaf roots and the exact LP leaf-power certificate."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import random
@@ -29,6 +30,7 @@ from leafpower import (
     weighted_leafroot_to_json_obj,
 )
 import leafpower.certify as certify_module
+import leafpower.exactlp as exactlp_module
 from leafpower.certify import FeasibilityResult, witness_satisfies_system
 
 from conftest import complete_graph, cycle_graph, path_graph
@@ -41,6 +43,7 @@ STAR_HOST = Tree.build(
 )
 P3 = path_graph(["a", "b", "c"])
 P3_PLACEMENT = {"a": "la", "b": "lb", "c": "lc"}
+LEAVES = ("la", "lb", "lc", "ld")
 
 DEMO_WEIGHTS = {
     ("i", "la"): Fraction(3, 5),
@@ -182,6 +185,22 @@ class TestSolveFeasibility:
         assert not result.feasible
         assert result.delta == 0
         assert result.weights is None
+
+    @pytest.mark.parametrize("graph", [P3, cycle_graph(["a", "b", "c", "d"])])
+    def test_corrupted_dual_is_caught_by_the_certificate_check(self, graph, monkeypatch):
+        # P3 has margin 1/3 on the star; C4 has margin 0, a negative verdict.
+        host = Tree.build(["i", *LEAVES[: graph.n]], [("i", leaf) for leaf in LEAVES[: graph.n]])
+        placement = dict(zip(graph.vertices, LEAVES))
+        solve = exactlp_module.maximize
+
+        def negated_dual(objective, rows):
+            solution = solve(objective, rows)
+            return dataclasses.replace(solution, dual=tuple(-y for y in solution.dual))
+
+        monkeypatch.setattr(exactlp_module, "maximize", negated_dual)
+        system = build_feasibility_system(graph, host, placement)
+        with pytest.raises(RuntimeError, match="certificate invalid: dual of row"):
+            solve_feasibility(system)
 
     def test_suboptimal_demo_witness_still_satisfies(self):
         system = build_feasibility_system(P3, STAR_HOST, P3_PLACEMENT)

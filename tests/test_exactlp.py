@@ -7,13 +7,15 @@ against it.
 """
 from __future__ import annotations
 
+import dataclasses
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafpower.exactlp import EQ, GE, LE, maximize
+from leafpower.exactlp import EQ, GE, LE, certificate_error, maximize
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +179,18 @@ class TestKnownPrograms:
         assert s.objective == Fraction(5, 4)
         assert s.x == (1, 0, 1, 0)
 
+    def test_artificial_driven_out_on_a_negative_pivot(self):
+        # Phase 1 ends with both equality artificials basic at 0; driving the
+        # second out pivots on its -1 entry, which flips the sign of the
+        # common denominator, and the first row becomes redundant.
+        s = maximize(
+            [1, 0],
+            [([1, -1], EQ, 0), ([-1, 1], EQ, 0), ([1, 0], LE, 3)],
+        )
+        assert s.status == "optimal"
+        assert s.objective == 3
+        assert s.x == (3, 3)
+
     def test_row_of_the_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="row length"):
             maximize([1, 1], [([1], LE, 1)])
@@ -184,6 +198,83 @@ class TestKnownPrograms:
     def test_unknown_sense_rejected(self):
         with pytest.raises(ValueError, match="unknown sense"):
             maximize([1], [([1], "<", 1)])
+
+
+# ---------------------------------------------------------------------------
+# Only ints and Fractions
+# ---------------------------------------------------------------------------
+
+NOT_EXACT = [0.1, 0.5, "1/3", True, Decimal("0.1"), None]
+
+
+class TestOnlyExactNumbers:
+    @pytest.mark.parametrize("value", NOT_EXACT, ids=repr)
+    def test_objective_entry_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^objective: .* is not an int or a Fraction$"):
+            maximize([1, value], [([1, 1], LE, 3)])
+
+    @pytest.mark.parametrize("value", NOT_EXACT, ids=repr)
+    def test_coefficient_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^row 1: .* is not an int or a Fraction$"):
+            maximize([1, 1], [([1, 1], LE, 3), ([1, value], GE, 0)])
+
+    @pytest.mark.parametrize("value", NOT_EXACT, ids=repr)
+    def test_rhs_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^row 0: .* is not an int or a Fraction$"):
+            maximize([1], [([1], LE, value)])
+
+
+# ---------------------------------------------------------------------------
+# The certificate checker
+# ---------------------------------------------------------------------------
+
+INFEASIBLE_ROWS = [([1, 1], GE, 4), ([1, 0], LE, 1), ([0, 1], LE, 2)]
+OPTIMAL_ROWS = [([3, 1], LE, 1), ([1, 3], LE, 1)]
+
+
+class TestCertificateChecker:
+    def test_farkas_certificate_of_an_infeasible_program(self):
+        s = maximize([1, 1], INFEASIBLE_ROWS)
+        assert s.status == "infeasible"
+        assert s.dual == (-1, 1, 1)
+        assert certificate_error([1, 1], INFEASIBLE_ROWS, s) is None
+
+    def test_dual_of_an_optimal_program(self):
+        s = maximize([1, 1], OPTIMAL_ROWS)
+        assert s.dual == (Fraction(1, 4), Fraction(1, 4))
+        assert certificate_error([1, 1], OPTIMAL_ROWS, s) is None
+
+    def test_duals_map_back_through_row_scale_and_sign(self):
+        # The same program written with fractions and negated rows.
+        rows = [([Fraction(-3, 2), Fraction(-1, 2)], GE, Fraction(-1, 2)),
+                ([Fraction(1, 3), 1], LE, Fraction(1, 3))]
+        s = maximize([1, 1], rows)
+        assert s.objective == Fraction(1, 2)
+        assert s.dual == (Fraction(-1, 2), Fraction(3, 4))
+        assert certificate_error([1, 1], rows, s) is None
+
+    @pytest.mark.parametrize(
+        "rows, change, reason",
+        [
+            (INFEASIBLE_ROWS, {"dual": (1, 1, 1)}, "wrong sign"),
+            (INFEASIBLE_ROWS, {"dual": (-1, 1, 0)}, "negative coefficient"),
+            (INFEASIBLE_ROWS, {"dual": (-1, 1, 3)}, "nonnegative rhs"),
+            (INFEASIBLE_ROWS, {"dual": None}, "dual missing"),
+            (OPTIMAL_ROWS, {"dual": (Fraction(1, 4),)}, "wrong length"),
+            (OPTIMAL_ROWS, {"dual": (Fraction(1, 2), 0)}, "falls below"),
+            (OPTIMAL_ROWS, {"dual": (Fraction(1, 2), Fraction(1, 2))}, "dual bound differs"),
+            (OPTIMAL_ROWS, {"x": (Fraction(1, 3), 0)}, "objective value differs"),
+            (OPTIMAL_ROWS, {"x": (1, 1)}, "violates row 0"),
+            (OPTIMAL_ROWS, {"x": (-1, 1)}, "negative"),
+            (OPTIMAL_ROWS, {"status": "unbounded"}, "no certificate"),
+        ],
+    )
+    def test_corrupted_certificates_rejected(self, rows, change, reason):
+        s = dataclasses.replace(maximize([1, 1], rows), **change)
+        assert reason in certificate_error([1, 1], rows, s)
+
+    def test_unbounded_program_has_no_dual(self):
+        assert maximize([1], [([0], LE, 1)]).dual is None
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +306,25 @@ def random_programs(draw):
     for _ in range(num_rows):
         coeffs = [draw(small_fraction) for _ in range(num_vars)]
         rows.append((coeffs, draw(senses), draw(small_fraction)))
+    return objective, rows
+
+
+def quarter(lo: int, hi: int):
+    """Rationals in [lo, hi] with denominators 1 to 4."""
+    return st.integers(1, 4).flatmap(
+        lambda den: st.integers(lo * den, hi * den).map(lambda num: Fraction(num, den))
+    )
+
+
+@st.composite
+def fractional_programs(draw):
+    num_vars = draw(st.integers(1, 4))
+    num_rows = draw(st.integers(1, 5))
+    objective = [draw(quarter(-3, 3)) for _ in range(num_vars)]
+    rows = []
+    for _ in range(num_rows):
+        coeffs = [draw(quarter(-3, 3)) for _ in range(num_vars)]
+        rows.append((coeffs, draw(senses), draw(quarter(-5, 5))))
     return objective, rows
 
 
@@ -266,3 +376,27 @@ class TestAgainstFourierMotzkin:
         assert original.status == rescaled.status
         if original.status == "optimal":
             assert original.objective == rescaled.objective
+
+    @settings(max_examples=150)
+    @given(fractional_programs())
+    def test_fractional_programs_agree(self, program):
+        objective, rows = program
+        solution = maximize(objective, rows)
+        assert (solution.status != "infeasible") == fm_feasible(rows, len(objective))
+        if solution.status != "optimal":
+            return
+        assert _satisfies(rows, solution.x)
+        assert fm_objective_reachable(rows, len(objective), objective, solution.objective)
+        assert not fm_objective_reachable(
+            rows, len(objective), objective, solution.objective + Fraction(1, 997)
+        )
+
+    @settings(max_examples=150)
+    @given(random_programs() | fractional_programs())
+    def test_certificates_pass_the_checker(self, program):
+        objective, rows = program
+        solution = maximize(objective, rows)
+        if solution.status == "unbounded":
+            assert solution.dual is None
+        else:
+            assert certificate_error(objective, rows, solution) is None
