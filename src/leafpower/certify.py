@@ -21,7 +21,7 @@ from . import exactlp
 from .enumtrees import leaf_orbit_representatives, topology_trees
 from .graphs import Edge, Graph, normalize_edge
 from .jsonio import Record, items, string, string_map, string_pair
-from .roots import LeafRoot, _fresh_name
+from .roots import LeafRoot, _check_domain, _check_placement, _grow_path
 from .trees import Tree, tree_from_json_obj, tree_path, tree_to_json_obj
 
 
@@ -41,18 +41,21 @@ class WeightedLeafRoot:
         placement: dict[str, str],
         margin: Fraction | None = None,
     ) -> "WeightedLeafRoot":
-        normalized = {normalize_edge(u, v): Fraction(w) for (u, v), w in weights.items()}
+        normalized = {normalize_edge(u, v): w for (u, v), w in weights.items()}
         if set(normalized) != set(host.edges):
             raise ValueError("weights must cover exactly the host edges")
         for e, w in normalized.items():
+            exactlp._check_number(w, f"weight of edge {e}")
             if w <= 0:
                 raise ValueError(f"weight of edge {e} must be positive")
-        leaves = set(host.leaves())
-        image = list(placement.values())
-        if len(set(image)) != len(image) or set(image) != leaves:
-            raise ValueError("placement must biject onto the host leaves")
+        if margin is not None:
+            exactlp._check_number(margin, "margin")
+        _check_placement(host, placement)
         return WeightedLeafRoot(
-            host=host, weights=normalized, placement=dict(placement), margin=margin
+            host=host,
+            weights={e: Fraction(w) for e, w in normalized.items()},
+            placement=dict(placement),
+            margin=None if margin is None else Fraction(margin),
         )
 
 
@@ -67,8 +70,7 @@ def weighted_distance(root: WeightedLeafRoot, x: str, y: str) -> Fraction:
 
 def verify_weighted_leafroot(graph: Graph, root: WeightedLeafRoot) -> bool:
     """Adjacent pairs within weighted distance 1, non-adjacent strictly beyond."""
-    if set(root.placement) != set(graph.vertices):
-        raise ValueError("placement domain must equal the vertex set")
+    _check_domain(graph, root.placement)
     for i, u in enumerate(graph.vertices):
         for v in graph.vertices[i + 1 :]:
             d = weighted_distance(root, root.placement[u], root.placement[v])
@@ -113,12 +115,8 @@ def build_feasibility_system(graph: Graph, host: Tree, placement: dict[str, str]
     The cap loses nothing (a margin beyond 1 is never needed to witness
     strictness) and keeps the objective bounded even for edgeless graphs.
     """
-    leaves = set(host.leaves())
-    if set(placement) != set(graph.vertices):
-        raise ValueError("placement domain must equal the vertex set")
-    image = list(placement.values())
-    if len(set(image)) != len(image) or set(image) != leaves:
-        raise ValueError("placement must biject onto the host leaves")
+    _check_domain(graph, placement)
+    _check_placement(host, placement)
     for node in host.nodes:
         if host.degree(node) == 2:
             raise ValueError("topology not in canonical form")
@@ -184,22 +182,6 @@ def solve_feasibility(system: FeasibilitySystem) -> FeasibilityResult:
     return FeasibilityResult(feasible=True, delta=delta, weights=weights)
 
 
-def witness_satisfies_system(
-    system: FeasibilitySystem, weights: dict[Edge, Fraction], delta: Fraction
-) -> bool:
-    """Exact substitution of a candidate point into every row."""
-    x = [Fraction(weights[e]) for e in system.edge_vars] + [Fraction(delta)]
-    for _, coeffs, sense, rhs in system.rows:
-        value = sum((c * v for c, v in zip(coeffs, x)), Fraction(0))
-        if sense == exactlp.LE and value > rhs:
-            return False
-        if sense == exactlp.GE and value < rhs:
-            return False
-        if sense == exactlp.EQ and value != rhs:
-            return False
-    return True
-
-
 def certify_leaf_power(graph: Graph, max_internal: int) -> WeightedLeafRoot | None:
     """Search topologies and placements for a feasible weighted leaf root.
 
@@ -259,14 +241,8 @@ def scale_to_integer_leafroot(root: WeightedLeafRoot) -> LeafRoot:
     edges: list[tuple[str, str]] = []
     for u, v in root.host.edges:
         length = int(root.weights[(u, v)] * lcd)
-        prev = u
-        for j in range(1, length):
-            mid = _fresh_name(f"{u}~{v}~{j}", taken)
-            taken.add(mid)
-            nodes.append(mid)
-            edges.append((prev, mid))
-            prev = mid
-        edges.append((prev, v))
+        end = _grow_path(u, [f"{u}~{v}~{j}" for j in range(1, length)], taken, nodes, edges)
+        edges.append((end, v))
     host = Tree.build(nodes, edges)
     return LeafRoot.build(host, lcd, dict(root.placement))
 

@@ -16,7 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graphs import Graph, Clique, dot_graph, dot_quote, graph_from_json_obj, graph_to_json_obj
+from .graphs import (
+    Clique,
+    Graph,
+    dot_graph,
+    dot_quote,
+    graph_from_json_obj,
+    graph_to_json_obj,
+    maximal_cliques,
+)
 from .jsonio import Record, entries, integer_map, string_map, strings
 from .trees import (
     Tree,
@@ -224,8 +232,6 @@ def clique_tree_model(graph: Graph) -> SubtreeModel:
     of a disconnected graph get their clique trees joined by arbitrary bridge
     edges, which keeps all the intersections empty across components.
     """
-    from .graphs import maximal_cliques  # local import keeps module deps one-way
-
     if not graph.vertices:
         raise ValueError("graph has no vertices")
     cliques = sorted((sorted(c.members) for c in maximal_cliques(graph)))

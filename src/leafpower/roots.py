@@ -29,19 +29,45 @@ class LeafRoot:
     def build(host: Tree, k: int, placement: dict[str, str]) -> "LeafRoot":
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise ValueError("k must be a positive integer")
-        leaves = set(host.leaves())
-        image = list(placement.values())
-        if len(set(image)) != len(image):
-            raise ValueError("placement must be injective")
-        if set(image) != leaves:
-            raise ValueError("placement must cover exactly the leaves of the host")
+        _check_placement(host, placement)
         return LeafRoot(host=host, k=k, placement=dict(placement))
+
+
+def _check_placement(host: Tree, placement: dict[str, str]) -> None:
+    """The placement must map the vertices one-to-one onto the host leaves."""
+    image = list(placement.values())
+    if len(set(image)) != len(image):
+        raise ValueError("placement must be injective")
+    if set(image) != set(host.leaves()):
+        raise ValueError("placement must cover exactly the leaves of the host")
+
+
+def _check_domain(graph: Graph, placement: dict[str, str]) -> None:
+    if set(placement) != set(graph.vertices):
+        raise ValueError("placement domain must equal the vertex set")
+
+
+def _grow_path(
+    start: str, bases: list[str], taken: set[str], nodes: list[str], edges: list[tuple[str, str]]
+) -> str:
+    """Append a path of fresh nodes from ``start``, one per base name, and return its end.
+
+    Each name is its base with ``_`` prefixed until it is not in ``taken``.
+    """
+    for base in bases:
+        name = base
+        while name in taken:
+            name = "_" + name
+        taken.add(name)
+        nodes.append(name)
+        edges.append((start, name))
+        start = name
+    return start
 
 
 def verify_leaf_root(graph: Graph, root: LeafRoot) -> bool:
     """Whether adjacency in ``graph`` matches leaf distance <= k exactly."""
-    if set(root.placement) != set(graph.vertices):
-        raise ValueError("placement domain must equal the vertex set")
+    _check_domain(graph, root.placement)
     return leaf_power_graph(root).edges == graph.edges
 
 
@@ -55,13 +81,6 @@ def leaf_power_graph(root: LeafRoot) -> Graph:
             if dist[root.placement[v]] <= root.k:
                 edges.append((u, v))
     return Graph.build(vertices, edges)
-
-
-def _fresh_name(base: str, taken: set[str]) -> str:
-    name = base
-    while name in taken:
-        name = "_" + name
-    return name
 
 
 def leafroot_to_rs(root: LeafRoot, graph: Graph | None = None) -> RSModel:
@@ -82,10 +101,7 @@ def leafroot_to_rs(root: LeafRoot, graph: Graph | None = None) -> RSModel:
     nodes = list(root.host.nodes)
     edges: list[tuple[str, str]] = []
     for u, v in root.host.edges:
-        mid = _fresh_name(f"{u}~{v}", taken)
-        taken.add(mid)
-        nodes.append(mid)
-        edges.append((u, mid))
+        mid = _grow_path(u, [f"{u}~{v}"], taken, nodes, edges)
         edges.append((mid, v))
     host = Tree.build(nodes, edges)
 
@@ -113,28 +129,16 @@ def rs_to_leafroot(model: RSModel) -> LeafRoot:
         raise ValueError("model has no vertices")
     k = max(model.radii[v] for v in vertices)
     taken = set(model.host.nodes)
-    if len(vertices) == 1:
-        leaf = _fresh_name(f"leaf.{vertices[0]}", taken)
-        return LeafRoot.build(Tree.build([leaf], []), 2 * k + 2, {vertices[0]: leaf})
-
     first = model.centers[vertices[0]]
     core = set().union(*(tree_path(model.host, first, model.centers[v]) for v in vertices))
     nodes = list(core)
     edges = [(x, y) for x, y in model.host.edges if x in core and y in core]
     placement: dict[str, str] = {}
     for v in vertices:
-        prev = model.centers[v]
-        for j in range(1, k + 1 - model.radii[v]):
-            stem = _fresh_name(f"stem.{v}.{j}", taken)
-            taken.add(stem)
-            nodes.append(stem)
-            edges.append((prev, stem))
-            prev = stem
-        leaf = _fresh_name(f"leaf.{v}", taken)
-        taken.add(leaf)
-        nodes.append(leaf)
-        edges.append((prev, leaf))
-        placement[v] = leaf
+        stems = [f"stem.{v}.{j}" for j in range(1, k + 1 - model.radii[v])]
+        placement[v] = _grow_path(model.centers[v], [*stems, f"leaf.{v}"], taken, nodes, edges)
+    if len(vertices) == 1:
+        nodes, edges = list(placement.values()), []
     return LeafRoot.build(Tree.build(sorted(nodes), edges), 2 * k + 2, placement)
 
 
@@ -157,25 +161,17 @@ def brute_force_leaf_rank(
     if max_k is not None and max_k < 1:
         raise ValueError("max_k must be positive when given")
 
+    # No leaf distance on a tree of at most max_nodes nodes reaches max_nodes.
+    limit = max_k if max_k is not None else max_nodes
     best: int | None = None
     for host in trees_with_leaf_count(num, max_nodes):
         leaf_dist = {leaf: distances_from(host, leaf) for leaf in host.leaves()}
-        limit = max_k if max_k is not None else _max_relevant_k(leaf_dist)
-        if best is not None:
-            limit = min(limit, best - 1)
-        if limit < 1:
-            break
         found = _best_k_on_host(graph, host, limit, leaf_dist)
         if found is not None:
-            best = found
+            best, limit = found, found - 1
             if best == 1:
                 break
     return best
-
-
-def _max_relevant_k(leaf_dist: dict[str, dict[str, int]]) -> int:
-    """The largest leaf-to-leaf distance (at least 1), from the BFS map of every leaf."""
-    return max([1] + [dist[x] for dist in leaf_dist.values() for x in leaf_dist])
 
 
 def _best_k_on_host(

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from leafpower import (
 )
 import leafpower.certify as certify_module
 import leafpower.exactlp as exactlp_module
-from leafpower.certify import FeasibilityResult, witness_satisfies_system
+from leafpower.certify import FeasibilityResult
 
 from conftest import complete_graph, cycle_graph, path_graph
 
@@ -50,6 +51,23 @@ DEMO_WEIGHTS = {
     ("i", "lb"): Fraction(2, 5),
     ("i", "lc"): Fraction(3, 5),
 }
+
+
+
+def witness_satisfies_system(
+    system: certify_module.FeasibilitySystem, weights: dict, delta: Fraction
+) -> bool:
+    """Exact substitution of a candidate point into every row."""
+    x = [Fraction(weights[e]) for e in system.edge_vars] + [Fraction(delta)]
+    for _, coeffs, sense, rhs in system.rows:
+        value = sum((c * v for c, v in zip(coeffs, x)), Fraction(0))
+        if sense == exactlp_module.LE and value > rhs:
+            return False
+        if sense == exactlp_module.GE and value < rhs:
+            return False
+        if sense == exactlp_module.EQ and value != rhs:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +97,23 @@ class TestWeightedLeafRoot:
             WeightedLeafRoot.build(STAR_HOST, weights, P3_PLACEMENT)
 
     def test_placement_must_biject_onto_leaves(self):
-        with pytest.raises(ValueError, match="biject onto the host leaves"):
+        with pytest.raises(ValueError, match="placement must be injective"):
             WeightedLeafRoot.build(
                 STAR_HOST, DEMO_WEIGHTS, {"a": "la", "b": "lb", "c": "la"}
             )
+
+    @pytest.mark.parametrize("value", [0.1, True, "1/3", Decimal("0.1"), None])
+    def test_weights_must_be_exact_numbers(self, value):
+        weights = {**DEMO_WEIGHTS, ("i", "lb"): value}
+        with pytest.raises(
+            ValueError, match=r"^weight of edge \('i', 'lb'\): .* is not an int or a Fraction$"
+        ):
+            WeightedLeafRoot.build(STAR_HOST, weights, P3_PLACEMENT)
+
+    @pytest.mark.parametrize("value", [0.1, True, "1/3", Decimal("0.1")])
+    def test_margin_must_be_an_exact_number(self, value):
+        with pytest.raises(ValueError, match=r"^margin: .* is not an int or a Fraction$"):
+            WeightedLeafRoot.build(STAR_HOST, DEMO_WEIGHTS, P3_PLACEMENT, value)
 
     def test_weighted_distance_sums_path_weights(self):
         w = WeightedLeafRoot.build(
@@ -139,7 +170,7 @@ class TestFeasibilitySystem:
             )
 
     def test_non_bijective_placement_rejected(self):
-        with pytest.raises(ValueError, match="biject onto the host leaves"):
+        with pytest.raises(ValueError, match="placement must be injective"):
             build_feasibility_system(
                 P3, STAR_HOST, {"a": "la", "b": "lb", "c": "la"}
             )
@@ -287,6 +318,25 @@ class TestScaleToInteger:
         )
         with pytest.raises(ValueError, match="witness not strictly feasible"):
             scale_to_integer_leafroot(w)
+
+    def test_subdivision_names_avoid_host_names(self):
+        host = Tree.build(
+            ["i", "la", "lb", "i~la~1"], [("i", "la"), ("i", "lb"), ("i", "i~la~1")]
+        )
+        weights = {
+            ("i", "la"): Fraction(1, 2),
+            ("i", "lb"): Fraction(1, 4),
+            ("i", "i~la~1"): Fraction(1, 4),
+        }
+        placement = {"a": "la", "b": "lb", "c": "i~la~1"}
+        w = WeightedLeafRoot.build(host, weights, placement, Fraction(1, 4))
+        root = scale_to_integer_leafroot(w)
+        assert root.host.nodes == ("i", "la", "lb", "i~la~1", "_i~la~1")
+        assert root.host.edges == (
+            ("_i~la~1", "i"), ("_i~la~1", "la"), ("i", "i~la~1"), ("i", "lb"),
+        )
+        assert root.placement == placement
+        assert root.k == 4
 
     def test_random_witnesses_scale_and_verify(self):
         # Witness-first generation: draw a topology and weights whose

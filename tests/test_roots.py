@@ -163,6 +163,19 @@ class TestLeafRootToBallModel:
         with pytest.raises(RuntimeError, match="construction invalid"):
             leafroot_to_rs(root)
 
+    def test_subdivision_names_avoid_host_names(self):
+        host = Tree.build(
+            ["i", "la", "lb", "i~la"], [("i", "la"), ("i", "lb"), ("i", "i~la")]
+        )
+        root = LeafRoot.build(host, 2, {"a": "la", "b": "lb", "c": "i~la"})
+        m = leafroot_to_rs(root)
+        assert m.host.nodes == ("i", "la", "lb", "i~la", "i~i~la", "_i~la", "i~lb")
+        assert m.host.edges == (
+            ("_i~la", "i"), ("_i~la", "la"), ("i", "i~i~la"),
+            ("i", "i~lb"), ("i~i~la", "i~la"), ("i~lb", "lb"),
+        )
+        assert m.centers == {"a": "la", "b": "lb", "c": "i~la"}
+
 
 class TestBallModelToLeafRoot:
     def test_round_trip_through_ball_model(self):
@@ -196,6 +209,21 @@ class TestBallModelToLeafRoot:
         assert back.host.nodes == ("_leaf.a",)
         assert back.k == 6
         assert back.placement == {"a": "_leaf.a"}
+
+    def test_stem_and_leaf_names_avoid_host_names(self):
+        t = path_tree(["x", "stem.a.1", "leaf.a"])
+        g = Graph.build(["a", "b"], [("a", "b")])
+        m = RSModel.build(t, g, {"a": "x", "b": "leaf.a"}, {"a": 0, "b": 2})
+        back = rs_to_leafroot(m)
+        assert back.host.nodes == (
+            "_leaf.a", "_stem.a.1", "leaf.a", "leaf.b", "stem.a.1", "stem.a.2", "x",
+        )
+        assert back.host.edges == (
+            ("_leaf.a", "stem.a.2"), ("_stem.a.1", "stem.a.2"), ("_stem.a.1", "x"),
+            ("leaf.a", "leaf.b"), ("leaf.a", "stem.a.1"), ("stem.a.1", "x"),
+        )
+        assert back.placement == {"a": "_leaf.a", "b": "leaf.b"}
+        assert back.k == 6
 
     def test_empty_model_rejected(self):
         from leafpower import RSModel
