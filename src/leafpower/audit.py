@@ -8,24 +8,22 @@ this module verify, on a concrete model, the facts that force those branch
 points to spread out exponentially: the cover shape at each m_i, their linear
 order along the corridor, the strictly-growing gaps, and the resulting radius
 floor of 2^(n-2) for the last ball — which is a lower bound on how small k can
-be for ANY k-leaf root of R_n.  A model that verifies but fails a check would
-falsify the underlying claim and is surfaced loudly, never swallowed.
+be for ANY k-leaf root of R_n.  The balls are materialized once, to find the
+branch points; every later check reads the model through tree distances.
+
+A model that verifies but fails a check is surfaced loudly, never swallowed.
+Such a failure does not by itself falsify the bound: a seven-node ball model
+of R_3 verifies and still fails ``gap_sum_floor``, whose 2^(n-1) - 1 is
+asserted rather than derived from the other checks (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .models import (
-    RSModel,
-    SubtreeModel,
-    clique_subtree,
-    cover,
-    expand_rs,
-    subtree_model_violations,
-)
+from .models import RSModel, clique_subtree, cover, expand_rs, subtree_model_violations
 from .rn import RnGraph
-from .trees import connecting_path, distances_from, median
+from .trees import connecting_path, distance, distances_from, median, tree_path
 
 
 @dataclass(frozen=True)
@@ -36,13 +34,7 @@ class BranchPoints:
     s: dict[int, str]
 
 
-def _expanded(model: RSModel, expanded: SubtreeModel | None) -> SubtreeModel:
-    return expand_rs(model) if expanded is None else expanded
-
-
-def branch_points(
-    r: RnGraph, model: RSModel, *, expanded: SubtreeModel | None = None
-) -> BranchPoints:
+def branch_points(r: RnGraph, model: RSModel) -> BranchPoints:
     """Extract the branch points of a verifying ball model of R_n.
 
     s_i is computed twice — once approaching from the clique subtree of C_1
@@ -53,7 +45,7 @@ def branch_points(
         raise TypeError("branch_points requires a ball model (RSModel)")
     if model.graph != r.graph:
         raise ValueError("not a model of R_n: the model's graph differs")
-    exp = _expanded(model, expanded)
+    exp = expand_rs(model)
     problems = subtree_model_violations(exp)
     if problems:
         raise ValueError(f"not a model of R_n: {problems[0]}")
@@ -83,37 +75,35 @@ def branch_points(
     return BranchPoints(m=tuple(ms), s=s)
 
 
-def check_median_cover(
-    r: RnGraph,
-    model: RSModel,
-    bp: BranchPoints,
-    i: int,
-    *,
-    expanded: SubtreeModel | None = None,
-) -> bool:
-    """Cover at m_i must be {a_i..a_n, b_i} plus a nonempty subset of {c_i, b_{i+1}}."""
+def check_median_cover(r: RnGraph, model: RSModel, bp: BranchPoints, i: int) -> bool:
+    """Cover at m_i must be {a_i..a_n, b_i} plus a nonempty subset of {c_i, b_{i+1}}.
+
+    The cover is read off one search from m_i: v covers m_i when
+    dist(c_v, m_i) <= r_v.
+    """
     n = r.n
     if not 1 < i < n:
         raise ValueError(f"index {i} must satisfy 1 < i < {n}")
-    exp = _expanded(model, expanded)
-    cov = set(cover(exp, bp.m[i - 1]))
+    dist = distances_from(model.host, bp.m[i - 1])
+    cov = {v for v, c in model.centers.items() if dist[c] <= model.radii[v]}
     base = {r.a[j] for j in range(i, n + 1)} | {r.b[i]}
     allowed_extras = {r.c[i], r.b[i + 1]}
     return base < cov and cov <= base | allowed_extras
 
 
 def check_order(r: RnGraph, model: RSModel, bp: BranchPoints) -> bool:
-    """m_1..m_n pairwise distinct and in order: middle on the path of outer pairs."""
+    """m_1..m_n lie on the corridor from m_1 to m_n, at strictly increasing positions.
+
+    This is the betweenness order — the m's pairwise distinct, and
+    d(m_p, m_q) + d(m_q, m_t) = d(m_p, m_t) for all p < q < t — read along
+    the one path: the pairs (1, n) put every m on it, the pairs (1, t) make
+    the positions monotone, and points in order on a path satisfy every triple.
+    """
     ms = bp.m
-    if len(set(ms)) != len(ms):
+    position = {x: k for k, x in enumerate(tree_path(model.host, ms[0], ms[-1]))}
+    if any(x not in position for x in ms):
         return False
-    dist = {x: distances_from(model.host, x) for x in set(ms)}
-    for p in range(len(ms)):
-        for q in range(p + 1, len(ms)):
-            for t in range(q + 1, len(ms)):
-                if dist[ms[p]][ms[q]] + dist[ms[q]][ms[t]] != dist[ms[p]][ms[t]]:
-                    return False
-    return True
+    return all(position[x] < position[y] for x, y in zip(ms, ms[1:]))
 
 
 def check_increasing(r: RnGraph, model: RSModel, bp: BranchPoints) -> bool:
@@ -123,11 +113,11 @@ def check_increasing(r: RnGraph, model: RSModel, bp: BranchPoints) -> bool:
     true and the certificate rests on the remaining checks.
     """
     ms = bp.m
-    dist = {x: distances_from(model.host, x) for x in set(ms)}
-    for i in range(3, r.n):
-        if dist[ms[i - 1]][ms[i]] <= dist[ms[1]][ms[i - 1]]:
-            return False
-    return True
+    host = model.host
+    return all(
+        distance(host, ms[i - 1], ms[i]) > distance(host, ms[1], ms[i - 1])
+        for i in range(3, r.n)
+    )
 
 
 @dataclass(frozen=True)
@@ -151,20 +141,21 @@ class AuditReport:
 def lower_bound_certificate(r: RnGraph, model: RSModel) -> AuditReport:
     """Run every check and assemble the sandwich 2^(n-2) <= rank <= 2*r_max + 2.
 
-    The radius floor rests on two measured facts: the last a-vertex's ball
-    contains both m_2 and m_n (so its diameter is at least their distance,
-    and a ball of radius rho has diameter at most 2*rho), and that distance
-    is at least 2^(n-1) - 1.  Together they force
+    The radius floor rests on two facts.  The last a-vertex's ball contains
+    both m_2 and m_n, which is measured: so its diameter is at least their
+    distance, and a ball of radius rho has diameter at most 2*rho.  That
+    distance is at least 2^(n-1) - 1, which ``gap_sum_floor`` asserts but no
+    other check derives: increasing gaps from a first gap of one give only
+    2^(n-2) - 1 (ROADMAP item 1).  Together they force
     radius(a_n) >= ceil(dist/2) >= 2^(n-2).
     """
     n = r.n
-    exp = expand_rs(model)
-    bp = branch_points(r, model, expanded=exp)
+    bp = branch_points(r, model)
     ms = bp.m
+    host = model.host
 
-    dist = {x: distances_from(model.host, x) for x in set(ms)}
     m_distances = {
-        f"m{p + 1}-m{q + 1}": dist[ms[p]][ms[q]]
+        f"m{p + 1}-m{q + 1}": distance(host, ms[p], ms[q])
         for p in range(n)
         for q in range(p + 1, n)
     }
@@ -173,15 +164,14 @@ def lower_bound_certificate(r: RnGraph, model: RSModel) -> AuditReport:
     last_a = r.a[n]
     radius_last_a = model.radii[last_a]
     max_radius = max(model.radii[v] for v in model.graph.vertices)
+    center_last_a = model.centers[last_a]
 
     checks = {
-        "median_cover": all(
-            check_median_cover(r, model, bp, i, expanded=exp) for i in range(2, n)
-        ),
+        "median_cover": all(check_median_cover(r, model, bp, i) for i in range(2, n)),
         "order": check_order(r, model, bp),
         "increasing_gaps": check_increasing(r, model, bp),
-        "last_a_contains_m2_mn": (
-            ms[1] in exp.assignment[last_a] and ms[n - 1] in exp.assignment[last_a]
+        "last_a_contains_m2_mn": all(
+            distance(host, center_last_a, x) <= radius_last_a for x in (ms[1], ms[n - 1])
         ),
         "gap_sum_floor": dist_m2_mn >= 2 ** (n - 1) - 1,
         "radius_covers_diameter": radius_last_a >= (dist_m2_mn + 1) // 2,

@@ -16,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from . import exactlp
 from .enumtrees import leaf_orbit_representatives, topology_trees
@@ -41,7 +42,7 @@ class WeightedLeafRoot:
         placement: dict[str, str],
         margin: Fraction | None = None,
     ) -> "WeightedLeafRoot":
-        normalized = {normalize_edge(u, v): w for (u, v), w in weights.items()}
+        normalized = _edge_weights(weights.items())
         if set(normalized) != set(host.edges):
             raise ValueError("weights must cover exactly the host edges")
         for e, w in normalized.items():
@@ -57,6 +58,16 @@ class WeightedLeafRoot:
             placement=dict(placement),
             margin=None if margin is None else Fraction(margin),
         )
+
+
+def _edge_weights(pairs: Iterable[tuple[tuple[str, str], Fraction]]) -> dict[Edge, Fraction]:
+    """Weights keyed by normalized edge; an edge given twice, in either orientation, is refused."""
+    out: dict[Edge, Fraction] = {}
+    for (u, v), w in pairs:
+        if (e := normalize_edge(u, v)) in out:
+            raise ValueError(f"edge {e} is listed twice")
+        out[e] = w
+    return out
 
 
 def weighted_distance(root: WeightedLeafRoot, x: str, y: str) -> Fraction:
@@ -313,7 +324,7 @@ def weighted_leafroot_from_json_obj(obj: object, field: str = "") -> WeightedLea
     margin = rec.value.get("margin")
     return WeightedLeafRoot.build(
         rec.get("host", tree_from_json_obj),
-        dict(rec.get("weights", lambda value, f: items(value, f, _weight_from_json))),
+        _edge_weights(rec.get("weights", lambda value, f: items(value, f, _weight_from_json))),
         rec.get("placement", string_map),
         margin=None if margin is None else rec.get("margin", _fraction_from_json),
     )

@@ -106,7 +106,7 @@ class RSModel:
 
 def cover(model: SubtreeModel, node: str) -> frozenset[str]:
     """All graph vertices whose assigned subtree contains the host node."""
-    if node not in set(model.host.nodes):
+    if node not in model.host._adjacency:
         raise ValueError(f"node {node!r} is not in the host tree")
     return frozenset(v for v, nodes in model.assignment.items() if node in nodes)
 

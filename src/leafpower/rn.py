@@ -16,6 +16,8 @@ witness used by the lower-bound auditor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 
 from .graphs import Clique, Graph, maximal_cliques, normalize_edge
 from .models import (
@@ -45,63 +47,55 @@ class RnGraph:
     c: dict[int, str]
     d: dict[int, str]
 
+    @cached_property
+    def _cliques(self) -> tuple[frozenset[str], ...]:
+        """The member sets of C_1..C_n, then of C'_1..C'_{n-1}."""
+        return _defining_cliques(self.n, self.a, self.b, self.c, self.d)
+
     def clique(self, i: int) -> Clique:
         """The four-vertex clique C_i = {a_i, b_i, c_i, d_i}."""
         if not 1 <= i <= self.n:
             raise ValueError(f"index {i} out of range 1..{self.n}")
-        return Clique.of(self.graph, {self.a[i], self.b[i], self.c[i], self.d[i]})
+        return Clique.of(self.graph, self._cliques[i - 1])
 
     def prime_clique(self, i: int) -> Clique:
         """The clique C'_i = {a_j : i <= j <= n} + {b_i, b_{i+1}, c_i}."""
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"index {i} out of range 1..{self.n - 1}")
-        members = {self.a[j] for j in range(i, self.n + 1)}
-        members |= {self.b[i], self.b[i + 1], self.c[i]}
-        return Clique.of(self.graph, members)
+        return Clique.of(self.graph, self._cliques[self.n + i - 1])
 
     def expected_clique_sets(self) -> set[frozenset[str]]:
         """The member sets of all 2n-1 defining cliques."""
-        out = {frozenset({self.a[i], self.b[i], self.c[i], self.d[i]}) for i in range(1, self.n + 1)}
-        for i in range(1, self.n):
-            out.add(
-                frozenset({self.a[j] for j in range(i, self.n + 1)})
-                | {self.b[i], self.b[i + 1], self.c[i]}
-            )
-        return out
+        return set(self._cliques)
+
+
+def _defining_cliques(
+    n: int, a: dict[int, str], b: dict[int, str], c: dict[int, str], d: dict[int, str]
+) -> tuple[frozenset[str], ...]:
+    """C_1..C_n, then C'_1..C'_{n-1}: the one definition of R_n's cliques."""
+    return tuple(frozenset({a[i], b[i], c[i], d[i]}) for i in range(1, n + 1)) + tuple(
+        frozenset({a[j] for j in range(i, n + 1)} | {b[i], b[i + 1], c[i]})
+        for i in range(1, n)
+    )
 
 
 def build_rn(n: int) -> RnGraph:
     """Construct R_n and check its clique structure before handing it out."""
     if n < 3:
         raise ValueError("family defined for n ≥ 3")
-    a = {i: f"a{i}" for i in range(1, n + 1)}
-    b = {i: f"b{i}" for i in range(1, n + 1)}
-    c = {i: f"c{i}" for i in range(1, n + 1)}
-    d = {i: f"d{i}" for i in range(1, n + 1)}
-    vertices = (
-        [a[i] for i in range(1, n + 1)]
-        + [b[i] for i in range(1, n + 1)]
-        + [c[i] for i in range(1, n + 1)]
-        + [d[i] for i in range(1, n + 1)]
-    )
+    a, b, c, d = ({i: f"{group}{i}" for i in range(1, n + 1)} for group in "abcd")
+    vertices = [names[i] for names in (a, b, c, d) for i in range(1, n + 1)]
 
-    clique_sets = [{a[i], b[i], c[i], d[i]} for i in range(1, n + 1)]
-    for i in range(1, n):
-        clique_sets.append({a[j] for j in range(i, n + 1)} | {b[i], b[i + 1], c[i]})
-
-    edges = set()
-    for members in clique_sets:
-        ms = sorted(members)
-        for x in range(len(ms)):
-            for y in range(x + 1, len(ms)):
-                edges.add(normalize_edge(ms[x], ms[y]))
-
+    edges = {
+        normalize_edge(u, v)
+        for members in _defining_cliques(n, a, b, c, d)
+        for u, v in combinations(sorted(members), 2)
+    }
     graph = Graph.build(vertices, sorted(edges))
     r = RnGraph(n=n, graph=graph, a=a, b=b, c=c, d=d)
 
     found = {cl.members for cl in maximal_cliques(graph)}
-    expected = r.expected_clique_sets()
-    if found != expected:
+    if found != r.expected_clique_sets():
         raise RuntimeError(
             "construction invalid: maximal cliques do not match the defining family"
         )

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import random
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +11,7 @@ from leafpower import (
     AuditReport,
     BranchPoints,
     RSModel,
+    Tree,
     branch_points,
     build_exponential_rs_model,
     build_rdp_model,
@@ -16,7 +19,9 @@ from leafpower import (
     check_increasing,
     check_median_cover,
     check_order,
+    cover,
     distance,
+    distances_from,
     dumps,
     expand_rs,
     leafroot_to_rs,
@@ -26,6 +31,7 @@ from leafpower import (
     rs_model_from_json_obj,
     rs_model_to_json_obj,
     rs_to_leafroot,
+    tree_path,
     verify_rs_model,
 )
 
@@ -38,6 +44,50 @@ ALL_CHECKS = {
     "radius_covers_diameter",
     "radius_floor",
 }
+
+
+def r3_fixture() -> tuple:
+    """A seven-node ball model of R_3 that verifies (ROADMAP item 1).
+
+    Every vertex with index i is centred at y<i>, except d2 at z2.
+    """
+    r = build_rn(3)
+    host = Tree.build(
+        ["x1", "x2", "x3", "y1", "y2", "y3", "z2"],
+        [("x1", "x2"), ("x2", "x3"), ("x1", "y1"), ("x2", "y2"), ("x3", "y3"), ("y2", "z2")],
+    )
+    radii = {
+        "a1": 1, "a2": 2, "a3": 3,
+        "b1": 1, "b2": 2, "b3": 2,
+        "c1": 1, "c2": 1, "c3": 0,
+        "d1": 0, "d2": 0, "d3": 0,
+    }
+    centers = {v: f"y{v[1:]}" for v in radii}
+    centers["d2"] = "z2"
+    return r, RSModel.build(host, r.graph, centers, radii)
+
+
+def audited_models() -> list:
+    """The built-in models for n = 3..8, then the R_3 fixture."""
+    models = []
+    for n in range(3, 9):
+        r = build_rn(n)
+        models.append((r, build_exponential_rs_model(r)))
+    return models + [r3_fixture()]
+
+
+MODEL_IDS = [f"R{n}" for n in range(3, 9)] + ["fixture"]
+
+
+def betweenness_order(host: Tree, ms: tuple) -> bool:
+    """The order check by its definition: distinct, and every middle m between each outer pair."""
+    if len(set(ms)) != len(ms):
+        return False
+    dist = {x: distances_from(host, x) for x in ms}
+    return all(
+        dist[ms[p]][ms[q]] + dist[ms[q]][ms[t]] == dist[ms[p]][ms[t]]
+        for p, q, t in combinations(range(len(ms)), 3)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +129,6 @@ class TestBranchPoints:
         )
         with pytest.raises(ValueError, match="not a model of R_n: "):
             branch_points(r, damaged)
-
-    def test_works_on_expanded_model_passed_alongside(self):
-        r = build_rn(3)
-        m = build_exponential_rs_model(r)
-        bp_direct = branch_points(r, m)
-        bp_shared = branch_points(r, m, expanded=expand_rs(m))
-        assert bp_direct == bp_shared
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +255,71 @@ class TestLowerBoundCertificate:
             # Subdivision doubles all the distances.
             direct = lower_bound_certificate(r, m)
             assert rep.dist_m2_mn == 2 * direct.dist_m2_mn
+
+
+# ---------------------------------------------------------------------------
+# The R_3 fixture and cross-checks against the definitions
+# ---------------------------------------------------------------------------
+
+class TestAgainstDefinitions:
+    def test_fixture_verifies_and_fails_only_the_gap_sum_floor(self):
+        r, m = r3_fixture()
+        assert verify_rs_model(m)
+        bp = branch_points(r, m)
+        assert bp.m == ("y1", "x2", "y3")
+        assert bp.s == {2: "z2"}
+        rep = lower_bound_certificate(r, m)
+        assert rep.dist_m2_mn == 2
+        assert rep.failed == ("gap_sum_floor",)
+        assert all(ok for name, ok in rep.checks.items() if name != "gap_sum_floor")
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: gap_sum_floor asks dist(m_2, m_n) >= 2^(n-1) - 1, "
+        "one more than verifying models reach",
+    )
+    def test_fixture_audit_holds(self):
+        assert lower_bound_certificate(*r3_fixture()).holds
+
+    @pytest.mark.parametrize("r, m", audited_models(), ids=MODEL_IDS)
+    def test_distances_are_bfs_distances(self, r, m):
+        rep = lower_bound_certificate(r, m)
+        ms = rep.branch_m
+        for p, q in combinations(range(r.n), 2):
+            assert rep.m_distances[f"m{p + 1}-m{q + 1}"] == distances_from(m.host, ms[p])[ms[q]]
+
+    @pytest.mark.parametrize("r, m", audited_models(), ids=MODEL_IDS)
+    def test_median_cover_is_the_expanded_cover(self, r, m):
+        bp = branch_points(r, m)
+        exp = expand_rs(m)
+        for i in range(2, r.n):
+            cov = set(cover(exp, bp.m[i - 1]))
+            base = {r.a[j] for j in range(i, r.n + 1)} | {r.b[i]}
+            expected = base < cov <= base | {r.c[i], r.b[i + 1]}
+            assert check_median_cover(r, m, bp, i) == expected
+
+    @pytest.mark.parametrize("r, m", audited_models(), ids=MODEL_IDS)
+    def test_order_agrees_with_betweenness(self, r, m):
+        bp = branch_points(r, m)
+        corridor = tree_path(m.host, bp.m[0], bp.m[-1])
+        rng = random.Random(r.n)
+        candidates = [bp.m, bp.m[::-1]]
+        for k in range(r.n - 1):
+            # Neighbours k and k+1 swapped, then m_{k+2} written over m_{k+1}.
+            swapped = list(bp.m)
+            swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
+            candidates += [tuple(swapped), bp.m[:k] + bp.m[k + 1 : k + 2] + bp.m[k + 1 :]]
+        for _ in range(20):
+            picked = rng.sample(corridor, min(r.n, len(corridor)))
+            candidates += [tuple(sorted(picked, key=corridor.index)), tuple(picked)]
+            candidates.append(tuple(rng.choice(m.host.nodes) for _ in range(r.n)))
+        verdicts = set()
+        for ms in candidates:
+            fake = BranchPoints(m=ms, s=bp.s)
+            verdict = betweenness_order(m.host, ms)
+            assert check_order(r, m, fake) == verdict, ms
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

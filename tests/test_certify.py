@@ -90,6 +90,14 @@ class TestWeightedLeafRoot:
                 STAR_HOST, {("i", "la"): Fraction(1)}, P3_PLACEMENT
             )
 
+    @pytest.mark.parametrize("first, second", [("i", "la"), ("la", "i")])
+    def test_edge_listed_twice_is_refused(self, first, second):
+        # Both keys normalize to one edge; keeping the last weight would hide the first.
+        weights = {(first, second): Fraction(1), (second, first): Fraction(1, 3),
+                   ("i", "lb"): Fraction(1), ("i", "lc"): Fraction(1)}
+        with pytest.raises(ValueError, match=r"^edge \('i', 'la'\) is listed twice$"):
+            WeightedLeafRoot.build(STAR_HOST, weights, P3_PLACEMENT)
+
     def test_weights_must_be_positive(self):
         weights = dict(DEMO_WEIGHTS)
         weights[("i", "la")] = Fraction(0)
@@ -410,6 +418,13 @@ class TestCertifySerialization:
         )
         payload = {**weighted_leafroot_to_json_obj(w), key: value}
         with pytest.raises(ValueError, match=re.escape(field)):
+            weighted_leafroot_from_json_obj(payload)
+
+    def test_edge_listed_twice_in_json_is_refused(self):
+        w = WeightedLeafRoot.build(STAR_HOST, DEMO_WEIGHTS, P3_PLACEMENT)
+        payload = weighted_leafroot_to_json_obj(w)
+        payload["weights"].append({"edge": ["i", "la"], "num": "1", "den": "3"})
+        with pytest.raises(ValueError, match=r"^edge \('i', 'la'\) is listed twice$"):
             weighted_leafroot_from_json_obj(payload)
 
     def test_fractions_serialized_as_num_den_strings(self):
