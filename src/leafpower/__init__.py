@@ -108,6 +108,7 @@ from .trees import (
     distance,
     distances_from,
     median,
+    pairwise_distances,
     tree_from_json_obj,
     tree_path,
     tree_to_dot,

@@ -29,8 +29,8 @@ from .jsonio import Record, entries, integer_map, string_map, strings
 from .trees import (
     Tree,
     ball,
-    distances_from,
     is_connected_subset,
+    pairwise_distances,
     tree_from_json_obj,
     tree_path,
     tree_to_json_obj,
@@ -173,13 +173,11 @@ def rs_model_violations(model: RSModel) -> list[str]:
     intersections, so the two can cross-validate each other.
     """
     problems: list[str] = []
-    dist_cache: dict[str, dict[str, int]] = {}
+    dist = pairwise_distances(model.host, model.centers.values())
     for i, u in enumerate(model.graph.vertices):
-        cu = model.centers[u]
-        if cu not in dist_cache:
-            dist_cache[cu] = distances_from(model.host, cu)
+        row = dist[model.centers[u]]
         for v in model.graph.vertices[i + 1 :]:
-            d = dist_cache[cu][model.centers[v]]
+            d = row[model.centers[v]]
             meets = d <= model.radii[u] + model.radii[v]
             if meets and not model.graph.adjacent(u, v):
                 problems.append(f"balls of non-adjacent {u!r} and {v!r} intersect")

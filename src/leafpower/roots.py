@@ -14,7 +14,14 @@ from .enumtrees import leaf_orbit_representatives, trees_with_leaf_count
 from .graphs import Graph, dot_graph, dot_quote
 from .jsonio import Record, integer, string_map
 from .models import RSModel, rs_model_violations
-from .trees import Tree, distances_from, tree_from_json_obj, tree_path, tree_to_json_obj
+from .trees import (
+    Tree,
+    distances_from,
+    pairwise_distances,
+    tree_from_json_obj,
+    tree_path,
+    tree_to_json_obj,
+)
 
 
 @dataclass(frozen=True)
@@ -74,11 +81,12 @@ def verify_leaf_root(graph: Graph, root: LeafRoot) -> bool:
 def leaf_power_graph(root: LeafRoot) -> Graph:
     """The graph this leaf root represents: vertices adjacent iff leaves within k."""
     vertices = sorted(root.placement)
+    dist = pairwise_distances(root.host, root.placement.values())
     edges = []
     for i, u in enumerate(vertices):
-        dist = distances_from(root.host, root.placement[u])
+        row = dist[root.placement[u]]
         for v in vertices[i + 1 :]:
-            if dist[root.placement[v]] <= root.k:
+            if row[root.placement[v]] <= root.k:
                 edges.append((u, v))
     return Graph.build(vertices, edges)
 
@@ -122,7 +130,8 @@ def rs_to_leafroot(model: RSModel) -> LeafRoot:
     brand-new leaf fastened to its center by a path of length k+1-r_v.  A lone
     vertex keeps only its leaf.  For placed leaves u, v the distance becomes
     (k+1-r_u) + dist(c_u, c_v) + (k+1-r_v), which is at most 2k+2 exactly when
-    the balls intersected.
+    the balls intersected.  The root is re-checked against the graph; a failure
+    raises RuntimeError.
     """
     vertices = model.graph.vertices
     if not vertices:
@@ -139,7 +148,10 @@ def rs_to_leafroot(model: RSModel) -> LeafRoot:
         placement[v] = _grow_path(model.centers[v], [*stems, f"leaf.{v}"], taken, nodes, edges)
     if len(vertices) == 1:
         nodes, edges = list(placement.values()), []
-    return LeafRoot.build(Tree.build(sorted(nodes), edges), 2 * k + 2, placement)
+    root = LeafRoot.build(Tree.build(sorted(nodes), edges), 2 * k + 2, placement)
+    if not verify_leaf_root(model.graph, root):
+        raise RuntimeError("construction invalid: the root does not represent the model's graph")
+    return root
 
 
 def brute_force_leaf_rank(

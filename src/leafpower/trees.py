@@ -105,14 +105,20 @@ def distance(tree: Tree, u: str, v: str) -> int:
     return len(tree_path(tree, u, v)) - 1
 
 
-def distances_from(tree: Tree, start: str) -> dict[str, int]:
-    """Distances from ``start`` to every node, by breadth-first search."""
+def distances_from(tree: Tree, start: str, limit: int | None = None) -> dict[str, int]:
+    """Distances from ``start`` to every node, by breadth-first search.
+
+    With a ``limit`` the search stops there and the map holds only the nodes
+    within that distance.
+    """
     if start not in tree._adjacency:
         raise ValueError(f"node {start!r} is not in the tree")
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be nonnegative")
     dist = {start: 0}
     frontier = [start]
     d = 0
-    while frontier:
+    while frontier and d != limit:
         d += 1
         nxt = []
         for x in frontier:
@@ -124,11 +130,52 @@ def distances_from(tree: Tree, start: str) -> dict[str, int]:
     return dist
 
 
+def pairwise_distances(tree: Tree, nodes: Iterable[str]) -> dict[str, dict[str, int]]:
+    """The distance between every two of ``nodes``, each node at 0 from itself.
+
+    One pass over the parent map gives every depth; a second, leaves first,
+    carries each group of listed nodes up to the parent of the node holding
+    it.  Where two groups meet, at p, every pair (a, b) across them is
+    depth(a) + depth(b) - 2 depth(p) apart.  The cost is
+    O(|tree| + |nodes|^2), where one search per node would cost O(|tree|) each.
+    """
+    parent = tree._parent
+    dist = {v: {v: 0} for v in nodes}
+    for v in dist:
+        if v not in parent:
+            raise ValueError(f"node {v!r} is not in the tree")
+    depth: dict[str, int] = {}
+    for x, p in parent.items():
+        depth[x] = 0 if p is None else depth[p] + 1
+
+    def meet(low: list[str], high: list[str], at: str) -> None:
+        base = 2 * depth[at]
+        for a in low:
+            row, da = dist[a], depth[a] - base
+            for b in high:
+                row[b] = dist[b][a] = da + depth[b]
+
+    groups: dict[str, list[str]] = {}
+    for x in reversed(parent):
+        group = groups.pop(x, [])
+        if x in dist:
+            meet([x], group, x)
+            group.append(x)
+        p = parent[x]
+        if not group or p is None:
+            continue
+        held = groups.setdefault(p, group)
+        if held is not group:
+            meet(group, held, p)
+            held.extend(group)
+    return dist
+
+
 def ball(tree: Tree, center: str, radius: int) -> frozenset[str]:
     """All nodes at distance at most ``radius`` from ``center``."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    return frozenset(v for v, d in distances_from(tree, center).items() if d <= radius)
+    return frozenset(distances_from(tree, center, radius))
 
 
 def median(tree: Tree, u: str, v: str, w: str) -> str:

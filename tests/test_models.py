@@ -20,7 +20,10 @@ from leafpower import (
     clique_subtree,
     clique_tree_model,
     cover,
+    build_exponential_rs_model,
+    build_rn,
     distance,
+    distances_from,
     dumps,
     expand_rs,
     is_chordal,
@@ -41,6 +44,7 @@ from conftest import (
     path_graph,
     path_tree,
     random_ball_model,
+    random_tree_rng,
     random_trees,
     star_tree,
 )
@@ -276,6 +280,61 @@ class TestBallModels:
         assert rs_model_violations(m) == [
             "balls of adjacent 'u' and 'v' are disjoint"
         ]
+
+
+def per_center_bfs_violations(model: RSModel) -> list[str]:
+    """The ball-model mismatches by one breadth-first search per vertex's center."""
+    problems = []
+    for i, u in enumerate(model.graph.vertices):
+        dist = distances_from(model.host, model.centers[u])
+        for v in model.graph.vertices[i + 1 :]:
+            meets = dist[model.centers[v]] <= model.radii[u] + model.radii[v]
+            if meets and not model.graph.adjacent(u, v):
+                problems.append(f"balls of non-adjacent {u!r} and {v!r} intersect")
+            elif not meets and model.graph.adjacent(u, v):
+                problems.append(f"balls of adjacent {u!r} and {v!r} are disjoint")
+    return problems
+
+
+def nudge_one_radius(rng: random.Random, model: RSModel) -> RSModel:
+    """The model with one radius raised or lowered by one (never below zero)."""
+    radii = dict(model.radii)
+    v = rng.choice(model.graph.vertices)
+    radii[v] = radii[v] + 1 if radii[v] == 0 or rng.random() < 0.5 else radii[v] - 1
+    return RSModel.build(model.host, model.graph, model.centers, radii)
+
+
+class TestViolationsAgainstPerCenterSearch:
+    def test_random_ball_models_with_one_radius_nudged(self):
+        rng = random.Random(59)
+        failing = 0
+        for _ in range(300):
+            host = random_tree_rng(rng, 1, 12)
+            vertices = [f"u{i}" for i in range(rng.randint(2, 9))]
+            # A few centers for many vertices, so that centers are shared.
+            pool = [rng.choice(host.nodes) for _ in range(3)]
+            centers = {v: rng.choice(pool) for v in vertices}
+            centers[vertices[1]] = centers[vertices[0]]
+            radii = {v: rng.randint(0, 3) for v in vertices}
+            edges = [
+                (u, v)
+                for u, v in itertools.combinations(vertices, 2)
+                if distance(host, centers[u], centers[v]) <= radii[u] + radii[v]
+            ]
+            m = nudge_one_radius(rng, RSModel.build(host, Graph.build(vertices, edges), centers, radii))
+            assert rs_model_violations(m) == per_center_bfs_violations(m)
+            failing += bool(rs_model_violations(m))
+        assert failing > 50
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_built_in_models_with_one_radius_nudged(self, n):
+        model = build_exponential_rs_model(build_rn(n))
+        assert model.centers["a1"] == model.centers["b1"]
+        assert rs_model_violations(model) == per_center_bfs_violations(model) == []
+        rng = random.Random(n)
+        for _ in range(10):
+            m = nudge_one_radius(rng, model)
+            assert rs_model_violations(m) == per_center_bfs_violations(m)
 
 
 # ---------------------------------------------------------------------------

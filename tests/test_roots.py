@@ -13,7 +13,10 @@ from leafpower import (
     RSModel,
     Tree,
     brute_force_leaf_rank,
+    build_exponential_rs_model,
+    build_rn,
     distance,
+    distances_from,
     dumps,
     expand_rs,
     graph_to_dot,
@@ -127,6 +130,37 @@ class TestVerifyLeafRoot:
 # Conversions between roots and ball models
 # ---------------------------------------------------------------------------
 
+def per_leaf_bfs_graph(root: LeafRoot) -> Graph:
+    """The leaf-power graph by one breadth-first search per vertex's leaf."""
+    vertices = sorted(root.placement)
+    edges = []
+    for i, u in enumerate(vertices):
+        dist = distances_from(root.host, root.placement[u])
+        for v in vertices[i + 1 :]:
+            if dist[root.placement[v]] <= root.k:
+                edges.append((u, v))
+    return Graph.build(vertices, edges)
+
+
+class TestLeafPowerGraphAgainstPerLeafSearch:
+    def test_random_leaf_roots(self):
+        rng = random.Random(113)
+        for _ in range(200):
+            host = random_tree_rng(rng, 1, 25)
+            leaves = list(host.leaves())
+            rng.shuffle(leaves)
+            root = LeafRoot.build(
+                host, rng.randint(1, 8), {f"g{i}": leaf for i, leaf in enumerate(leaves)}
+            )
+            assert leaf_power_graph(root) == per_leaf_bfs_graph(root)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_roots_of_the_built_in_models(self, n):
+        r = build_rn(n)
+        root = rs_to_leafroot(build_exponential_rs_model(r))
+        assert leaf_power_graph(root) == per_leaf_bfs_graph(root) == r.graph
+
+
 class TestLeafRootToBallModel:
     def test_radii_all_equal_k_and_model_verifies(self):
         root = LeafRoot.build(
@@ -224,6 +258,15 @@ class TestBallModelToLeafRoot:
         )
         assert back.placement == {"a": "_leaf.a", "b": "leaf.b"}
         assert back.k == 6
+
+    def test_broken_construction_is_caught_by_the_recheck(self, monkeypatch):
+        # The root is fine; the recheck is made to see a graph without edges.
+        m = leafroot_to_rs(LeafRoot.build(caterpillar_host(), 3, {"a": "lu", "b": "lv", "c": "lw"}))
+        monkeypatch.setattr(
+            roots, "leaf_power_graph", lambda r: Graph.build(sorted(r.placement), [])
+        )
+        with pytest.raises(RuntimeError, match="construction invalid"):
+            rs_to_leafroot(m)
 
     def test_empty_model_rejected(self):
         from leafpower import RSModel

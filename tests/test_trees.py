@@ -17,6 +17,7 @@ from leafpower import (
     distances_from,
     dumps,
     median,
+    pairwise_distances,
     tree_from_json_obj,
     tree_path,
     tree_to_dot,
@@ -275,6 +276,76 @@ class TestClimbsAgainstNetworkx:
         dist, paths = nx.multi_source_dijkstra(_nx_tree(t), a)
         nearest = min(b, key=dist.__getitem__)
         assert connecting_path(t, a, b) == tuple(paths[nearest])
+
+
+# ---------------------------------------------------------------------------
+# The all-pairs sweep and the bounded search against networkx
+# ---------------------------------------------------------------------------
+
+def _check_pairwise(t: Tree, listed: list[str]) -> None:
+    """``pairwise_distances`` on ``listed`` equals networkx's distances among them."""
+    oracle = dict(nx.all_pairs_shortest_path_length(_nx_tree(t)))
+    table = pairwise_distances(t, listed)
+    assert set(table) == set(listed)
+    for a in listed:
+        assert table[a] == {b: oracle[a][b] for b in listed}
+
+
+class TestDistanceSweepAgainstNetworkx:
+    @given(random_trees(max_nodes=12), st.data())
+    def test_pairwise_distances_on_random_subsets(self, t: Tree, data):
+        _check_pairwise(t, data.draw(st.lists(st.sampled_from(t.nodes), max_size=14)))
+
+    @given(random_trees(max_nodes=12), st.data())
+    def test_pairwise_distances_with_the_search_root(self, t: Tree, data):
+        others = data.draw(st.lists(st.sampled_from(t.nodes), max_size=5))
+        _check_pairwise(t, [*others, t.nodes[0]])
+
+    @given(random_trees(min_nodes=3, max_nodes=12))
+    def test_pairwise_distances_among_internal_nodes(self, t: Tree):
+        _check_pairwise(t, [v for v in t.nodes if t.degree(v) > 1])
+
+    @given(random_trees(max_nodes=12), st.data())
+    def test_pairwise_distances_of_a_single_node(self, t: Tree, data):
+        v = data.draw(st.sampled_from(t.nodes))
+        assert pairwise_distances(t, [v]) == {v: {v: 0}}
+
+    @given(random_trees(max_nodes=12))
+    def test_pairwise_distances_among_every_node(self, t: Tree):
+        _check_pairwise(t, list(reversed(t.nodes)))
+
+    @given(random_trees(min_nodes=2, max_nodes=12), st.data())
+    def test_a_node_listed_twice_counts_once(self, t: Tree, data):
+        u, v = data.draw(st.lists(st.sampled_from(t.nodes), min_size=2, max_size=2, unique=True))
+        assert pairwise_distances(t, [u, v, u]) == pairwise_distances(t, [u, v])
+        _check_pairwise(t, [u, v, u, v])
+
+    def test_unknown_node_rejected_as_by_distances_from(self):
+        t = path_tree(["a", "b"])
+        assert pairwise_distances(t, []) == {}
+        with pytest.raises(ValueError, match="node 'z' is not in the tree"):
+            pairwise_distances(t, ["a", "z"])
+        with pytest.raises(ValueError, match="node 'z' is not in the tree"):
+            distances_from(t, "z")
+
+    @given(random_trees(max_nodes=12), st.data())
+    def test_limited_search_is_the_full_map_cut_at_the_limit(self, t: Tree, data):
+        start = data.draw(st.sampled_from(t.nodes))
+        full = distances_from(t, start)
+        assert full == nx.single_source_shortest_path_length(_nx_tree(t), start)
+        for limit in range(nx.diameter(_nx_tree(t)) + 2):
+            assert distances_from(t, start, limit) == {v: d for v, d in full.items() if d <= limit}
+
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError, match="limit must be nonnegative"):
+            distances_from(path_tree(["a", "b"]), "a", -1)
+
+    @given(random_trees(max_nodes=12), st.data())
+    def test_ball_is_the_full_search_cut_at_the_radius(self, t: Tree, data):
+        center = data.draw(st.sampled_from(t.nodes))
+        radius = data.draw(st.integers(0, len(t.nodes)))
+        full = nx.single_source_shortest_path_length(_nx_tree(t), center)
+        assert ball(t, center, radius) == frozenset(v for v, d in full.items() if d <= radius)
 
 
 # ---------------------------------------------------------------------------
