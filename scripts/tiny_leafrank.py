@@ -43,6 +43,10 @@ def parse_args(argv: list[str] | None = None) -> TableConfig:
         parser.error("max-vertices must be between 1 and 6")
     if args.max_nodes < 2:
         parser.error("max-nodes must be at least 2")
+    if args.max_nodes < args.max_vertices:
+        parser.error("max-nodes must be at least max-vertices")
+    if args.max_k is not None and args.max_k < 1:
+        parser.error("max-k must be at least 1")
     return TableConfig(args.max_vertices, args.max_nodes, args.max_k)
 
 

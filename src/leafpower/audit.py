@@ -8,8 +8,9 @@ this module verify, on a concrete model, the facts that force those branch
 points to spread out exponentially: the cover shape at each m_i, their linear
 order along the corridor, the strictly-growing gaps, and the resulting radius
 floor of 2^(n-2) for the last ball — which is a lower bound on how small k can
-be for ANY k-leaf root of R_n.  The balls are materialized once, to find the
-branch points; every later check reads the model through tree distances.
+be for ANY k-leaf root of R_n.  The model is checked by center distances, then
+its balls are materialized once, to find the branch points; every later check
+reads the model through tree distances.
 
 A model that verifies but fails a check is surfaced loudly, never swallowed.
 Such a failure does not by itself falsify the bound: a seven-node ball model
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .models import RSModel, clique_subtree, cover, expand_rs, subtree_model_violations
+from .models import RSModel, clique_subtree, cover, expand_rs, rs_model_violations
 from .rn import RnGraph
 from .trees import connecting_path, distance, distances_from, median, tree_path
 
@@ -37,18 +38,19 @@ class BranchPoints:
 def branch_points(r: RnGraph, model: RSModel) -> BranchPoints:
     """Extract the branch points of a verifying ball model of R_n.
 
-    s_i is computed twice — once approaching from the clique subtree of C_1
-    and once from that of C_n — and the two answers are required to agree
-    rather than assumed to.
+    A model that does not verify is refused by center distances before the one
+    ball expansion, which gives the clique subtrees and the covers.  s_i is
+    computed twice — once approaching from the clique subtree of C_1 and once
+    from that of C_n — and the two answers are required to agree rather than
+    assumed to.
     """
     if not isinstance(model, RSModel):
         raise TypeError("branch_points requires a ball model (RSModel)")
     if model.graph != r.graph:
         raise ValueError("not a model of R_n: the model's graph differs")
-    exp = expand_rs(model)
-    problems = subtree_model_violations(exp)
-    if problems:
+    if problems := rs_model_violations(model):
         raise ValueError(f"not a model of R_n: {problems[0]}")
+    exp = expand_rs(model)
 
     host = model.host
     n = r.n

@@ -26,13 +26,12 @@ from .certify import (
 from .graphs import graph_from_json_obj, graph_to_dot, graph_to_json_obj
 from .jsonio import dumps
 from .models import (
-    expand_rs,
     rs_model_from_json_obj,
     rs_model_to_dot,
     rs_model_to_json_obj,
+    rs_model_violations,
     subtree_model_to_dot,
     subtree_model_to_json_obj,
-    subtree_model_violations,
 )
 from .rn import MAX_EXPONENTIAL_N, build_exponential_rs_model, build_rdp_model, build_rn
 from .roots import (
@@ -163,8 +162,7 @@ def _cmd_convert(args: argparse.Namespace) -> Result:
         root = _read(args.input, leafroot_from_json_obj, "leaf root")
         return _json_or_dot(args, leafroot_to_rs(root), rs_model_to_json_obj, rs_model_to_dot)
     model = _read(args.input, rs_model_from_json_obj, "model")
-    problems = subtree_model_violations(expand_rs(model))
-    if problems:
+    if problems := rs_model_violations(model):
         raise _Refused(f"model does not verify: {problems[0]}")
     return _json_or_dot(args, rs_to_leafroot(model), leafroot_to_json_obj, leafroot_to_dot)
 

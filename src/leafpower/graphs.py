@@ -22,6 +22,26 @@ def normalize_edge(u: str, v: str) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _parse_vertices_and_edges(
+    vertices: Iterable[str], edges: Iterable[tuple[str, str]], noun: str
+) -> tuple[tuple[str, ...], tuple[Edge, ...]]:
+    """Checked string vertices and their edges, sorted; the messages call a vertex ``noun``."""
+    vs = tuple(vertices)
+    seen = set()
+    for v in vs:
+        if not isinstance(v, str):
+            raise ValueError(f"{noun} {v!r} is not a string")
+        if v in seen:
+            raise ValueError(f"duplicate {noun} {v!r}")
+        seen.add(v)
+    es = set()
+    for u, v in edges:
+        if u not in seen or v not in seen:
+            raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the {noun} set")
+        es.add(normalize_edge(u, v))
+    return vs, tuple(sorted(es))
+
+
 @dataclass(frozen=True)
 class Graph:
     """A finite simple undirected graph."""
@@ -32,20 +52,7 @@ class Graph:
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Graph":
         """Validate and canonicalize raw vertex / edge collections."""
-        vs = tuple(vertices)
-        seen = set()
-        for v in vs:
-            if not isinstance(v, str):
-                raise ValueError(f"vertex {v!r} is not a string")
-            if v in seen:
-                raise ValueError(f"duplicate vertex {v!r}")
-            seen.add(v)
-        es = set()
-        for u, v in edges:
-            if u not in seen or v not in seen:
-                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the vertex set")
-            es.add(normalize_edge(u, v))
-        return Graph(vertices=vs, edges=tuple(sorted(es)))
+        return Graph(*_parse_vertices_and_edges(vertices, edges, "vertex"))
 
     @cached_property
     def _adjacency(self) -> Mapping[str, frozenset[str]]:

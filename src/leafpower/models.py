@@ -8,7 +8,9 @@ Two interchangeable forms are provided:
 * :class:`RSModel` assigns every graph vertex a center node and an integer
   radius; the implied subtree is the ball around the center.  Because balls in
   a tree intersect exactly when the center distance is at most the radius sum,
-  this form supports fast verification without materializing the balls.
+  every command checks this form by center distances alone.  The set route
+  checks explicit subtree models, and on expanded balls it is the tests'
+  independent cross-check of the center-distance route.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .graphs import Edge, dot_graph, dot_quote, normalize_edge
+from .graphs import Edge, _parse_vertices_and_edges, dot_graph, dot_quote
 from .jsonio import Record, string_pairs, strings
 
 
@@ -23,34 +23,24 @@ class Tree:
     @staticmethod
     def build(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Tree":
         ns = tuple(nodes)
-        seen = set()
-        for v in ns:
-            if not isinstance(v, str):
-                raise ValueError(f"node {v!r} is not a string")
-            if v in seen:
-                raise ValueError(f"duplicate node {v!r}")
-            seen.add(v)
         if not ns:
             raise ValueError("a tree needs at least one node")
-        es = set()
-        for u, v in edges:
-            if u not in seen or v not in seen:
-                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the node set")
-            es.add(normalize_edge(u, v))
+        ns, es = _parse_vertices_and_edges(ns, edges, "node")
         if len(es) != len(ns) - 1:
             raise ValueError(f"a tree on {len(ns)} nodes needs {len(ns) - 1} edges, got {len(es)}")
-        tree = Tree(nodes=ns, edges=tuple(sorted(es)))
+        tree = Tree(nodes=ns, edges=es)
         if len(tree._parent) != len(ns):
             raise ValueError("edges do not connect all nodes")
         return tree
 
     @cached_property
     def _adjacency(self) -> Mapping[str, tuple[str, ...]]:
+        """Neighbours in ascending order: sorted edges list each (y, x) with y < x before (x, z)."""
         adj: dict[str, list[str]] = {v: [] for v in self.nodes}
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+        return {v: tuple(nbrs) for v, nbrs in adj.items()}
 
     @cached_property
     def _parent(self) -> Mapping[str, str | None]:

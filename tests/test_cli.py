@@ -429,24 +429,25 @@ def replaced(doc: dict, key: str, value: object) -> dict:
     return {**doc, key: value}
 
 
+#: (command, document, the field its one-line refusal names).
+MALFORMED_FIELDS = [
+    ("certify", replaced(P3_DOC, "edges", 5), "edges"),
+    ("certify", replaced(P3_DOC, "edges", [5]), "edges[0]"),
+    ("leafrank", replaced(P3_DOC, "edges", 5), "edges"),
+    ("leafrank", replaced(P3_DOC, "edges", [5]), "edges[0]"),
+    ("audit", replaced(R3_MODEL_DOC, "centers", ["a"]), "centers"),
+    ("audit", replaced(R3_MODEL_DOC, "centers", {"a": ["x"]}), "centers['a']"),
+    ("certify", {"vertices": "ab", "edges": []}, "vertices"),
+    ("certify", {"vertices": ["a", "b"], "edges": ["ab"]}, "edges[0]"),
+    ("convert-leafroot", replaced(LEAFROOT_DOC, "k", True), "k"),
+    ("convert-leafroot", replaced(LEAFROOT_DOC, "placement", [["a", "x"], ["b", "y"]]), "placement"),
+    ("convert-rs", replaced(R3_MODEL_DOC, "graph", {"vertices": [], "edges": 1}), "graph.edges"),
+    ("leafrank", ["a", "b"], "the document"),
+]
+
+
 class TestMalformedInput:
-    @pytest.mark.parametrize(
-        "command, doc, field",
-        [
-            ("certify", replaced(P3_DOC, "edges", 5), "edges"),
-            ("certify", replaced(P3_DOC, "edges", [5]), "edges[0]"),
-            ("leafrank", replaced(P3_DOC, "edges", 5), "edges"),
-            ("leafrank", replaced(P3_DOC, "edges", [5]), "edges[0]"),
-            ("audit", replaced(R3_MODEL_DOC, "centers", ["a"]), "centers"),
-            ("audit", replaced(R3_MODEL_DOC, "centers", {"a": ["x"]}), "centers['a']"),
-            ("certify", {"vertices": "ab", "edges": []}, "vertices"),
-            ("certify", {"vertices": ["a", "b"], "edges": ["ab"]}, "edges[0]"),
-            ("convert-leafroot", replaced(LEAFROOT_DOC, "k", True), "k"),
-            ("convert-leafroot", replaced(LEAFROOT_DOC, "placement", [["a", "x"], ["b", "y"]]), "placement"),
-            ("convert-rs", replaced(R3_MODEL_DOC, "graph", {"vertices": [], "edges": 1}), "graph.edges"),
-            ("leafrank", ["a", "b"], "the document"),
-        ],
-    )
+    @pytest.mark.parametrize("command, doc, field", MALFORMED_FIELDS)
     def test_exits_two_naming_the_field(self, tmp_path, command, doc, field):
         code, out, err = run_on_document(tmp_path / "input.json", command, doc)
         assert code == 2

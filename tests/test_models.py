@@ -1,6 +1,8 @@
 """Tests for subtree intersection models, ball models, and clique-tree models."""
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import random
@@ -39,6 +41,7 @@ from leafpower import (
     verify_rs_model,
     verify_subtree_model,
 )
+from leafpower.cli import main
 
 from conftest import (
     path_graph,
@@ -269,9 +272,7 @@ class TestBallModels:
         g = Graph.build(vertices, edges)
         m = RSModel.build(t, g, centers, radii)
         assert verify_rs_model(m) == verify_subtree_model(expand_rs(m))
-        assert bool(rs_model_violations(m)) == bool(
-            subtree_model_violations(expand_rs(m))
-        )
+        assert rs_model_violations(m) == expanded_route_violations(m)
 
     def test_rs_violation_messages_name_the_pair(self):
         t = path_tree(["x", "y", "z"])
@@ -280,6 +281,17 @@ class TestBallModels:
         assert rs_model_violations(m) == [
             "balls of adjacent 'u' and 'v' are disjoint"
         ]
+
+
+def expanded_route_violations(model: RSModel) -> list[str]:
+    """The set route's problems with the expanded balls, worded as the ball route words them.
+
+    The ball route must give exactly these problems, in this order.
+    """
+    return [
+        problem.replace("subtrees of", "balls of")
+        for problem in subtree_model_violations(expand_rs(model))
+    ]
 
 
 def per_center_bfs_violations(model: RSModel) -> list[str]:
@@ -322,7 +334,7 @@ class TestViolationsAgainstPerCenterSearch:
                 if distance(host, centers[u], centers[v]) <= radii[u] + radii[v]
             ]
             m = nudge_one_radius(rng, RSModel.build(host, Graph.build(vertices, edges), centers, radii))
-            assert rs_model_violations(m) == per_center_bfs_violations(m)
+            assert rs_model_violations(m) == per_center_bfs_violations(m) == expanded_route_violations(m)
             failing += bool(rs_model_violations(m))
         assert failing > 50
 
@@ -331,10 +343,37 @@ class TestViolationsAgainstPerCenterSearch:
         model = build_exponential_rs_model(build_rn(n))
         assert model.centers["a1"] == model.centers["b1"]
         assert rs_model_violations(model) == per_center_bfs_violations(model) == []
+        assert expanded_route_violations(model) == []
         rng = random.Random(n)
         for _ in range(10):
             m = nudge_one_radius(rng, model)
-            assert rs_model_violations(m) == per_center_bfs_violations(m)
+            assert rs_model_violations(m) == per_center_bfs_violations(m) == expanded_route_violations(m)
+
+
+class TestCommandsRefuseBallModels:
+    @pytest.mark.parametrize("n", range(3, 6))
+    def test_commands_refuse_with_the_first_problem(self, tmp_path, n):
+        model = build_exponential_rs_model(build_rn(n))
+        path = tmp_path / "model.json"
+        rng = random.Random(n)
+        refused = 0
+        for _ in range(6):
+            m = nudge_one_radius(rng, model)
+            problems = expanded_route_violations(m)
+            path.write_text(dumps(rs_model_to_json_obj(m)))
+            for argv, prefix in (
+                (["convert", "--from", "rs", "--input", str(path)], "model does not verify: "),
+                (["audit", "--model", str(path)], "not a model of R_n: "),
+            ):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                if problems:
+                    assert (code, out.getvalue(), err.getvalue()) == (1, "", f"{prefix}{problems[0]}\n")
+                else:
+                    assert err.getvalue() == ""
+            refused += bool(problems)
+        assert refused > 0
 
 
 # ---------------------------------------------------------------------------

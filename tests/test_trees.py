@@ -23,6 +23,7 @@ from leafpower import (
     tree_to_dot,
     tree_to_json_obj,
 )
+from leafpower.cli import main
 from leafpower.trees import is_connected_subset
 
 from conftest import path_tree, random_trees, star_tree
@@ -53,6 +54,46 @@ class TestTreeBuild:
         assert t.leaves() == ("x", "y", "z")
         t2 = path_tree(["a", "b", "c"])
         assert t2.leaves() == ("a", "c")
+
+    @given(random_trees(max_nodes=12))
+    def test_neighbors_ascend_as_networkx_sorts_them(self, t: Tree):
+        g = _nx_tree(t)
+        for v in t.nodes:
+            assert t.neighbors(v) == tuple(sorted(g.adj[v]))
+
+
+#: (nodes, edges, the message Tree.build refuses them with).  Where two rules
+#: are broken, the message is the one checked first.
+BAD_TREES = [
+    (["a", 1], [], "node 1 is not a string"),
+    (["a", "b", "a"], [("a", "b")], "duplicate node 'a'"),
+    (["a", "b", "a"], [("a", "c")], "duplicate node 'a'"),
+    (["a", "b"], [("a", "c")], "edge ('a', 'c') has an endpoint outside the node set"),
+    (["a", "b"], [("a", "a")], "self-loop at 'a'"),
+    ([], [], "a tree needs at least one node"),
+    ([], [("a", "b")], "a tree needs at least one node"),
+    (["a", "b", "c"], [("a", "b")], "a tree on 3 nodes needs 2 edges, got 1"),
+    (["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "a")], "edges do not connect all nodes"),
+]
+
+
+class TestTreeParserMessages:
+    @pytest.mark.parametrize("nodes, edges, message", BAD_TREES)
+    def test_build_refuses_with_the_message(self, nodes, edges, message):
+        with pytest.raises(ValueError) as caught:
+            Tree.build(nodes, edges)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("nodes, edges, message", BAD_TREES)
+    def test_convert_prints_the_message(self, capsys, tmp_path, nodes, edges, message):
+        if not all(isinstance(v, str) for v in nodes):
+            # The JSON reader stops a non-string before the tree is built.
+            message = "tree.nodes[1] must be a string, got an integer"
+        path = tmp_path / "root.json"
+        tree = {"nodes": nodes, "edges": [list(e) for e in edges]}
+        path.write_text(json.dumps({"tree": tree, "k": 2, "placement": {}}))
+        assert main(["convert", "--from", "leafroot", "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"cannot load leaf root: {message}\n")
 
 
 # ---------------------------------------------------------------------------
