@@ -2,8 +2,8 @@
 
 The heavy lifting (generating one tree per isomorphism class) is delegated to
 networkx; this module wraps the results in :class:`~leafpower.trees.Tree`,
-filters by leaf count or topology shape, and computes leaf orbits under tree
-automorphisms via rooted canonical forms.
+filters by leaf count (before building) or topology shape, and computes leaf
+orbits under tree automorphisms via rooted canonical forms.
 """
 
 from __future__ import annotations
@@ -15,30 +15,38 @@ import networkx as nx
 from .trees import Tree
 
 
-def nonisomorphic_trees(order: int) -> Iterator[Tree]:
-    """One tree per isomorphism class with ``order`` nodes, named n0..n{order-1}."""
+def _networkx_trees(order: int) -> Iterator[nx.Graph]:
+    """One networkx tree per isomorphism class with ``order`` nodes 0..order-1."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    if order == 1:
-        yield Tree.build(["n0"], [])
+    if order <= 2:
+        yield nx.path_graph(order)
         return
-    if order == 2:
-        yield Tree.build(["n0", "n1"], [("n0", "n1")])
-        return
-    for g in nx.nonisomorphic_trees(order):
-        nodes = sorted(g.nodes())
-        rename = {x: f"n{i}" for i, x in enumerate(nodes)}
-        yield Tree.build(
-            [rename[x] for x in nodes],
-            [(rename[x], rename[y]) for x, y in g.edges()],
-        )
+    yield from nx.nonisomorphic_trees(order)
+
+
+def _named_tree(g: nx.Graph) -> Tree:
+    """The networkx tree ``g`` as a Tree, its nodes named n0.. in node order."""
+    nodes = sorted(g.nodes())
+    rename = {x: f"n{i}" for i, x in enumerate(nodes)}
+    return Tree.build(
+        [rename[x] for x in nodes],
+        [(rename[x], rename[y]) for x, y in g.edges()],
+    )
+
+
+def nonisomorphic_trees(order: int) -> Iterator[Tree]:
+    """One tree per isomorphism class with ``order`` nodes, named n0..n{order-1}."""
+    for g in _networkx_trees(order):
+        yield _named_tree(g)
 
 
 def trees_with_leaf_count(num_leaves: int, max_nodes: int) -> Iterator[Tree]:
     """All tree classes with exactly ``num_leaves`` leaves and at most ``max_nodes`` nodes.
 
     Yielded in order of increasing node count, so a consumer looking for the
-    smallest workable host can stop early.
+    smallest workable host can stop early.  Leaves are counted from the
+    networkx degrees, so only the trees yielded are built.
     """
     if num_leaves < 1:
         raise ValueError("need at least one leaf")
@@ -51,9 +59,9 @@ def trees_with_leaf_count(num_leaves: int, max_nodes: int) -> Iterator[Tree]:
             feasible = 2 <= num_leaves <= order - 1
         if not feasible:
             continue
-        for t in nonisomorphic_trees(order):
-            if len(t.leaves()) == num_leaves:
-                yield t
+        for g in _networkx_trees(order):
+            if sum(d <= 1 for _, d in g.degree()) == num_leaves:
+                yield _named_tree(g)
 
 
 def topology_trees(num_leaves: int, max_internal: int) -> Iterator[Tree]:

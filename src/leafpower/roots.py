@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .enumtrees import leaf_orbit_representatives, trees_with_leaf_count
-from .graphs import Graph, dot_graph, dot_quote
+from .graphs import Graph, dot_graph, dot_quote, is_chordal
 from .jsonio import Record, integer, string_map
 from .models import RSModel, rs_model_violations
 from .trees import (
     Tree,
-    distances_from,
     pairwise_distances,
     tree_from_json_obj,
     tree_path,
@@ -164,6 +163,15 @@ def brute_force_leaf_rank(
     vertex.  Returns None when no root exists in that space, which is NOT a
     proof that none exists at all; ``max_k`` optionally restricts the search to
     roots with k <= max_k (useful for questions like "is the rank <= 2?").
+
+    A graph that is not chordal gets None without a search, after the argument
+    checks: it has no leaf root at all.  A k-leaf root gives a ball model of the
+    graph (``leafroot_to_rs``), balls in a tree are subtrees, and every
+    intersection graph of subtrees of a tree is chordal (Gavril 1974).
+
+    Each host is searched on index tables (see ``_best_k_on_host``).  The root
+    behind the answer is re-checked with ``verify_leaf_root``; a failure raises
+    RuntimeError.
     """
     num = len(graph.vertices)
     if num < 1:
@@ -172,61 +180,86 @@ def brute_force_leaf_rank(
         raise ValueError("max_nodes must be at least the number of vertices")
     if max_k is not None and max_k < 1:
         raise ValueError("max_k must be positive when given")
+    if not is_chordal(graph):
+        return None
 
+    vertices = graph.vertices
+    adjacent = [[graph.adjacent(u, v) for v in vertices] for u in vertices]
     # No leaf distance on a tree of at most max_nodes nodes reaches max_nodes.
     limit = max_k if max_k is not None else max_nodes
-    best: int | None = None
+    witness: LeafRoot | None = None
     for host in trees_with_leaf_count(num, max_nodes):
-        leaf_dist = {leaf: distances_from(host, leaf) for leaf in host.leaves()}
-        found = _best_k_on_host(graph, host, limit, leaf_dist)
+        found = _best_k_on_host(adjacent, host, limit)
         if found is not None:
-            best, limit = found, found - 1
-            if best == 1:
+            k, leaves = found
+            witness = LeafRoot.build(host, k, dict(zip(vertices, leaves)))
+            limit = k - 1
+            if k == 1:
                 break
-    return best
+    if witness is None:
+        return None
+    if not verify_leaf_root(graph, witness):
+        raise RuntimeError("construction invalid: the root does not represent the graph")
+    return witness.k
 
 
 def _best_k_on_host(
-    graph: Graph, host: Tree, limit: int, leaf_dist: dict[str, dict[str, int]]
-) -> int | None:
-    """Minimal workable k <= limit over all placements on this host, else None.
+    adjacent: list[list[bool]], host: Tree, limit: int
+) -> tuple[int, list[str]] | None:
+    """The smallest workable k <= limit on this host and a placement for it, else None.
 
-    ``leaf_dist`` maps every leaf of the host to its BFS distance map.
+    ``adjacent[i][j]`` says whether vertices i and j are adjacent.  The host is
+    read once into a leaf-by-leaf distance table; leaves are then indices, with
+    a ``used`` flag each.  Vertex i is placed on leaf ``slot[i]``, depth first
+    in vertex order, the first vertex on one leaf per automorphism orbit.  A
+    partial placement keeps ``adj``, the largest distance between two placed
+    adjacent vertices (at least 1), and ``sep``, the smallest between two placed
+    nonadjacent ones; it is dropped once adj >= sep or adj > cap, where cap is
+    ``limit`` until a placement is complete and one below its k after.
     """
-    leaves = list(host.leaves())
-    vertices = list(graph.vertices)
-    first_choices = leaf_orbit_representatives(host)
+    leaves = host.leaves()
+    num = len(leaves)
+    pair = pairwise_distances(host, leaves)
+    dist = [[pair[a][b] for b in leaves] for a in leaves]
+    position = {leaf: i for i, leaf in enumerate(leaves)}
+    firsts = [position[leaf] for leaf in leaf_orbit_representatives(host)]
+    used = [False] * num
+    slot = [0] * num
+    best: tuple[int, list[str]] | None = None
+    cap = limit
 
-    best: int | None = None
-
-    def extend(idx: int, used: dict[str, str], max_adj: int, min_sep: int) -> None:
-        nonlocal best
-        cap = limit if best is None else min(limit, best - 1)
-        if max(max_adj, 1) > cap or max(max_adj, 1) >= min_sep:
+    def extend(idx: int, adj: int, sep: int) -> None:
+        # Called only with adj <= cap and adj < sep.
+        nonlocal best, cap
+        if idx == num:
+            best, cap = (adj, [leaves[i] for i in slot]), adj - 1
             return
-        if idx == len(vertices):
-            best = max(max_adj, 1)
-            return
-        v = vertices[idx]
-        choices = first_choices if idx == 0 else [x for x in leaves if x not in used.values()]
-        for leaf in choices:
-            new_adj, new_sep = max_adj, min_sep
-            ok = True
-            for u, lu in used.items():
-                d = leaf_dist[lu][leaf]
-                if graph.adjacent(u, v):
-                    new_adj = max(new_adj, d)
-                else:
-                    new_sep = min(new_sep, d)
-                if max(new_adj, 1) >= new_sep or max(new_adj, 1) > cap:
-                    ok = False
-                    break
-            if ok:
-                used[v] = leaf
-                extend(idx + 1, used, new_adj, new_sep)
-                del used[v]
+        row = adjacent[idx]
+        for leaf in firsts if idx == 0 else range(num):
+            if used[leaf]:
+                continue
+            to_leaf = dist[leaf]
+            new_adj, new_sep = adj, sep
+            for u in range(idx):
+                d = to_leaf[slot[u]]
+                if row[u]:
+                    if d > new_adj:
+                        if d > cap or d >= new_sep:
+                            break
+                        new_adj = d
+                elif d < new_sep:
+                    if d <= new_adj:
+                        break
+                    new_sep = d
+            else:
+                used[leaf] = True
+                slot[idx] = leaf
+                extend(idx + 1, new_adj, new_sep)
+                used[leaf] = False
+                if adj > cap:
+                    return
 
-    extend(0, {}, 0, len(host.nodes) + 1)
+    extend(0, 1, len(host.nodes) + 1)
     return best
 
 

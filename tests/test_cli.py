@@ -193,6 +193,29 @@ class TestLeafrankCommand:
         assert code == 2
         assert "cannot load graph" in err
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--max-nodes", "3"], "max_nodes must be at least the number of vertices"),
+            (["--max-nodes", "8", "--max-k", "0"], "max_k must be positive when given"),
+        ],
+    )
+    def test_argument_refusals_come_before_the_chordality_gate(
+        self, capsys, c4_file, options, message
+    ):
+        code, out, err = run(capsys, "leafrank", "--graph", c4_file, *options)
+        assert code == 2
+        assert out == ""
+        assert err == message + "\n"
+
+    def test_graph_without_vertices_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(dumps(graph_to_json_obj(Graph.build([], []))))
+        code, out, err = run(capsys, "leafrank", "--graph", str(path), "--max-nodes", "8")
+        assert code == 2
+        assert out == ""
+        assert err == "graph must have at least one vertex\n"
+
 
 class TestCertifyCommand:
     def test_certify_path_graph_json(self, capsys, p3_file):

@@ -85,6 +85,30 @@ class TestTreesWithLeafCount:
         }
         assert len(forms) == len(trees)
 
+    @pytest.mark.parametrize("num_leaves", range(1, 7))
+    def test_same_trees_as_filtering_every_built_tree(self, num_leaves):
+        built = [
+            t
+            for order in range(1, 10)
+            for t in nonisomorphic_trees(order)
+            if len(t.leaves()) == num_leaves
+        ]
+        got = list(trees_with_leaf_count(num_leaves, 9))
+        assert [(t.nodes, t.edges) for t in got] == [(t.nodes, t.edges) for t in built]
+
+    def test_builds_only_the_trees_it_yields(self, monkeypatch):
+        built = []
+        build = Tree.build
+
+        def counting(nodes, edges):
+            built.append(build(nodes, edges))
+            return built[-1]
+
+        monkeypatch.setattr(Tree, "build", staticmethod(counting))
+        yielded = list(trees_with_leaf_count(5, 9))
+        assert len(yielded) == 23
+        assert built == yielded
+
 
 class TestTopologyTrees:
     def test_one_leaf_topology_is_single_node(self):
@@ -122,14 +146,14 @@ class TestTopologyTrees:
         assert [(t.nodes, t.edges) for t in capped] == [(t.nodes, t.edges) for t in uncapped]
 
     def test_no_order_beyond_two_internal_nodes_is_built_for_four_leaves(self, monkeypatch):
-        build = enumtrees.nonisomorphic_trees
+        generate = enumtrees._networkx_trees
 
         def bounded(order):
             if order > 6:
-                raise AssertionError(f"built trees of order {order}")
-            return build(order)
+                raise AssertionError(f"generated trees of order {order}")
+            return generate(order)
 
-        monkeypatch.setattr(enumtrees, "nonisomorphic_trees", bounded)
+        monkeypatch.setattr(enumtrees, "_networkx_trees", bounded)
         trees = list(topology_trees(4, 50))
         assert [(t.nodes, t.edges) for t in trees] == [
             (t.nodes, t.edges) for t in topology_trees(4, 2)

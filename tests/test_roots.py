@@ -20,6 +20,7 @@ from leafpower import (
     dumps,
     expand_rs,
     graph_to_dot,
+    is_chordal,
     is_cluster_graph,
     leaf_power_graph,
     leafroot_from_json_obj,
@@ -30,6 +31,7 @@ from leafpower import (
     rs_to_leafroot,
     subtree_model_to_dot,
     tree_to_dot,
+    trees_with_leaf_count,
     verify_leaf_root,
     verify_rs_model,
     verify_subtree_model,
@@ -39,6 +41,7 @@ from leafpower import roots
 
 from conftest import (
     complete_graph,
+    cycle_graph,
     path_graph,
     path_tree,
     random_tree_rng,
@@ -350,6 +353,99 @@ class TestBruteForceLeafRank:
             caterpillar_host(), 3, {"a": "lu", "b": "lv", "c": "lw"}
         )
         assert verify_leaf_root(g, root)
+
+    def test_non_chordal_graph_is_unknown_without_a_host(self, monkeypatch):
+        def no_hosts(num_leaves, max_nodes):
+            raise AssertionError("a host was requested")
+
+        monkeypatch.setattr(roots, "trees_with_leaf_count", no_hosts)
+        c4 = cycle_graph(["a", "b", "c", "d"])
+        assert brute_force_leaf_rank(c4, 10) is None
+
+    def test_the_answer_is_rechecked_on_its_own_root(self, monkeypatch):
+        checked = []
+        verify = roots.verify_leaf_root
+
+        def spy(graph, root):
+            checked.append(root)
+            return verify(graph, root)
+
+        monkeypatch.setattr(roots, "verify_leaf_root", spy)
+        p3 = path_graph(["a", "b", "c"])
+        assert brute_force_leaf_rank(p3, 8) == 3
+        [root] = checked
+        assert root.k == 3 and root.host.n <= 8
+        assert leaf_power_graph(root) == p3
+
+    def test_a_wrong_placement_is_caught_by_the_recheck(self, monkeypatch):
+        # A kernel that claims k = 1 on every host is refused before returning.
+        monkeypatch.setattr(
+            roots, "_best_k_on_host", lambda adjacent, host, limit: (1, list(host.leaves()))
+        )
+        with pytest.raises(RuntimeError, match="construction invalid"):
+            brute_force_leaf_rank(path_graph(["a", "b", "c"]), 8)
+
+    def test_answers_on_the_atlas_within_ten_nodes(self, atlas_graphs):
+        got = [brute_force_leaf_rank(g, 10) for g in atlas_graphs if g.n <= 6]
+        expected = [
+            None if ch == "." else int(ch) for ch in "".join(ATLAS_RANKS_WITHIN_TEN_NODES)
+        ]
+        assert len(expected) == 208 and expected.count(None) == 143
+        assert got == expected
+
+
+#: ``brute_force_leaf_rank(g, 10)`` on the 208 atlas graphs with 1 to 6
+#: vertices, in atlas order, one string per vertex count; "." is None.  These
+#: are the answers of the search before the chordality gate and the index
+#: tables, which tried every host.
+ATLAS_RANKS_WITHIN_TEN_NODES = (
+    "1",
+    "11",
+    "1232",
+    "12322333.32",
+    "12.22..33.333233.3..2.33..334.3.32",
+    "1.2.2...2.....2..................2...................2.........23....."
+    ".......3..3........3.......3.........3....3..........2.33.3.........3.."
+    ".3....33...3.32",
+)
+
+
+def unpruned_workable_ks(graph: Graph, max_nodes: int) -> set[int]:
+    """Every k in 1..max_nodes for which some host and placement form a k-leaf root.
+
+    Tries every host from ``trees_with_leaf_count``, every permutation of its
+    leaves and every k, with no chordality gate, no orbit reduction and no
+    pruning.
+    """
+    vertices = graph.vertices
+    pairs = list(itertools.combinations(range(len(vertices)), 2))
+    adjacent = [graph.adjacent(vertices[i], vertices[j]) for i, j in pairs]
+    ks = set()
+    for host in trees_with_leaf_count(len(vertices), max_nodes):
+        dist = {leaf: distances_from(host, leaf) for leaf in host.leaves()}
+        for placed in itertools.permutations(host.leaves()):
+            d = [dist[placed[i]][placed[j]] for i, j in pairs]
+            for k in range(1, max_nodes + 1):
+                if all((x <= k) == a for x, a in zip(d, adjacent)):
+                    ks.add(k)
+    return ks
+
+
+class TestBruteForceAgainstUnprunedSearch:
+    def test_atlas_graphs_up_to_five_vertices(self, small_atlas_graphs):
+        for g in small_atlas_graphs:
+            ks = unpruned_workable_ks(g, 8)
+            for max_k in (None, 1, 2, 3):
+                within = [k for k in ks if max_k is None or k <= max_k]
+                expected = min(within) if within else None
+                assert brute_force_leaf_rank(g, 8, max_k) == expected, (g.edges, max_k)
+
+    def test_non_chordal_six_vertex_graphs(self, atlas_graphs):
+        graphs = [g for g in atlas_graphs if g.n == 6 and not is_chordal(g)]
+        assert len(graphs) == 62  # the other 8 of the 70 non-chordal ones have 4 or 5 vertices
+        for g in graphs:
+            assert unpruned_workable_ks(g, 7) == set()
+            assert brute_force_leaf_rank(g, 7) is None
 
 
 # ---------------------------------------------------------------------------
