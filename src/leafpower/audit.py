@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .models import RSModel, clique_subtree, cover, expand_rs, rs_model_violations
 from .rn import RnGraph
-from .trees import connecting_path, distance, distances_from, median, tree_path
+from .trees import connecting_path, distances_from, median, pairwise_distances
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,17 @@ def check_order(r: RnGraph, model: RSModel, bp: BranchPoints) -> bool:
     """m_1..m_n lie on the corridor from m_1 to m_n, at strictly increasing positions.
 
     This is the betweenness order — the m's pairwise distinct, and
-    d(m_p, m_q) + d(m_q, m_t) = d(m_p, m_t) for all p < q < t — read along
-    the one path: the pairs (1, n) put every m on it, the pairs (1, t) make
-    the positions monotone, and points in order on a path satisfy every triple.
+    d(m_p, m_q) + d(m_q, m_t) = d(m_p, m_t) for all p < q < t — read along the
+    one path: d(m_1, x) + d(x, m_n) = d(m_1, m_n) puts every m on it, d(m_1, m_k)
+    strictly increasing in k orders them, and points in order on a path satisfy
+    every triple.
     """
     ms = bp.m
-    position = {x: k for k, x in enumerate(tree_path(model.host, ms[0], ms[-1]))}
-    if any(x not in position for x in ms):
+    first, last = ms[0], ms[-1]
+    dist = pairwise_distances(model.host, ms)
+    if any(dist[first][x] + dist[x][last] != dist[first][last] for x in ms):
         return False
-    return all(position[x] < position[y] for x, y in zip(ms, ms[1:]))
+    return all(dist[first][x] < dist[first][y] for x, y in zip(ms, ms[1:]))
 
 
 def check_increasing(r: RnGraph, model: RSModel, bp: BranchPoints) -> bool:
@@ -115,11 +117,8 @@ def check_increasing(r: RnGraph, model: RSModel, bp: BranchPoints) -> bool:
     true and the certificate rests on the remaining checks.
     """
     ms = bp.m
-    host = model.host
-    return all(
-        distance(host, ms[i - 1], ms[i]) > distance(host, ms[1], ms[i - 1])
-        for i in range(3, r.n)
-    )
+    dist = pairwise_distances(model.host, ms)
+    return all(dist[ms[i - 1]][ms[i]] > dist[ms[1]][ms[i - 1]] for i in range(3, r.n))
 
 
 @dataclass(frozen=True)
@@ -154,26 +153,23 @@ def lower_bound_certificate(r: RnGraph, model: RSModel) -> AuditReport:
     n = r.n
     bp = branch_points(r, model)
     ms = bp.m
-    host = model.host
-
-    m_distances = {
-        f"m{p + 1}-m{q + 1}": distance(host, ms[p], ms[q])
-        for p in range(n)
-        for q in range(p + 1, n)
-    }
-    dist_m2_mn = m_distances[f"m2-m{n}"]
-
     last_a = r.a[n]
     radius_last_a = model.radii[last_a]
     max_radius = max(model.radii[v] for v in model.graph.vertices)
     center_last_a = model.centers[last_a]
+    dist = pairwise_distances(model.host, (*ms, center_last_a))
+
+    m_distances = {
+        f"m{p + 1}-m{q + 1}": dist[ms[p]][ms[q]] for p in range(n) for q in range(p + 1, n)
+    }
+    dist_m2_mn = m_distances[f"m2-m{n}"]
 
     checks = {
         "median_cover": all(check_median_cover(r, model, bp, i) for i in range(2, n)),
         "order": check_order(r, model, bp),
         "increasing_gaps": check_increasing(r, model, bp),
         "last_a_contains_m2_mn": all(
-            distance(host, center_last_a, x) <= radius_last_a for x in (ms[1], ms[n - 1])
+            dist[center_last_a][x] <= radius_last_a for x in (ms[1], ms[n - 1])
         ),
         "gap_sum_floor": dist_m2_mn >= 2 ** (n - 1) - 1,
         "radius_covers_diameter": radius_last_a >= (dist_m2_mn + 1) // 2,

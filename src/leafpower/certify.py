@@ -22,8 +22,10 @@ from . import exactlp
 from .enumtrees import leaf_orbit_representatives, topology_trees
 from .graphs import Edge, Graph, normalize_edge
 from .jsonio import Record, items, string, string_map, string_pair
-from .roots import LeafRoot, _check_domain, _check_placement, _grow_path
-from .trees import Tree, tree_from_json_obj, tree_path, tree_to_json_obj
+from .roots import (
+    LeafRoot, _check_domain, _check_placement, _grow_path, _threshold_graph, leaf_power_graph
+)
+from .trees import Tree, pairwise_distances, tree_from_json_obj, tree_path, tree_to_json_obj
 
 
 @dataclass(frozen=True)
@@ -72,25 +74,13 @@ def _edge_weights(pairs: Iterable[tuple[tuple[str, str], Fraction]]) -> dict[Edg
 
 def weighted_distance(root: WeightedLeafRoot, x: str, y: str) -> Fraction:
     """Total edge weight along the unique host path from x to y."""
-    path = tree_path(root.host, x, y)
-    return sum(
-        (root.weights[normalize_edge(p, q)] for p, q in zip(path, path[1:])),
-        Fraction(0),
-    )
+    return Fraction(pairwise_distances(root.host, (x, y), root.weights)[x][y])
 
 
 def verify_weighted_leafroot(graph: Graph, root: WeightedLeafRoot) -> bool:
     """Adjacent pairs within weighted distance 1, non-adjacent strictly beyond."""
     _check_domain(graph, root.placement)
-    for i, u in enumerate(graph.vertices):
-        for v in graph.vertices[i + 1 :]:
-            d = weighted_distance(root, root.placement[u], root.placement[v])
-            if graph.adjacent(u, v):
-                if d > 1:
-                    return False
-            elif d <= 1:
-                return False
-    return True
+    return _threshold_graph(root.host, root.placement, 1, root.weights).edges == graph.edges
 
 
 @dataclass(frozen=True)
@@ -101,9 +91,6 @@ class FeasibilitySystem:
     as the final variable.  Rows are (name, coefficients, sense, rhs).
     """
 
-    graph: Graph
-    host: Tree
-    placement: dict[str, str]
     edge_vars: tuple[Edge, ...]
     rows: tuple[tuple[str, tuple[Fraction, ...], str, Fraction], ...]
 
@@ -158,13 +145,7 @@ def build_feasibility_system(graph: Graph, host: Tree, placement: dict[str, str]
     cap[delta] = Fraction(1)
     rows.append(("cap_delta", tuple(cap), exactlp.LE, Fraction(1)))
 
-    return FeasibilitySystem(
-        graph=graph,
-        host=host,
-        placement=dict(placement),
-        edge_vars=edge_vars,
-        rows=tuple(rows),
-    )
+    return FeasibilitySystem(edge_vars=edge_vars, rows=tuple(rows))
 
 
 def solve_feasibility(system: FeasibilitySystem) -> FeasibilityResult:
@@ -240,6 +221,8 @@ def scale_to_integer_leafroot(root: WeightedLeafRoot) -> LeafRoot:
     w*L and its edge becomes a path of that many unit edges; k = L.  Adjacent
     pairs then sit at distance <= L; non-adjacent pairs had weighted distance
     at least 1 + margin, so they land at integer distance > L, i.e. >= L+1.
+    The scaled root is re-checked against the weighted root's graph; a failure
+    raises RuntimeError.
     """
     if root.margin is None or root.margin <= 0:
         raise ValueError("witness not strictly feasible")
@@ -254,8 +237,10 @@ def scale_to_integer_leafroot(root: WeightedLeafRoot) -> LeafRoot:
         length = int(root.weights[(u, v)] * lcd)
         end = _grow_path(u, [f"{u}~{v}~{j}" for j in range(1, length)], taken, nodes, edges)
         edges.append((end, v))
-    host = Tree.build(nodes, edges)
-    return LeafRoot.build(host, lcd, dict(root.placement))
+    scaled = LeafRoot.build(Tree.build(nodes, edges), lcd, dict(root.placement))
+    if leaf_power_graph(scaled) != _threshold_graph(root.host, root.placement, 1, root.weights):
+        raise RuntimeError("construction invalid: the scaled root represents another graph")
+    return scaled
 
 
 def system_to_lp_text(system: FeasibilitySystem) -> str:

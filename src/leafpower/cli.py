@@ -118,6 +118,8 @@ def _cmd_audit(args: argparse.Namespace) -> Result:
     n = args.n if model is None else len(model.graph.vertices) // 4
     if args.n is not None and args.n != n:
         raise ValueError(f"--n {args.n} does not match the model ({n})")
+    if model is not None and n < 3:
+        raise _Refused("not a model of R_n: R_n has at least 12 vertices")
     r = build_rn(n)
     if model is None:
         model = build_exponential_rs_model(r)

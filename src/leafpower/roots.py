@@ -79,13 +79,18 @@ def verify_leaf_root(graph: Graph, root: LeafRoot) -> bool:
 
 def leaf_power_graph(root: LeafRoot) -> Graph:
     """The graph this leaf root represents: vertices adjacent iff leaves within k."""
-    vertices = sorted(root.placement)
-    dist = pairwise_distances(root.host, root.placement.values())
+    return _threshold_graph(root.host, root.placement, root.k)
+
+
+def _threshold_graph(host: Tree, placement: dict[str, str], k: int, lengths=None) -> Graph:
+    """Vertices adjacent iff their leaves are within k, by edge count or by ``lengths``."""
+    vertices = sorted(placement)
+    dist = pairwise_distances(host, placement.values(), lengths)
     edges = []
     for i, u in enumerate(vertices):
-        row = dist[root.placement[u]]
+        row = dist[placement[u]]
         for v in vertices[i + 1 :]:
-            if row[root.placement[v]] <= root.k:
+            if row[placement[v]] <= k:
                 edges.append((u, v))
     return Graph.build(vertices, edges)
 

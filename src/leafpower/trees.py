@@ -1,12 +1,13 @@
 """Immutable free trees with the path / distance / median toolkit.
 
-Tree nodes are strings, as with graphs.  All distances are edge counts.
+Tree nodes are strings, as with graphs.  Distances count edges unless exact lengths are given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .graphs import Edge, _parse_vertices_and_edges, dot_graph, dot_quote
@@ -120,13 +121,16 @@ def distances_from(tree: Tree, start: str, limit: int | None = None) -> dict[str
     return dist
 
 
-def pairwise_distances(tree: Tree, nodes: Iterable[str]) -> dict[str, dict[str, int]]:
+def pairwise_distances(
+    tree: Tree, nodes: Iterable[str], lengths: Mapping[Edge, int | Fraction] | None = None
+) -> dict[str, dict[str, int | Fraction]]:
     """The distance between every two of ``nodes``, each node at 0 from itself.
 
-    One pass over the parent map gives every depth; a second, leaves first,
-    carries each group of listed nodes up to the parent of the node holding
-    it.  Where two groups meet, at p, every pair (a, b) across them is
-    depth(a) + depth(b) - 2 depth(p) apart.  The cost is
+    With ``lengths``, exact int or Fraction lengths keyed by normalized edge, a
+    distance sums the lengths along the path.  One pass over the parent map gives
+    every depth; a second, leaves first, carries each group of listed nodes up to
+    the parent of the node holding it.  Where two groups meet, at p, every pair
+    (a, b) across them is depth(a) + depth(b) - 2 depth(p) apart.  The cost is
     O(|tree| + |nodes|^2), where one search per node would cost O(|tree|) each.
     """
     parent = tree._parent
@@ -134,9 +138,13 @@ def pairwise_distances(tree: Tree, nodes: Iterable[str]) -> dict[str, dict[str, 
     for v in dist:
         if v not in parent:
             raise ValueError(f"node {v!r} is not in the tree")
-    depth: dict[str, int] = {}
-    for x, p in parent.items():
-        depth[x] = 0 if p is None else depth[p] + 1
+    depth: dict[str, int | Fraction] = {}
+    if lengths is None:
+        for x, p in parent.items():
+            depth[x] = 0 if p is None else depth[p] + 1
+    else:
+        for x, p in parent.items():
+            depth[x] = 0 if p is None else depth[p] + lengths[(x, p) if x < p else (p, x)]
 
     def meet(low: list[str], high: list[str], at: str) -> None:
         base = 2 * depth[at]

@@ -10,6 +10,7 @@ import pytest
 from leafpower import (
     AuditReport,
     BranchPoints,
+    Graph,
     RSModel,
     Tree,
     branch_points,
@@ -34,6 +35,8 @@ from leafpower import (
     tree_path,
     verify_rs_model,
 )
+
+from conftest import random_tree_rng
 
 ALL_CHECKS = {
     "median_cover",
@@ -88,6 +91,14 @@ def betweenness_order(host: Tree, ms: tuple) -> bool:
         dist[ms[p]][ms[q]] + dist[ms[q]][ms[t]] == dist[ms[p]][ms[t]]
         for p, q, t in combinations(range(len(ms)), 3)
     )
+
+
+def path_position_order(host: Tree, ms: tuple) -> bool:
+    """The order check by positions: every m on the path from m_1 to m_n, positions increasing."""
+    position = {x: k for k, x in enumerate(tree_path(host, ms[0], ms[-1]))}
+    if any(x not in position for x in ms):
+        return False
+    return all(position[x] < position[y] for x, y in zip(ms, ms[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +331,29 @@ class TestAgainstDefinitions:
             assert check_order(r, m, fake) == verdict, ms
             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+    def test_order_agrees_with_path_positions_on_random_trees(self):
+        # Sequences drawn from one path of the tree, in order or not, with
+        # repeats, and from the whole tree, so some nodes lie off the path.
+        rng = random.Random(1409)
+        r = build_rn(3)
+        verdicts = []
+        for _ in range(300):
+            host = random_tree_rng(rng, 1, 12)
+            model = RSModel.build(host, Graph.build(["v"], []), {"v": host.nodes[0]}, {"v": 0})
+            path = tree_path(host, rng.choice(host.nodes), rng.choice(host.nodes))
+            size = rng.randint(1, 6)
+            picked = rng.sample(path, min(size, len(path)))
+            for ms in (
+                tuple(sorted(picked, key=path.index)),
+                tuple(picked),
+                tuple(rng.choices(path, k=size)),
+                tuple(rng.choices(host.nodes, k=size)),
+            ):
+                verdict = path_position_order(host, ms)
+                assert check_order(r, model, BranchPoints(m=ms, s={})) == verdict, ms
+                verdicts.append(verdict)
+        assert 100 < sum(verdicts) < len(verdicts) - 100
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,12 @@ from leafpower import (
     distance,
     dumps,
     leaf_power_graph,
+    normalize_edge,
     scale_to_integer_leafroot,
     solve_feasibility,
     system_to_lp_text,
     topology_trees,
+    tree_path,
     verify_leaf_root,
     verify_weighted_leafroot,
     weighted_distance,
@@ -68,6 +70,21 @@ def witness_satisfies_system(
         if sense == exactlp_module.EQ and value != rhs:
             return False
     return True
+
+
+def path_sum_distance(root: WeightedLeafRoot, x: str, y: str) -> Fraction:
+    """The weighted distance by climbing one host path and summing its weights."""
+    path = tree_path(root.host, x, y)
+    return sum((root.weights[normalize_edge(p, q)] for p, q in zip(path, path[1:])), Fraction(0))
+
+
+def path_sum_verify(graph: Graph, root: WeightedLeafRoot) -> bool:
+    """The weighted-root check by one path sum per pair: adjacent exactly when at most 1."""
+    where = root.placement
+    return all(
+        graph.adjacent(u, v) == (path_sum_distance(root, where[u], where[v]) <= 1)
+        for u, v in itertools.combinations(graph.vertices, 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +159,32 @@ class TestWeightedLeafRoot:
             P3_PLACEMENT,
         )
         assert not verify_weighted_leafroot(P3, shrunk)
+
+    def test_verify_agrees_with_path_sums_on_random_roots(self):
+        # Weights from a few fractions that sum to exactly 1 in many ways, so
+        # many pairs sit on the threshold; every graph one pair away from the
+        # represented one must be refused by both checks.
+        rng = random.Random(1313)
+        weights_from = [Fraction(p, q) for p, q in ((1, 4), (1, 3), (1, 2), (2, 3), (3, 4))]
+        at_one = 0
+        for _ in range(60):
+            host = rng.choice(list(topology_trees(rng.randint(2, 6), 3)))
+            weights = {e: rng.choice(weights_from) for e in host.edges}
+            names = [f"g{i}" for i in range(len(host.leaves()))]
+            root = WeightedLeafRoot.build(host, weights, dict(zip(names, host.leaves())))
+            pairs = list(itertools.combinations(names, 2))
+            where = root.placement
+            dist = {(u, v): path_sum_distance(root, where[u], where[v]) for u, v in pairs}
+            assert dist == {(u, v): weighted_distance(root, where[u], where[v]) for u, v in pairs}
+            at_one += sum(d == 1 for d in dist.values())
+            edges = {p for p, d in dist.items() if d <= 1}
+            graph = Graph.build(names, edges)
+            assert verify_weighted_leafroot(graph, root) and path_sum_verify(graph, root)
+            for flipped in pairs:
+                other = Graph.build(names, edges ^ {flipped})
+                assert not verify_weighted_leafroot(other, root)
+                assert not path_sum_verify(other, root)
+        assert at_one > 20
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +362,16 @@ class TestScaleToInteger:
         root = scale_to_integer_leafroot(res)
         assert root.k == 3
         assert verify_leaf_root(P3, root)
+
+    def test_scaled_root_is_rechecked(self, monkeypatch):
+        w = WeightedLeafRoot.build(STAR_HOST, DEMO_WEIGHTS, P3_PLACEMENT, Fraction(1, 5))
+
+        def edgeless(host, placement, threshold, lengths=None):
+            return Graph.build(sorted(placement), [])
+
+        monkeypatch.setattr(certify_module, "_threshold_graph", edgeless)
+        with pytest.raises(RuntimeError, match="^construction invalid: "):
+            scale_to_integer_leafroot(w)
 
     def test_margin_free_witness_rejected(self):
         w = WeightedLeafRoot.build(

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from leafpower import (
     Graph,
     RSModel,
+    Tree,
     build_exponential_rs_model,
     build_rn,
     dumps,
@@ -27,7 +28,7 @@ from leafpower import (
 )
 from leafpower.cli import main
 
-from conftest import cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, path_graph
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -156,6 +157,27 @@ class TestAuditCommand:
         code, _, err = run(capsys, "audit", "--model", damaged_model_file)
         assert code == 1
         assert "not a model of R_n" in err
+
+    @pytest.mark.parametrize("num", [4, 12, 13])
+    def test_audit_refuses_a_model_of_another_graph_whatever_its_size(
+        self, capsys, tmp_path, num
+    ):
+        # Every ball on a one-node host is that node, so the model is of K_num.
+        labels = [f"v{i}" for i in range(num)]
+        model = RSModel.build(
+            Tree.build(["x"], []), complete_graph(labels), dict.fromkeys(labels, "x"),
+            dict.fromkeys(labels, 0),
+        )
+        path = tmp_path / "model.json"
+        path.write_text(dumps(rs_model_to_json_obj(model)))
+        code, out, err = run(capsys, "audit", "--model", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("not a model of R_n: ")
+
+    def test_audit_for_n_below_three_is_a_usage_error(self, capsys):
+        code, _, err = run(capsys, "audit", "--n", "2")
+        assert code == 2
+        assert "family defined for n" in err
 
     def test_audit_malformed_json_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -360,6 +361,25 @@ class TestDistanceSweepAgainstNetworkx:
         u, v = data.draw(st.lists(st.sampled_from(t.nodes), min_size=2, max_size=2, unique=True))
         assert pairwise_distances(t, [u, v, u]) == pairwise_distances(t, [u, v])
         _check_pairwise(t, [u, v, u, v])
+
+    @given(random_trees(max_nodes=12), st.data())
+    def test_weighted_pairwise_distances_match_networkx(self, t: Tree, data):
+        lengths = {
+            e: Fraction(data.draw(st.integers(1, 30)), data.draw(st.integers(1, 7)))
+            for e in t.edges
+        }
+        listed = data.draw(st.lists(st.sampled_from(t.nodes), max_size=14))
+        listed += listed[:2]  # nodes listed twice
+        g = _nx_tree(t)
+        nx.set_edge_attributes(g, lengths, "length")
+        table = pairwise_distances(t, listed, lengths)
+        assert set(table) == set(listed)
+        for a in listed:
+            oracle = nx.shortest_path_length(g, source=a, weight="length")
+            assert table[a] == {b: oracle[b] for b in listed}
+
+    def test_weighted_pairwise_distances_on_one_node(self):
+        assert pairwise_distances(Tree.build(["x"], []), ["x", "x"], {}) == {"x": {"x": 0}}
 
     def test_unknown_node_rejected_as_by_distances_from(self):
         t = path_tree(["a", "b"])
