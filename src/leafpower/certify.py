@@ -88,11 +88,12 @@ class FeasibilitySystem:
     """The linear system for one (graph, host, placement) candidate.
 
     Variables: one weight per host edge, in edge order, plus the margin delta
-    as the final variable.  Rows are (name, coefficients, sense, rhs).
+    as the final variable.  Rows are (name, coefficients, sense, rhs), all
+    plain ints: coefficients are 0 or +-1 and every rhs is 0 or 1.
     """
 
     edge_vars: tuple[Edge, ...]
-    rows: tuple[tuple[str, tuple[Fraction, ...], str, Fraction], ...]
+    rows: tuple[tuple[str, tuple[int, ...], str, int], ...]
 
     @property
     def variable_names(self) -> tuple[str, ...]:
@@ -124,26 +125,26 @@ def build_feasibility_system(graph: Graph, host: Tree, placement: dict[str, str]
     num_vars = len(edge_vars) + 1
     delta = num_vars - 1
 
-    rows: list[tuple[str, tuple[Fraction, ...], str, Fraction]] = []
+    rows: list[tuple[str, tuple[int, ...], str, int]] = []
     for i, u in enumerate(graph.vertices):
         for v in graph.vertices[i + 1 :]:
-            coeffs = [Fraction(0)] * num_vars
+            coeffs = [0] * num_vars
             path = tree_path(host, placement[u], placement[v])
             for p, q in zip(path, path[1:]):
-                coeffs[edge_index[normalize_edge(p, q)]] = Fraction(1)
+                coeffs[edge_index[normalize_edge(p, q)]] = 1
             if graph.adjacent(u, v):
-                rows.append((f"adj_{u}_{v}", tuple(coeffs), exactlp.LE, Fraction(1)))
+                rows.append((f"adj_{u}_{v}", tuple(coeffs), exactlp.LE, 1))
             else:
-                coeffs[delta] = Fraction(-1)
-                rows.append((f"sep_{u}_{v}", tuple(coeffs), exactlp.GE, Fraction(1)))
+                coeffs[delta] = -1
+                rows.append((f"sep_{u}_{v}", tuple(coeffs), exactlp.GE, 1))
     for e in edge_vars:
-        coeffs = [Fraction(0)] * num_vars
-        coeffs[edge_index[e]] = Fraction(1)
-        coeffs[delta] = Fraction(-1)
-        rows.append((f"pos_{e[0]}_{e[1]}", tuple(coeffs), exactlp.GE, Fraction(0)))
-    cap = [Fraction(0)] * num_vars
-    cap[delta] = Fraction(1)
-    rows.append(("cap_delta", tuple(cap), exactlp.LE, Fraction(1)))
+        coeffs = [0] * num_vars
+        coeffs[edge_index[e]] = 1
+        coeffs[delta] = -1
+        rows.append((f"pos_{e[0]}_{e[1]}", tuple(coeffs), exactlp.GE, 0))
+    cap = [0] * num_vars
+    cap[delta] = 1
+    rows.append(("cap_delta", tuple(cap), exactlp.LE, 1))
 
     return FeasibilitySystem(edge_vars=edge_vars, rows=tuple(rows))
 
@@ -156,8 +157,8 @@ def solve_feasibility(system: FeasibilitySystem) -> FeasibilityResult:
     infeasible system.  A certificate that fails raises RuntimeError.
     """
     num_vars = len(system.edge_vars) + 1
-    objective = [Fraction(0)] * num_vars
-    objective[-1] = Fraction(1)
+    objective = [0] * num_vars
+    objective[-1] = 1
     rows = [(coeffs, sense, rhs) for _, coeffs, sense, rhs in system.rows]
     solution = exactlp.maximize(objective, rows)
     if solution.status == exactlp.UNBOUNDED:
@@ -247,7 +248,7 @@ def system_to_lp_text(system: FeasibilitySystem) -> str:
     """CPLEX-style LP text for external cross-checking (coefficients are +-1)."""
     names = system.variable_names
 
-    def render(coeffs: tuple[Fraction, ...]) -> str:
+    def render(coeffs: tuple[int, ...]) -> str:
         terms = []
         for c, name in zip(coeffs, names):
             if c == 0:

@@ -50,15 +50,7 @@ def trees_with_leaf_count(num_leaves: int, max_nodes: int) -> Iterator[Tree]:
     """
     if num_leaves < 1:
         raise ValueError("need at least one leaf")
-    for order in range(1, max_nodes + 1):
-        if order == 1:
-            feasible = num_leaves == 1
-        elif order == 2:
-            feasible = num_leaves == 2
-        else:
-            feasible = 2 <= num_leaves <= order - 1
-        if not feasible:
-            continue
+    for order in range(num_leaves, max_nodes + 1):
         for g in _networkx_trees(order):
             if sum(d <= 1 for _, d in g.degree()) == num_leaves:
                 yield _named_tree(g)
@@ -70,19 +62,22 @@ def topology_trees(num_leaves: int, max_internal: int) -> Iterator[Tree]:
     Every internal node has degree at least three, so these are exactly the
     shapes that remain after suppressing subdivision nodes.  ``max_internal``
     bounds the number of internal nodes.  They are the trees of
-    :func:`trees_with_leaf_count` without a degree-2 node, in the same order.
+    :func:`trees_with_leaf_count` without a degree-2 node, in the same order;
+    both filters read the networkx degrees, so only the trees yielded are built.
 
     Counting degrees, ``L + 3I <= 2(L + I - 1)``, so such a tree with L leaves
-    has at most ``L - 2`` internal nodes, and larger orders are never built.
+    has at most ``L - 2`` internal nodes, and larger orders are never generated.
     """
     if num_leaves < 1:
         raise ValueError("need at least one leaf")
     if max_internal < 0:
         raise ValueError("max_internal must be nonnegative")
     internal = min(max_internal, max(num_leaves - 2, 0))
-    for t in trees_with_leaf_count(num_leaves, num_leaves + internal):
-        if all(t.degree(v) != 2 for v in t.nodes):
-            yield t
+    for order in range(num_leaves, num_leaves + internal + 1):
+        for g in _networkx_trees(order):
+            degrees = [d for _, d in g.degree()]
+            if sum(d <= 1 for d in degrees) == num_leaves and 2 not in degrees:
+                yield _named_tree(g)
 
 
 def rooted_canonical_form(tree: Tree, root: str) -> tuple:

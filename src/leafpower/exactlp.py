@@ -2,15 +2,15 @@
 
 A small dense two-phase simplex on a fraction-free tableau of Python ints
 (Edmonds 1967; Bareiss 1968): no floating point and no per-entry
-normalisation.  Each row is scaled to integers by the least common
-denominator of its coefficients and rhs, and the whole tableau shares one
-positive denominator ``D``, the last pivot: every entry is ``D`` times its
-rational value.  A pivot on ``p`` replaces each entry ``a`` of another row by
-``(a*p - f*b) // D``, a division that is always exact, and then ``p`` becomes
-``D``.  Rationals appear only in the result: a returned optimum satisfies
-every constraint exactly and can be re-substituted without tolerance.  Bland's
-rule (smallest index enters, ties on leaving broken by smallest basis index)
-guarantees termination.
+normalisation.  Every row and the objective are multiplied by one
+``scale``, the least common denominator of the whole program, and the whole
+tableau shares one positive denominator ``D``, the last pivot: every entry is
+``D`` times its rational value.  A pivot on ``p`` replaces each entry ``a`` of
+another row by ``(a*p - f*b) // D``, a division that is always exact, and then
+``p`` becomes ``D``.  Rationals appear only in the result: a returned optimum
+satisfies every constraint exactly and can be re-substituted without
+tolerance.  Bland's rule (smallest index enters, ties on leaving broken by
+smallest basis index) guarantees termination.
 
 Every optimal or infeasible verdict carries a dual vector, one multiplier per
 input row, and ``certificate_error`` checks it from the program alone.
@@ -57,12 +57,6 @@ def _check_number(value: object, where: str) -> None:
         raise ValueError(f"{where}: {value!r} is not an int or a Fraction")
 
 
-def _scaled(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
-    """The integers ``values * L`` and ``L``, the least common denominator."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def maximize(objective: Sequence[Fraction | int], rows: Sequence[Row]) -> Solution:
     """Maximize objective . x subject to the rows, over x >= 0."""
     n = len(objective)
@@ -76,13 +70,20 @@ def maximize(objective: Sequence[Fraction | int], rows: Sequence[Row]) -> Soluti
         for v in (*row_coeffs, value):
             _check_number(v, f"row {i}")
 
-    # Column layout: structural | slack/surplus | artificial | rhs.  A row with
-    # a negative rhs is negated, which swaps <= and >=; every row that is not
-    # <= after that gets an artificial column.  Row i is then scaled by
-    # ``scales[i]``, its least common denominator; its slack, surplus and
-    # artificial keep the coefficient +-1, so they stand for ``scales[i]``
-    # times the unscaled ones.  ``starts[i]`` is the row's starting basic
-    # column (slack or artificial), a unit column that the duals are read from.
+    # Column layout: structural | slack/surplus | artificial | rhs.  Every row
+    # and the objective are multiplied by ``scale``, the least common
+    # denominator of the program; slacks, surpluses and artificials keep the
+    # coefficient +-1, so they stand for ``scale`` times the unscaled ones.  A
+    # row with a negative rhs is negated, which swaps <= and >=; every row
+    # that is not <= after that gets an artificial column.  ``starts[i]`` is
+    # the row's starting basic column (slack or artificial), a unit column
+    # that the duals are read from.
+    scale = lcm(*(v.denominator for v in objective),
+                *(v.denominator for coeffs, _, rhs in rows for v in (*coeffs, rhs)))
+
+    def scaled(value: Fraction | int) -> int:
+        return value.numerator * (scale // value.denominator)
+
     num_extra = sum(1 for _, s, _ in rows if s != EQ)
     num_art = sum(1 for _, s, v in rows if (_FLIPPED[s] if v < 0 else s) != LE)
     art_start = n + num_extra
@@ -91,12 +92,10 @@ def maximize(objective: Sequence[Fraction | int], rows: Sequence[Row]) -> Soluti
     tableau: list[list[int]] = []
     basis: list[int] = []
     signs: list[int] = []
-    scales: list[int] = []
     extra_at, art_at = n, art_start
     for row_coeffs, sense, value in rows:
         sign = -1 if value < 0 else 1
-        numbers, scale = _scaled([*row_coeffs, value])
-        row = [sign * c for c in numbers[:n]] + [0] * (total - n) + [sign * numbers[n]]
+        row = [sign * scaled(v) for v in row_coeffs] + [0] * (total - n) + [sign * scaled(value)]
         sense = _FLIPPED[sense] if sign < 0 else sense
         if sense != EQ:
             row[extra_at] = 1 if sense == LE else -1
@@ -109,7 +108,6 @@ def maximize(objective: Sequence[Fraction | int], rows: Sequence[Row]) -> Soluti
             art_at += 1
         tableau.append(row)
         signs.append(sign)
-        scales.append(scale)
     starts = tuple(basis)
     denom = 1  # D: the common denominator of every tableau entry, always > 0
 
@@ -160,27 +158,24 @@ def maximize(objective: Sequence[Fraction | int], rows: Sequence[Row]) -> Soluti
         reduced = tableau.pop()
         return (OPTIMAL if entering is None else UNBOUNDED), reduced
 
-    def duals(cost: list[int], cost_scale: int, reduced: list[int]) -> tuple[Fraction, ...]:
+    def duals(cost: list[int], reduced: list[int]) -> tuple[Fraction, ...]:
         """Row i's multiplier is its cost minus its reduced cost on its
-        starting unit column, mapped back through the row's sign and scale."""
+        starting unit column, mapped back through the row's sign; rows and
+        costs share one scale, so it cancels."""
         return tuple(
-            Fraction(sign * scale * (denom * cost[col] - reduced[col]), denom * cost_scale)
-            for col, sign, scale in zip(starts, signs, scales)
+            Fraction(sign * (denom * cost[col] - reduced[col]), denom)
+            for col, sign in zip(starts, signs)
         )
 
     if num_art:
-        # Minimize the sum of the unscaled artificials: artificial i costs
-        # -1/scales[i], times the least common multiple of the scales.
-        art_scale = lcm(*(s for s, b in zip(scales, starts) if b >= art_start))
-        phase1_cost = [0] * art_start + [
-            -(art_scale // s) for s, b in zip(scales, starts) if b >= art_start
-        ]
+        # Minimize the sum of the artificials: each costs -1.
+        phase1_cost = [0] * art_start + [-1] * num_art
         status, reduced = simplex(phase1_cost, range(total))
         if status != OPTIMAL:
             raise RuntimeError("phase 1 cannot be unbounded")
         if any(row[total] for row, b in zip(tableau, basis) if b >= art_start):
             return Solution(status=INFEASIBLE, x=None, objective=None,
-                            dual=duals(phase1_cost, art_scale, reduced))
+                            dual=duals(phase1_cost, reduced))
         # Drive surviving artificials out of the basis; drop redundant rows.
         for i in reversed(range(len(tableau))):
             if basis[i] >= art_start:
@@ -191,8 +186,7 @@ def maximize(objective: Sequence[Fraction | int], rows: Sequence[Row]) -> Soluti
                 else:
                     pivot(i, pivot_col)
 
-    cost, cost_scale = _scaled(objective)
-    cost += [0] * (total - n)
+    cost = [scaled(c) for c in objective] + [0] * (total - n)
     status, reduced = simplex(cost, range(art_start))
     if status == UNBOUNDED:
         return Solution(status=UNBOUNDED, x=None, objective=None)
@@ -204,8 +198,8 @@ def maximize(objective: Sequence[Fraction | int], rows: Sequence[Row]) -> Soluti
     return Solution(
         status=OPTIMAL,
         x=tuple(x),
-        objective=Fraction(-reduced[total], denom * cost_scale),
-        dual=duals(cost, cost_scale, reduced),
+        objective=Fraction(-reduced[total], denom * scale),
+        dual=duals(cost, reduced),
     )
 
 

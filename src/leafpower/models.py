@@ -230,7 +230,9 @@ def clique_tree_model(graph: Graph) -> SubtreeModel:
     spanning tree of the clique intersection graph, which makes every vertex's
     clique set connected (the classical clique-tree construction).  Components
     of a disconnected graph get their clique trees joined by arbitrary bridge
-    edges, which keeps all the intersections empty across components.
+    edges, which keeps all the intersections empty across components.  The
+    model is re-checked with :func:`subtree_model_violations`; a failure raises
+    RuntimeError.
     """
     if not graph.vertices:
         raise ValueError("graph has no vertices")
@@ -269,7 +271,11 @@ def clique_tree_model(graph: Graph) -> SubtreeModel:
         v: frozenset(names[i] for i, ms in enumerate(member_sets) if v in ms)
         for v in graph.vertices
     }
-    return SubtreeModel(host=host, graph=graph, assignment=assignment)
+    model = SubtreeModel(host=host, graph=graph, assignment=assignment)
+    problems = subtree_model_violations(model)
+    if problems:
+        raise RuntimeError(f"construction invalid: {problems[0]}")
+    return model
 
 
 def subtree_model_to_json_obj(model: SubtreeModel) -> dict:

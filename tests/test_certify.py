@@ -206,6 +206,13 @@ class TestFeasibilitySystem:
             "pos_i_la", "pos_i_lb", "pos_i_lc", "cap_delta",
         ]
 
+    def test_rows_are_plain_ints(self):
+        # The LP then runs at scale 1: coefficients 0 or +-1, rhs 0 or 1.
+        system = build_feasibility_system(P3, STAR_HOST, P3_PLACEMENT)
+        for _, coeffs, _, rhs in system.rows:
+            assert all(type(c) is int and c in (-1, 0, 1) for c in coeffs)
+            assert type(rhs) is int and rhs in (0, 1)
+
     def test_subdivided_host_rejected(self):
         long_host = Tree.build(
             ["i", "j", "la", "lb", "lc"],

@@ -21,6 +21,20 @@ from leafpower.enumtrees import rooted_canonical_form
 from conftest import path_tree, random_trees, star_tree
 
 
+@pytest.fixture
+def built_trees(monkeypatch) -> list[Tree]:
+    """Every Tree built while the test runs, in order."""
+    built = []
+    build = Tree.build
+
+    def counting(nodes, edges):
+        built.append(build(nodes, edges))
+        return built[-1]
+
+    monkeypatch.setattr(Tree, "build", staticmethod(counting))
+    return built
+
+
 def oracle_automorphism_exists(t: Tree, u: str, v: str) -> bool:
     """Brute force over all node permutations: is there an automorphism u -> v?
 
@@ -96,21 +110,19 @@ class TestTreesWithLeafCount:
         got = list(trees_with_leaf_count(num_leaves, 9))
         assert [(t.nodes, t.edges) for t in got] == [(t.nodes, t.edges) for t in built]
 
-    def test_builds_only_the_trees_it_yields(self, monkeypatch):
-        built = []
-        build = Tree.build
-
-        def counting(nodes, edges):
-            built.append(build(nodes, edges))
-            return built[-1]
-
-        monkeypatch.setattr(Tree, "build", staticmethod(counting))
+    def test_builds_only_the_trees_it_yields(self, built_trees):
         yielded = list(trees_with_leaf_count(5, 9))
         assert len(yielded) == 23
-        assert built == yielded
+        assert built_trees == yielded
 
 
 class TestTopologyTrees:
+    @pytest.mark.parametrize("num_leaves, max_internal, count", [(5, 3, 3), (6, 4, 7)])
+    def test_builds_only_the_trees_it_yields(self, built_trees, num_leaves, max_internal, count):
+        yielded = list(topology_trees(num_leaves, max_internal))
+        assert len(yielded) == count
+        assert built_trees == yielded
+
     def test_one_leaf_topology_is_single_node(self):
         assert [t.nodes for t in topology_trees(1, 5)] == [("n0",)]
 

@@ -239,6 +239,18 @@ class TestCertificateChecker:
         assert s.dual == (-1, 1, 1)
         assert certificate_error([1, 1], INFEASIBLE_ROWS, s) is None
 
+    def test_farkas_certificate_of_a_program_with_mixed_denominators(self):
+        # Phase 1 runs (a >= row and an == row with a negative rhs need
+        # artificials) on rows with denominators 2, 3 and 5.
+        rows = [([Fraction(1, 2), Fraction(1, 3)], GE, 2),
+                ([Fraction(2, 5), 0], LE, Fraction(2, 5)),
+                ([0, Fraction(1, 3)], LE, Fraction(3, 5)),
+                ([1, -1], EQ, Fraction(-1, 5))]
+        s = maximize([1, 1], rows)
+        assert s.status == "infeasible"
+        assert s.dual == (-1, Fraction(25, 12), 0, Fraction(-1, 3))
+        assert certificate_error([1, 1], rows, s) is None
+
     def test_dual_of_an_optimal_program(self):
         s = maximize([1, 1], OPTIMAL_ROWS)
         assert s.dual == (Fraction(1, 4), Fraction(1, 4))

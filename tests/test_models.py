@@ -41,6 +41,7 @@ from leafpower import (
     verify_rs_model,
     verify_subtree_model,
 )
+from leafpower import models as models_module
 from leafpower.cli import main
 
 from conftest import (
@@ -508,6 +509,14 @@ class TestCliqueTreeModel:
         )
         with pytest.raises(ValueError, match="requires chordal graph"):
             clique_tree_model(c4)
+
+    def test_invalid_construction_is_caught_by_the_recheck(self, monkeypatch):
+        # With a maximal clique dropped, vertex c lies in no host node.
+        cliques = models_module.maximal_cliques
+        monkeypatch.setattr(models_module, "maximal_cliques", lambda g: cliques(g)[:1])
+        p3 = Graph.build(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        with pytest.raises(RuntimeError, match="construction invalid: vertex 'c'"):
+            clique_tree_model(p3)
 
 
 # ---------------------------------------------------------------------------
