@@ -1,59 +1,146 @@
 """Enumeration of unlabeled trees and symmetry helpers for search pruning.
 
-The heavy lifting (generating one tree per isomorphism class) is delegated to
-networkx; this module wraps the results in :class:`~leafpower.trees.Tree`,
-filters by leaf count (before building) or topology shape, and computes leaf
-orbits under tree automorphisms via rooted canonical forms.
+One tree per isomorphism class comes from the free-tree algorithm of Wright,
+Richmond, Odlyzko and McKay ("Constant time generation of free trees", SIAM
+J. Comput. 15, 1986).  It walks level sequences of rooted trees with the
+successor step of Beyer and Hedetniemi ("Constant time generation of rooted
+trees", SIAM J. Comput. 9, 1980) and keeps one rooting per free tree.  The
+sequences, and the trees' node numbering, are those of networkx's
+``nonisomorphic_trees``.  Trees are filtered by leaf count or topology shape
+on integer degree counts, so only the trees yielded are built as
+:class:`~leafpower.trees.Tree`.  Leaf orbits under tree automorphisms come
+from rooted canonical forms.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
-import networkx as nx
+from typing import Callable, Iterator
 
 from .trees import Tree
 
 
-def _networkx_trees(order: int) -> Iterator[nx.Graph]:
-    """One networkx tree per isomorphism class with ``order`` nodes 0..order-1."""
+def _free_trees(order: int) -> Iterator[list[int]]:
+    """One parent array per isomorphism class of trees with ``order`` nodes.
+
+    Node ``i`` is position ``i`` of the tree's level sequence; its parent is
+    the nearest earlier node one level up, and the root's parent is -1.
+    """
     if order < 1:
         raise ValueError("order must be at least 1")
-    if order <= 2:
-        yield nx.path_graph(order)
+    if order == 1:
+        yield [-1]
         return
-    yield from nx.nonisomorphic_trees(order)
+    # The path rooted at its centre is the first sequence; the star is the last.
+    levels: list[int] | None = list(range(order // 2 + 1)) + list(range(1, (order + 1) // 2))
+    while levels is not None:
+        levels = _next_free_tree(levels)
+        parent = [-1] * order
+        last = [0] * order
+        for i in range(1, order):
+            level = levels[i]
+            parent[i] = last[level - 1]
+            last[level] = i
+        yield parent
+        levels = _next_rooted_tree(levels)
 
 
-def _named_tree(g: nx.Graph) -> Tree:
-    """The networkx tree ``g`` as a Tree, its nodes named n0.. in node order."""
-    nodes = sorted(g.nodes())
-    rename = {x: f"n{i}" for i, x in enumerate(nodes)}
-    return Tree.build(
-        [rename[x] for x in nodes],
-        [(rename[x], rename[y]) for x, y in g.edges()],
-    )
+def _next_rooted_tree(levels: list[int], p: int | None = None) -> list[int] | None:
+    """The Beyer–Hedetniemi successor of a level sequence, or None after the star.
+
+    ``p`` is the position to advance, by default the last one deeper than level 1.
+    """
+    if p is None:
+        p = len(levels) - 1
+        while levels[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    result = list(levels)
+    for i in range(p, len(result)):
+        result[i] = result[i - p + q]
+    return result
+
+
+def _split(levels: list[int]) -> tuple[list[int], list[int]]:
+    """The root's first subtree, and the tree without it, as level sequences."""
+    try:
+        m = levels.index(1, 2)
+    except ValueError:
+        m = len(levels)
+    return [x - 1 for x in levels[1:m]], [0, *levels[m:]]
+
+
+def _next_free_tree(levels: list[int]) -> list[int]:
+    """``levels`` if it is the canonical rooting of a free tree, else the next one that is.
+
+    A rooting is canonical when the root's first subtree is lower than the
+    rest of the tree or, at equal height, no larger, and at equal size not
+    lexicographically later.
+    """
+    left, rest = _split(levels)
+    left_height, rest_height = max(left), max(rest)
+    if rest_height > left_height or (
+        rest_height == left_height
+        and (len(left), left) <= (len(rest), rest)
+    ):
+        return levels
+    p = len(left)
+    successor = _next_rooted_tree(levels, p)
+    if levels[p] > 2:
+        height = max(_split(successor)[0])
+        successor[-(height + 1):] = range(1, height + 2)
+    return successor
+
+
+def _degrees(parent: list[int]) -> list[int]:
+    degree = [1] * len(parent)
+    degree[0] = 0
+    for i in range(1, len(parent)):
+        degree[parent[i]] += 1
+    return degree
+
+
+def _tree(parent: list[int]) -> Tree:
+    """The tree of a parent array, its nodes named n0.. by index."""
+    names = [f"n{i}" for i in range(len(parent))]
+    return Tree.build(names, [(names[p], names[i]) for i, p in enumerate(parent) if i])
+
+
+def _leaf_count(degree: list[int]) -> int:
+    return degree.count(0) + degree.count(1)
+
+
+def _orders(num_leaves: int, max_order: int) -> range:
+    """The orders up to ``max_order`` that a tree with ``num_leaves`` leaves can have."""
+    if num_leaves == 1:
+        return range(1, min(max_order, 1) + 1)
+    # A tree on n >= 3 nodes has at most n - 1 leaves.
+    return range(num_leaves if num_leaves == 2 else num_leaves + 1, max_order + 1)
 
 
 def nonisomorphic_trees(order: int) -> Iterator[Tree]:
     """One tree per isomorphism class with ``order`` nodes, named n0..n{order-1}."""
-    for g in _networkx_trees(order):
-        yield _named_tree(g)
+    for parent in _free_trees(order):
+        yield _tree(parent)
 
 
 def trees_with_leaf_count(num_leaves: int, max_nodes: int) -> Iterator[Tree]:
     """All tree classes with exactly ``num_leaves`` leaves and at most ``max_nodes`` nodes.
 
     Yielded in order of increasing node count, so a consumer looking for the
-    smallest workable host can stop early.  Leaves are counted from the
-    networkx degrees, so only the trees yielded are built.
+    smallest workable host can stop early.  Only the lone node has one leaf.
+    Leaves are counted from the degrees of the parent array, so only the trees
+    yielded are built.
     """
     if num_leaves < 1:
         raise ValueError("need at least one leaf")
-    for order in range(num_leaves, max_nodes + 1):
-        for g in _networkx_trees(order):
-            if sum(d <= 1 for _, d in g.degree()) == num_leaves:
-                yield _named_tree(g)
+    for order in _orders(num_leaves, max_nodes):
+        for parent in _free_trees(order):
+            if _leaf_count(_degrees(parent)) == num_leaves:
+                yield _tree(parent)
 
 
 def topology_trees(num_leaves: int, max_internal: int) -> Iterator[Tree]:
@@ -63,7 +150,8 @@ def topology_trees(num_leaves: int, max_internal: int) -> Iterator[Tree]:
     shapes that remain after suppressing subdivision nodes.  ``max_internal``
     bounds the number of internal nodes.  They are the trees of
     :func:`trees_with_leaf_count` without a degree-2 node, in the same order;
-    both filters read the networkx degrees, so only the trees yielded are built.
+    both filters read the degrees of the parent array, so only the trees
+    yielded are built.
 
     Counting degrees, ``L + 3I <= 2(L + I - 1)``, so such a tree with L leaves
     has at most ``L - 2`` internal nodes, and larger orders are never generated.
@@ -73,11 +161,30 @@ def topology_trees(num_leaves: int, max_internal: int) -> Iterator[Tree]:
     if max_internal < 0:
         raise ValueError("max_internal must be nonnegative")
     internal = min(max_internal, max(num_leaves - 2, 0))
-    for order in range(num_leaves, num_leaves + internal + 1):
-        for g in _networkx_trees(order):
-            degrees = [d for _, d in g.degree()]
-            if sum(d <= 1 for d in degrees) == num_leaves and 2 not in degrees:
-                yield _named_tree(g)
+    for order in _orders(num_leaves, num_leaves + internal):
+        for parent in _free_trees(order):
+            degree = _degrees(parent)
+            if _leaf_count(degree) == num_leaves and 2 not in degree:
+                yield _tree(parent)
+
+
+def _rooted_forms(tree: Tree) -> Callable[[str, str | None], tuple]:
+    """``form(v, parent)``: the canonical form of the subtree at ``v`` away from ``parent``.
+
+    Forms are memoized per directed edge, so rooting the tree at many nodes
+    computes each edge's form once.
+    """
+    memo: dict[tuple[str, str | None], tuple] = {}
+    neighbors = tree.neighbors
+
+    def form(v: str, parent: str | None) -> tuple:
+        key = (v, parent)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = tuple(sorted([form(w, v) for w in neighbors(v) if w != parent]))
+        return found
+
+    return form
 
 
 def rooted_canonical_form(tree: Tree, root: str) -> tuple:
@@ -88,18 +195,15 @@ def rooted_canonical_form(tree: Tree, root: str) -> tuple:
     """
     if root not in set(tree.nodes):
         raise ValueError(f"root {root!r} is not in the tree")
-
-    def canon(v: str, parent: str | None) -> tuple:
-        return tuple(sorted(canon(w, v) for w in tree.neighbors(v) if w != parent))
-
-    return canon(root, None)
+    return _rooted_forms(tree)(root, None)
 
 
 def leaf_orbits(tree: Tree) -> list[tuple[str, ...]]:
     """Leaves grouped into automorphism orbits, each orbit sorted, orbits sorted."""
+    form = _rooted_forms(tree)
     groups: dict[tuple, list[str]] = {}
     for leaf in tree.leaves():
-        groups.setdefault(rooted_canonical_form(tree, leaf), []).append(leaf)
+        groups.setdefault(form(leaf, None), []).append(leaf)
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 

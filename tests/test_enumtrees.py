@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 
+import networkx as nx
 import pytest
 from hypothesis import given
 
@@ -35,6 +36,46 @@ def built_trees(monkeypatch) -> list[Tree]:
     return built
 
 
+@pytest.fixture
+def generated_orders(monkeypatch) -> list[int]:
+    """Every order passed to the free-tree generator while the test runs, in order."""
+    orders = []
+    generate = enumtrees._free_trees
+
+    def recording(order):
+        orders.append(order)
+        return generate(order)
+
+    monkeypatch.setattr(enumtrees, "_free_trees", recording)
+    return orders
+
+
+def networkx_named_trees(order: int) -> list[Tree]:
+    """networkx's free trees of ``order`` nodes as enumtrees named them: node ``i`` is ``n{i}``."""
+    graphs = nx.nonisomorphic_trees(order) if order > 2 else [nx.path_graph(order)]
+    return [
+        Tree.build([f"n{x}" for x in sorted(g)], [(f"n{x}", f"n{y}") for x, y in g.edges()])
+        for g in graphs
+    ]
+
+
+def per_leaf_orbits(t: Tree) -> list[tuple[str, ...]]:
+    """Leaf orbits grouped by an unmemoized canonical form of each leaf's rooting.
+
+    Also checks that ``rooted_canonical_form`` gives that same form.
+    """
+
+    def canon(v: str, parent: str | None) -> tuple:
+        return tuple(sorted(canon(w, v) for w in t.neighbors(v) if w != parent))
+
+    groups: dict[tuple, list[str]] = {}
+    for leaf in t.leaves():
+        form = canon(leaf, None)
+        assert rooted_canonical_form(t, leaf) == form
+        groups.setdefault(form, []).append(leaf)
+    return sorted(tuple(sorted(g)) for g in groups.values())
+
+
 def oracle_automorphism_exists(t: Tree, u: str, v: str) -> bool:
     """Brute force over all node permutations: is there an automorphism u -> v?
 
@@ -60,6 +101,31 @@ class TestNonisomorphicTrees:
 
     def test_count_on_ten_nodes(self):
         assert len(list(nonisomorphic_trees(10))) == 106
+
+    def test_counts_match_oeis_a000055_up_to_fourteen_nodes(self):
+        assert [sum(1 for _ in enumtrees._free_trees(n)) for n in range(1, 15)] == [
+            1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159,
+        ]
+
+    @pytest.mark.parametrize("order", range(1, 15))
+    def test_same_trees_names_and_order_as_networkx(self, order):
+        got = [(t.nodes, t.edges) for t in nonisomorphic_trees(order)]
+        assert got == [(t.nodes, t.edges) for t in networkx_named_trees(order)]
+
+    def test_parent_is_the_nearest_earlier_node_one_level_up(self):
+        for order in range(1, 10):
+            for parent in enumtrees._free_trees(order):
+                assert parent[0] == -1
+                depth = [0] * order
+                for i in range(1, order):
+                    assert 0 <= parent[i] < i
+                    depth[i] = depth[parent[i]] + 1
+                    earlier = [j for j in range(i) if depth[j] == depth[i] - 1]
+                    assert parent[i] == earlier[-1]
+
+    def test_order_zero_is_refused(self):
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            list(nonisomorphic_trees(0))
 
     def test_yields_valid_trees_of_requested_order(self):
         for n in range(1, 8):
@@ -115,6 +181,23 @@ class TestTreesWithLeafCount:
         assert len(yielded) == 23
         assert built_trees == yielded
 
+    @pytest.mark.parametrize(
+        "num_leaves, max_nodes, orders",
+        [
+            (1, 5, [1]),
+            (1, 0, []),
+            (2, 5, [2, 3, 4, 5]),
+            (3, 6, [4, 5, 6]),
+            (4, 7, [5, 6, 7]),
+            (5, 5, []),
+        ],
+    )
+    def test_generates_only_orders_that_can_hold_the_leaves(
+        self, generated_orders, num_leaves, max_nodes, orders
+    ):
+        list(trees_with_leaf_count(num_leaves, max_nodes))
+        assert generated_orders == orders
+
 
 class TestTopologyTrees:
     @pytest.mark.parametrize("num_leaves, max_internal, count", [(5, 3, 3), (6, 4, 7)])
@@ -158,14 +241,14 @@ class TestTopologyTrees:
         assert [(t.nodes, t.edges) for t in capped] == [(t.nodes, t.edges) for t in uncapped]
 
     def test_no_order_beyond_two_internal_nodes_is_built_for_four_leaves(self, monkeypatch):
-        generate = enumtrees._networkx_trees
+        generate = enumtrees._free_trees
 
         def bounded(order):
             if order > 6:
                 raise AssertionError(f"generated trees of order {order}")
             return generate(order)
 
-        monkeypatch.setattr(enumtrees, "_networkx_trees", bounded)
+        monkeypatch.setattr(enumtrees, "_free_trees", bounded)
         trees = list(topology_trees(4, 50))
         assert [(t.nodes, t.edges) for t in trees] == [
             (t.nodes, t.edges) for t in topology_trees(4, 2)
@@ -203,6 +286,11 @@ class TestLeafOrbits:
         )
         assert leaf_orbits(t) == [("x",), ("y", "z")]
         assert leaf_orbit_representatives(t) == ["x", "y"]
+
+    def test_same_orbits_as_one_canonical_form_per_leaf(self):
+        for order in range(1, 12):
+            for t in nonisomorphic_trees(order):
+                assert leaf_orbits(t) == per_leaf_orbits(t), t.edges
 
     def test_orbits_partition_the_leaves(self):
         for t in nonisomorphic_trees(7):
