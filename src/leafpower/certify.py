@@ -249,23 +249,8 @@ def system_to_lp_text(system: FeasibilitySystem) -> str:
     names = system.variable_names
 
     def render(coeffs: tuple[int, ...]) -> str:
-        terms = []
-        for c, name in zip(coeffs, names):
-            if c == 0:
-                continue
-            if c == 1:
-                terms.append(("+", name))
-            elif c == -1:
-                terms.append(("-", name))
-            else:
-                terms.append(("+" if c > 0 else "-", f"{abs(c)} {name}"))
-        if not terms:
-            return "0"
-        first_sign, first_term = terms[0]
-        text = first_term if first_sign == "+" else f"- {first_term}"
-        for sign, term in terms[1:]:
-            text += f" {sign} {term}"
-        return text
+        terms = " ".join(f"{'+' if c > 0 else '-'} {name}" for c, name in zip(coeffs, names) if c)
+        return terms.removeprefix("+ ")
 
     lines = ["Maximize", " obj: delta", "Subject To"]
     for name, coeffs, sense, rhs in system.rows:

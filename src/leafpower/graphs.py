@@ -132,58 +132,72 @@ def components(graph: Graph, *, without: frozenset[str] = frozenset()) -> list[f
     return sorted(comps, key=min)
 
 
-def perfect_elimination_ordering(graph: Graph) -> list[str] | None:
-    """A perfect elimination ordering of ``graph``, or None if there is none.
+def _max_cardinality_search(graph: Graph) -> tuple[list[str], dict[str, list[str]], bool]:
+    """The visit order of a maximum-cardinality search, each vertex's earlier
+    neighbours in visit order, and whether the graph is chordal.
 
-    Runs maximum-cardinality search; the reverse visit order is a perfect
-    elimination ordering exactly when the graph is chordal, which the final
-    loop checks directly.
+    The next vertex is the one with the most visited neighbours, ties going to
+    the vertex listed first.  The graph is chordal exactly when the reverse
+    visit order is a perfect elimination ordering (Tarjan and Yannakakis 1984),
+    that is, when every earlier neighbour of a vertex is adjacent to the last.
     """
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    weight = {v: 0 for v in graph.vertices}
-    unvisited = set(graph.vertices)
+    earlier: dict[str, list[str]] = {v: [] for v in graph.vertices}
+    unvisited = dict.fromkeys(graph.vertices)
     visit_order: list[str] = []
     while unvisited:
-        v = max(unvisited, key=lambda u: (weight[u], -index[u]))
-        unvisited.remove(v)
+        v = max(unvisited, key=lambda u: len(earlier[u]))
+        del unvisited[v]
         visit_order.append(v)
         for w in graph.neighbors(v):
             if w in unvisited:
-                weight[w] += 1
-    ordering = list(reversed(visit_order))
-    position = {v: i for i, v in enumerate(ordering)}
-    for v in ordering:
-        later = [w for w in graph.neighbors(v) if position[w] > position[v]]
-        if not later:
-            continue
-        pivot = min(later, key=lambda w: position[w])
-        for w in later:
-            if w != pivot and not graph.adjacent(pivot, w):
-                return None
-    return ordering
+                earlier[w].append(v)
+    chordal = all(w in graph.neighbors(ns[-1]) for ns in earlier.values() for w in ns[:-1])
+    return visit_order, earlier, chordal
+
+
+def perfect_elimination_ordering(graph: Graph) -> list[str] | None:
+    """A perfect elimination ordering of ``graph``, or None if there is none."""
+    visit_order, _, chordal = _max_cardinality_search(graph)
+    return visit_order[::-1] if chordal else None
 
 
 def is_chordal(graph: Graph) -> bool:
-    return perfect_elimination_ordering(graph) is not None
+    return _max_cardinality_search(graph)[2]
+
+
+def _clique_tree(graph: Graph) -> tuple[list[frozenset[str]], list[tuple[int, int]]]:
+    """The maximal cliques of a chordal graph and the index pairs of a clique tree on them.
+
+    Read off one maximum-cardinality search (Blair and Peyton 1993, section 4):
+    a vertex with no more earlier neighbours than its predecessor starts a new
+    clique of those neighbours and itself, which the vertices after it join
+    until the next start.  The new clique hangs under the clique in which its
+    last earlier neighbour was visited; a vertex with no earlier neighbour
+    starts a new component, bridged to the previous clique.
+    """
+    visit_order, earlier, chordal = _max_cardinality_search(graph)
+    if not chordal:
+        raise ValueError("requires chordal graph")
+    cliques: list[set[str]] = []
+    edges: list[tuple[int, int]] = []
+    home: dict[str, int] = {}
+    previous = 0
+    for v in visit_order:
+        ns = earlier[v]
+        if len(ns) <= previous:
+            if cliques:
+                edges.append((home[ns[-1]] if ns else len(cliques) - 1, len(cliques)))
+            cliques.append(set(ns))
+        cliques[-1].add(v)
+        home[v] = len(cliques) - 1
+        previous = len(ns)
+    return [frozenset(c) for c in cliques], edges
 
 
 def maximal_cliques(graph: Graph) -> list[Clique]:
     """All maximal cliques of a chordal graph, sorted by size (desc) then members."""
-    ordering = perfect_elimination_ordering(graph)
-    if ordering is None:
-        raise ValueError("requires chordal graph")
-    position = {v: i for i, v in enumerate(ordering)}
-    candidates = []
-    for v in ordering:
-        later = frozenset(w for w in graph.neighbors(v) if position[w] > position[v])
-        candidates.append(frozenset({v}) | later)
-    candidates.sort(key=lambda c: (-len(c), sorted(c)))
-    kept: list[frozenset[str]] = []
-    for cand in candidates:
-        if any(cand < other or cand == other for other in kept):
-            continue
-        kept.append(cand)
-    return [Clique(members=c) for c in kept]
+    cliques = sorted(_clique_tree(graph)[0], key=lambda c: (-len(c), sorted(c)))
+    return [Clique(members=c) for c in cliques]
 
 
 def is_separator(graph: Graph, cut: Iterable[str]) -> bool:

@@ -21,11 +21,11 @@ from typing import Iterable, Mapping
 from .graphs import (
     Clique,
     Graph,
+    _clique_tree,
     dot_graph,
     dot_quote,
     graph_from_json_obj,
     graph_to_json_obj,
-    maximal_cliques,
 )
 from .jsonio import Record, entries, integer_map, string_map, strings
 from .trees import (
@@ -226,49 +226,23 @@ def check_path_cover(model: SubtreeModel, path: Iterable[str], x_u: str, x_v: st
 def clique_tree_model(graph: Graph) -> SubtreeModel:
     """A canonical subtree model of a chordal graph on its maximal cliques.
 
-    Host nodes are the maximal cliques; the host tree is a maximum-weight
-    spanning tree of the clique intersection graph, which makes every vertex's
-    clique set connected (the classical clique-tree construction).  Components
-    of a disconnected graph get their clique trees joined by arbitrary bridge
-    edges, which keeps all the intersections empty across components.  The
-    model is re-checked with :func:`subtree_model_violations`; a failure raises
-    RuntimeError.
+    One maximum-cardinality search gives the maximal cliques and a clique tree
+    on them (Blair and Peyton 1993): every vertex's cliques form a subtree, and
+    the components of a disconnected graph are bridged by edges between
+    cliques that share no vertex.  Host node ``Ki`` is the i-th clique in the
+    order of sorted members.  The model is re-checked with
+    :func:`subtree_model_violations`; a failure raises RuntimeError.
     """
     if not graph.vertices:
         raise ValueError("graph has no vertices")
-    cliques = sorted((sorted(c.members) for c in maximal_cliques(graph)))
-    names = [f"K{i}" for i in range(len(cliques))]
-    member_sets = [frozenset(c) for c in cliques]
-
-    weighted = []
-    for i in range(len(cliques)):
-        for j in range(i + 1, len(cliques)):
-            w = len(member_sets[i] & member_sets[j])
-            if w > 0:
-                weighted.append((-w, i, j))
-    weighted.sort()
-
-    parent = list(range(len(cliques)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges: list[tuple[str, str]] = []
-    for _, i, j in weighted:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            edges.append((names[i], names[j]))
-    roots = sorted({find(i) for i in range(len(cliques))})
-    for a, b in zip(roots, roots[1:]):
-        edges.append((names[a], names[b]))
-
-    host = Tree.build(names, edges)
+    cliques, tree_edges = _clique_tree(graph)
+    by_members = sorted(range(len(cliques)), key=lambda i: sorted(cliques[i]))
+    names = {i: f"K{rank}" for rank, i in enumerate(by_members)}
+    host = Tree.build(
+        [names[i] for i in by_members], [(names[i], names[j]) for i, j in tree_edges]
+    )
     assignment = {
-        v: frozenset(names[i] for i, ms in enumerate(member_sets) if v in ms)
+        v: frozenset(names[i] for i, ms in enumerate(cliques) if v in ms)
         for v in graph.vertices
     }
     model = SubtreeModel(host=host, graph=graph, assignment=assignment)

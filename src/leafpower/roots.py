@@ -95,20 +95,16 @@ def _threshold_graph(host: Tree, placement: dict[str, str], k: int, lengths=None
     return Graph.build(vertices, edges)
 
 
-def leafroot_to_rs(root: LeafRoot, graph: Graph | None = None) -> RSModel:
+def leafroot_to_rs(root: LeafRoot) -> RSModel:
     """Turn a k-leaf root into a ball model with every radius equal to k.
 
     Every host edge is subdivided once and each vertex is centered on its own
     leaf.  Two leaves at distance d in the original host end up at distance 2d
     in the subdivided host, so balls of radius k intersect exactly when
     d <= k: the model represents the same graph, with max radius k.  The model
-    is re-checked against the graph; a failure raises RuntimeError.
+    is re-checked against the root's graph; a failure raises RuntimeError.
     """
-    if graph is None:
-        graph = leaf_power_graph(root)
-    elif not verify_leaf_root(graph, root):
-        raise ValueError("leaf root does not verify against the given graph")
-
+    graph = leaf_power_graph(root)
     taken = set(root.host.nodes)
     nodes = list(root.host.nodes)
     edges: list[tuple[str, str]] = []

@@ -97,7 +97,8 @@ def test_criterion_3_hundred_random_root_conversions_under_30s():
         names = [f"g{i}" for i in range(len(leaves))]
         root = LeafRoot.build(host, k, dict(zip(names, leaves)))
         graph = leaf_power_graph(root)
-        model = leafroot_to_rs(root, graph)
+        model = leafroot_to_rs(root)
+        assert model.graph == graph
         assert verify_rs_model(model)
         assert max(model.radii.values()) == k
         back = rs_to_leafroot(model)

@@ -259,7 +259,8 @@ class TestLowerBoundCertificate:
         for n in (3, 4):
             r = build_rn(n)
             m = build_exponential_rs_model(r)
-            rebuilt = leafroot_to_rs(rs_to_leafroot(m), r.graph)
+            rebuilt = leafroot_to_rs(rs_to_leafroot(m))
+            assert rebuilt.graph == r.graph
             assert verify_rs_model(rebuilt)
             rep = lower_bound_certificate(r, rebuilt)
             assert rep.holds

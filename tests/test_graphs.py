@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -24,7 +25,13 @@ from leafpower import (
     perfect_elimination_ordering,
 )
 
-from conftest import complete_graph, cycle_graph, path_graph, random_graphs
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_ball_model,
+    random_graphs,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +63,18 @@ def oracle_has_induced_long_cycle(g: Graph) -> bool:
             if len(seen) == size:
                 return True
     return False
+
+
+def assert_perfect_elimination_ordering(g: Graph) -> None:
+    """The returned ordering lists every vertex once, and each vertex's later neighbours form a clique."""
+    order = perfect_elimination_ordering(g)
+    assert order is not None
+    assert sorted(order) == sorted(g.vertices)
+    position = {v: i for i, v in enumerate(order)}
+    for i, v in enumerate(order):
+        later = [w for w in g.neighbors(v) if position[w] > i]
+        for u, w in itertools.combinations(later, 2):
+            assert g.adjacent(u, w)
 
 
 def oracle_maximal_cliques(g: Graph) -> set[frozenset[str]]:
@@ -203,16 +222,8 @@ class TestChordality:
 
     def test_peo_of_chordal_graph_is_valid_ordering(self, atlas_graphs):
         for g in atlas_graphs:
-            if not is_chordal(g):
-                continue
-            order = perfect_elimination_ordering(g)
-            assert order is not None
-            assert sorted(order) == list(g.vertices)
-            position = {v: i for i, v in enumerate(order)}
-            for i, v in enumerate(order):
-                later = [w for w in g.neighbors(v) if position[w] > i]
-                for u, w in itertools.combinations(later, 2):
-                    assert g.adjacent(u, w)
+            if is_chordal(g):
+                assert_perfect_elimination_ordering(g)
 
     def test_peo_none_for_non_chordal(self):
         assert perfect_elimination_ordering(cycle_graph(["a", "b", "c", "d"])) is None
@@ -257,6 +268,15 @@ class TestMaximalCliques:
     def test_complete_graph_single_clique(self):
         g = complete_graph(["a", "b", "c", "d"])
         assert [c.members for c in maximal_cliques(g)] == [frozenset("abcd")]
+
+    def test_agrees_with_bron_kerbosch_beyond_the_atlas(self):
+        # Ball models on hosts of up to 15 nodes give chordal graphs of up
+        # to 16 vertices, past the 7-vertex atlas.
+        rng = random.Random(16)
+        for _ in range(200):
+            g, _ = random_ball_model(rng, max_host=15, max_vertices=16)
+            assert_perfect_elimination_ordering(g)
+            assert {c.members for c in maximal_cliques(g)} == oracle_maximal_cliques(g)
 
 
 # ---------------------------------------------------------------------------

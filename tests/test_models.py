@@ -498,6 +498,32 @@ class TestCliqueTreeModel:
         assert verify_subtree_model(m)
         assert len(m.host.nodes) == 2
 
+    def test_verifies_on_random_chordal_graphs_beyond_the_atlas(self):
+        rng = random.Random(16)
+        for _ in range(200):
+            g, _ = random_ball_model(rng, max_host=15, max_vertices=16)
+            m = clique_tree_model(g)
+            assert verify_subtree_model(m)
+            cliques = {c.members for c in maximal_cliques(g)}
+            assert {cover(m, node) for node in m.host.nodes} == cliques
+            assert len(m.host.nodes) == len(cliques)
+
+    def test_components_are_bridged_by_disjoint_cliques(self):
+        # Four components, listed interleaved: a triangle, a path, an edge
+        # and an isolated vertex.  Three bridge edges join their clique trees.
+        g = Graph.build(
+            ["a", "d", "h", "b", "e", "g", "c", "f", "i"],
+            [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f"), ("h", "i")],
+        )
+        m = clique_tree_model(g)
+        assert verify_subtree_model(m)
+        assert {cover(m, node) for node in m.host.nodes} == {
+            frozenset("abc"), frozenset("de"), frozenset("ef"), frozenset("hi"),
+            frozenset("g"),
+        }
+        bridges = [(x, y) for x, y in m.host.edges if not cover(m, x) & cover(m, y)]
+        assert len(bridges) == 3
+
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="no vertices"):
             clique_tree_model(Graph.build([], []))
@@ -512,8 +538,8 @@ class TestCliqueTreeModel:
 
     def test_invalid_construction_is_caught_by_the_recheck(self, monkeypatch):
         # With a maximal clique dropped, vertex c lies in no host node.
-        cliques = models_module.maximal_cliques
-        monkeypatch.setattr(models_module, "maximal_cliques", lambda g: cliques(g)[:1])
+        clique_tree = models_module._clique_tree
+        monkeypatch.setattr(models_module, "_clique_tree", lambda g: (clique_tree(g)[0][:1], []))
         p3 = Graph.build(["a", "b", "c"], [("a", "b"), ("b", "c")])
         with pytest.raises(RuntimeError, match="construction invalid: vertex 'c'"):
             clique_tree_model(p3)
