@@ -46,7 +46,6 @@ from .enumtrees import (
     trees_with_leaf_count,
 )
 from .graphs import (
-    Clique,
     Graph,
     components,
     graph_from_json_obj,

@@ -46,7 +46,8 @@ def branch_points(r: RnGraph, model: RSModel) -> BranchPoints:
     """
     if not isinstance(model, RSModel):
         raise TypeError("branch_points requires a ball model (RSModel)")
-    if model.graph != r.graph:
+    # Graph.build keeps the vertices in input order; the edges are sorted.
+    if set(model.graph.vertices) != set(r.graph.vertices) or model.graph.edges != r.graph.edges:
         raise ValueError("not a model of R_n: the model's graph differs")
     if problems := rs_model_violations(model):
         raise ValueError(f"not a model of R_n: {problems[0]}")
@@ -68,8 +69,7 @@ def branch_points(r: RnGraph, model: RSModel) -> BranchPoints:
             raise ValueError(
                 f"branch point s_{i} is ambiguous: {from_first!r} vs {from_last!r}"
             )
-        expected = set(r.clique(i).members)
-        if set(cover(exp, from_first)) != expected:
+        if cover(exp, from_first) != r.clique(i):
             raise ValueError(f"cover of s_{i} is not the clique C_{i}")
         s[i] = from_first
         ms.append(median(host, m_first, m_last, from_first))

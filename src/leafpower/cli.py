@@ -26,6 +26,7 @@ from .certify import (
 from .graphs import graph_from_json_obj, graph_to_dot, graph_to_json_obj
 from .jsonio import dumps
 from .models import (
+    RSModel,
     rs_model_from_json_obj,
     rs_model_to_dot,
     rs_model_to_json_obj,
@@ -33,7 +34,13 @@ from .models import (
     subtree_model_to_dot,
     subtree_model_to_json_obj,
 )
-from .rn import MAX_EXPONENTIAL_N, build_exponential_rs_model, build_rdp_model, build_rn
+from .rn import (
+    MAX_EXPONENTIAL_N,
+    _check_exponential_n,
+    build_exponential_rs_model,
+    build_rdp_model,
+    build_rn,
+)
 from .roots import (
     brute_force_leaf_rank,
     leafroot_from_json_obj,
@@ -87,6 +94,12 @@ class _Builder(NamedTuple):
     dot_prefix: str
 
 
+def _exponential_model(n: int) -> RSModel:
+    """R_n's exponential ball model; a too-large n is refused before R_n is built."""
+    _check_exponential_n(n)
+    return build_exponential_rs_model(build_rn(n))
+
+
 _BUILDERS = {
     "build-rn": _Builder(
         "construct the graph R_n",
@@ -99,7 +112,7 @@ _BUILDERS = {
     ),
     "rs-model": _Builder(
         "exponential-radius ball model of R_n",
-        lambda n: build_exponential_rs_model(build_rn(n)),
+        _exponential_model,
         rs_model_to_json_obj, rs_model_to_dot, "RS",
     ),
 }
@@ -118,7 +131,9 @@ def _cmd_audit(args: argparse.Namespace) -> Result:
     n = args.n if model is None else len(model.graph.vertices) // 4
     if args.n is not None and args.n != n:
         raise ValueError(f"--n {args.n} does not match the model ({n})")
-    if model is not None and n < 3:
+    if model is None:
+        _check_exponential_n(n)
+    elif n < 3:
         raise _Refused("not a model of R_n: R_n has at least 12 vertices")
     r = build_rn(n)
     if model is None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .jsonio import Record, string_pairs, strings
 
@@ -80,34 +80,6 @@ class Graph:
 
     def degree(self, v: str) -> int:
         return len(self._adjacency[v])
-
-
-@dataclass(frozen=True)
-class Clique:
-    """A set of pairwise-adjacent vertices of some graph."""
-
-    members: frozenset[str]
-
-    @staticmethod
-    def of(graph: Graph, members: Iterable[str]) -> "Clique":
-        ms = frozenset(members)
-        for m in ms:
-            if m not in graph._adjacency:
-                raise ValueError(f"clique member {m!r} is not a vertex")
-        for u in ms:
-            for v in ms:
-                if u < v and not graph.adjacent(u, v):
-                    raise ValueError(f"clique members {u!r} and {v!r} are not adjacent")
-        return Clique(members=ms)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, v: object) -> bool:
-        return v in self.members
 
 
 def components(graph: Graph, *, without: frozenset[str] = frozenset()) -> list[frozenset[str]]:
@@ -194,10 +166,9 @@ def _clique_tree(graph: Graph) -> tuple[list[frozenset[str]], list[tuple[int, in
     return [frozenset(c) for c in cliques], edges
 
 
-def maximal_cliques(graph: Graph) -> list[Clique]:
+def maximal_cliques(graph: Graph) -> list[frozenset[str]]:
     """All maximal cliques of a chordal graph, sorted by size (desc) then members."""
-    cliques = sorted(_clique_tree(graph)[0], key=lambda c: (-len(c), sorted(c)))
-    return [Clique(members=c) for c in cliques]
+    return sorted(_clique_tree(graph)[0], key=lambda c: (-len(c), sorted(c)))
 
 
 def is_separator(graph: Graph, cut: Iterable[str]) -> bool:

@@ -16,10 +16,10 @@ Two interchangeable forms are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from .graphs import (
-    Clique,
     Graph,
     _clique_tree,
     dot_graph,
@@ -140,19 +140,23 @@ def verify_subtree_model(model: SubtreeModel) -> bool:
     return not subtree_model_violations(model)
 
 
-def clique_subtree(model: SubtreeModel, clique: Clique) -> frozenset[str]:
+def clique_subtree(model: SubtreeModel, clique: Iterable[str]) -> frozenset[str]:
     """The host nodes shared by every member of the clique.
 
     In any valid model this is nonempty: subtrees of a tree have the Helly
-    property, so pairwise-intersecting subtrees share a common node.
+    property, so pairwise-intersecting subtrees share a common node.  The
+    members must therefore be pairwise adjacent, and other sets are refused.
     """
-    result: frozenset[str] | None = None
-    for v in clique:
+    members = sorted(set(clique))
+    for v in members:
         if v not in model.assignment:
             raise ValueError(f"clique member {v!r} is not a graph vertex")
-        result = model.assignment[v] if result is None else result & model.assignment[v]
-    if result is None:
+    if not members:
         raise ValueError("clique is empty")
+    for u, v in combinations(members, 2):
+        if not model.graph.adjacent(u, v):
+            raise ValueError(f"clique members {u!r} and {v!r} are not adjacent")
+    result = frozenset.intersection(*(model.assignment[v] for v in members))
     if not result:
         raise ValueError("Helly violation: model invalid")
     return result

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .graphs import Clique, Graph, maximal_cliques, normalize_edge
+from .graphs import Graph, maximal_cliques, normalize_edge
 from .models import (
     RSModel,
     SubtreeModel,
@@ -52,17 +52,17 @@ class RnGraph:
         """The member sets of C_1..C_n, then of C'_1..C'_{n-1}."""
         return _defining_cliques(self.n, self.a, self.b, self.c, self.d)
 
-    def clique(self, i: int) -> Clique:
+    def clique(self, i: int) -> frozenset[str]:
         """The four-vertex clique C_i = {a_i, b_i, c_i, d_i}."""
         if not 1 <= i <= self.n:
             raise ValueError(f"index {i} out of range 1..{self.n}")
-        return Clique.of(self.graph, self._cliques[i - 1])
+        return self._cliques[i - 1]
 
-    def prime_clique(self, i: int) -> Clique:
+    def prime_clique(self, i: int) -> frozenset[str]:
         """The clique C'_i = {a_j : i <= j <= n} + {b_i, b_{i+1}, c_i}."""
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"index {i} out of range 1..{self.n - 1}")
-        return Clique.of(self.graph, self._cliques[self.n + i - 1])
+        return self._cliques[self.n + i - 1]
 
     def expected_clique_sets(self) -> set[frozenset[str]]:
         """The member sets of all 2n-1 defining cliques."""
@@ -94,8 +94,7 @@ def build_rn(n: int) -> RnGraph:
     graph = Graph.build(vertices, sorted(edges))
     r = RnGraph(n=n, graph=graph, a=a, b=b, c=c, d=d)
 
-    found = {cl.members for cl in maximal_cliques(graph)}
-    if found != r.expected_clique_sets():
+    if set(maximal_cliques(graph)) != r.expected_clique_sets():
         raise RuntimeError(
             "construction invalid: maximal cliques do not match the defining family"
         )
@@ -148,6 +147,12 @@ def is_rooted_directed_path_model(model: SubtreeModel, root: str) -> bool:
     )
 
 
+def _check_exponential_n(n: int) -> None:
+    """Refuse an n too large for :func:`build_exponential_rs_model`; R_n need not exist yet."""
+    if n > MAX_EXPONENTIAL_N:
+        raise ValueError(f"exponential model supported for 3 ≤ n ≤ {MAX_EXPONENTIAL_N}")
+
+
 def build_exponential_rs_model(r: RnGraph) -> RSModel:
     """A ball model of R_n on a spine-with-pendant-paths host; max radius 2^n - 1.
 
@@ -175,10 +180,7 @@ def build_exponential_rs_model(r: RnGraph) -> RSModel:
       whole spine prefix; a_1 at h1_1 with radius 1.
     """
     n = r.n
-    if n > MAX_EXPONENTIAL_N:
-        raise ValueError(
-            f"exponential model supported for 3 ≤ n ≤ {MAX_EXPONENTIAL_N}"
-        )
+    _check_exponential_n(n)
 
     pos = {i: 2**i - 2 for i in range(1, n + 1)}
     hair_len = {i: 2**i for i in range(1, n + 1)}

@@ -60,13 +60,13 @@ def test_criterion_1_family_structure_n3_to_n10_under_1s(atlas_graphs):
         r = build_rn(n)
         assert r.graph.n == 4 * n
         assert is_chordal(r.graph)
-        cliques = {c.members for c in maximal_cliques(r.graph)}
+        cliques = set(maximal_cliques(r.graph))
         assert len(cliques) == 2 * n - 1
         assert cliques == {frozenset(s) for s in r.expected_clique_sets()}
         for i in range(1, n + 1):
-            assert not is_separator(r.graph, r.clique(i).members)
+            assert not is_separator(r.graph, r.clique(i))
         for i in range(1, n):
-            assert is_separator(r.graph, r.prime_clique(i).members)
+            assert is_separator(r.graph, r.prime_clique(i))
     assert time.monotonic() - started < 1.0
 
 
@@ -78,9 +78,9 @@ def test_criterion_2_rooted_path_models_n3_to_n10_under_1s():
         assert verify_subtree_model(m)
         assert is_rooted_directed_path_model(m, RDP_ROOT)
         for i in range(1, n + 1):
-            assert cover(m, f"y{i}") == r.clique(i).members
+            assert cover(m, f"y{i}") == r.clique(i)
         for i in range(1, n):
-            assert cover(m, f"x{i}") == r.prime_clique(i).members
+            assert cover(m, f"x{i}") == r.prime_clique(i)
     assert time.monotonic() - started < 1.0
 
 

@@ -5,6 +5,7 @@ import contextlib
 import copy
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from leafpower import (
     verify_leaf_root,
     verify_rs_model,
 )
+from leafpower import cli
 from leafpower.cli import main
 
 from conftest import complete_graph, cycle_graph, path_graph
@@ -110,6 +112,16 @@ class TestBuildCommands:
         _, second, _ = run(capsys, "rs-model", "--n", "4")
         assert first == second
 
+    @pytest.mark.parametrize("command", ["rs-model", "audit"])
+    def test_too_large_n_is_refused_before_r_n_is_built(self, capsys, monkeypatch, command):
+        def build_rn_unreachable(n):
+            raise AssertionError(f"R_{n} was built before the refusal")
+
+        monkeypatch.setattr(cli, "build_rn", build_rn_unreachable)
+        code, out, err = run(capsys, command, "--n", "17")
+        assert (code, out) == (2, "")
+        assert err == "exponential model supported for 3 ≤ n ≤ 16\n"
+
 
 # ---------------------------------------------------------------------------
 # Audit
@@ -139,6 +151,26 @@ class TestAuditCommand:
         )
         assert code == 0
         assert json.loads(out)["holds"] is True
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_audit_reads_a_model_whatever_its_vertex_order(self, capsys, tmp_path, order, fmt):
+        doc = rs_model_to_json_obj(build_exponential_rs_model(build_rn(3)))
+        vertices = doc["graph"]["vertices"]
+        if order == "reversed":
+            reordered = vertices[::-1]
+        else:
+            reordered = random.Random(3).sample(vertices, len(vertices))
+        assert reordered != vertices
+
+        def audit(vs: list[str]) -> tuple[int, str, str]:
+            path = tmp_path / "model.json"
+            path.write_text(dumps({**doc, "graph": {**doc["graph"], "vertices": vs}}))
+            return run(capsys, "audit", "--model", str(path), "--format", fmt)
+
+        canonical = audit(vertices)
+        assert canonical[0] == 0
+        assert audit(reordered) == canonical
 
     def test_audit_needs_n_or_model(self, capsys):
         code, _, err = run(capsys, "audit")

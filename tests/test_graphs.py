@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given
 
 from leafpower import (
-    Clique,
     Graph,
     components,
     dumps,
@@ -172,21 +171,6 @@ class TestGraphBuild:
         assert g.n == 3
 
 
-class TestClique:
-    def test_clique_of_accepts_triangle(self):
-        g = complete_graph(["a", "b", "c"])
-        assert Clique.of(g, ["c", "a", "b"]).members == frozenset("abc")
-
-    def test_clique_of_rejects_non_adjacent_pair(self):
-        g = path_graph(["a", "b", "c"])
-        with pytest.raises(ValueError, match="not adjacent"):
-            Clique.of(g, ["a", "c"])
-
-    def test_single_vertex_is_clique(self):
-        g = Graph.build(["a"], [])
-        assert Clique.of(g, ["a"]).members == frozenset({"a"})
-
-
 class TestComponents:
     def test_two_components(self):
         g = Graph.build(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
@@ -238,7 +222,7 @@ class TestMaximalCliques:
         for g in atlas_graphs:
             if not is_chordal(g):
                 continue
-            ours = {c.members for c in maximal_cliques(g)}
+            ours = set(maximal_cliques(g))
             assert ours == oracle_maximal_cliques(g)
 
     def test_at_most_n_maximal_cliques(self, atlas_graphs):
@@ -250,7 +234,7 @@ class TestMaximalCliques:
         for g in atlas_graphs:
             if not is_chordal(g):
                 continue
-            cliques = [c.members for c in maximal_cliques(g)]
+            cliques = maximal_cliques(g)
             for a, b in itertools.permutations(cliques, 2):
                 assert not a < b
 
@@ -260,14 +244,14 @@ class TestMaximalCliques:
 
     def test_path_cliques_are_edges(self):
         g = path_graph(["a", "b", "c"])
-        assert {c.members for c in maximal_cliques(g)} == {
+        assert set(maximal_cliques(g)) == {
             frozenset({"a", "b"}),
             frozenset({"b", "c"}),
         }
 
     def test_complete_graph_single_clique(self):
         g = complete_graph(["a", "b", "c", "d"])
-        assert [c.members for c in maximal_cliques(g)] == [frozenset("abcd")]
+        assert maximal_cliques(g) == [frozenset("abcd")]
 
     def test_agrees_with_bron_kerbosch_beyond_the_atlas(self):
         # Ball models on hosts of up to 15 nodes give chordal graphs of up
@@ -276,7 +260,7 @@ class TestMaximalCliques:
         for _ in range(200):
             g, _ = random_ball_model(rng, max_host=15, max_vertices=16)
             assert_perfect_elimination_ordering(g)
-            assert {c.members for c in maximal_cliques(g)} == oracle_maximal_cliques(g)
+            assert set(maximal_cliques(g)) == oracle_maximal_cliques(g)
 
 
 # ---------------------------------------------------------------------------

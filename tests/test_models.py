@@ -12,7 +12,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from leafpower import (
-    Clique,
     Graph,
     RSModel,
     SubtreeModel,
@@ -206,14 +205,37 @@ class TestCliqueSubtree:
                 "w": frozenset({"x", "y"}),
             },
         )
-        assert clique_subtree(m, Clique.of(g, ["u", "v", "w"])) == frozenset({"x"})
+        assert clique_subtree(m, ["w", "u", "v"]) == frozenset({"x"})
+
+    def test_single_vertex_is_its_own_subtree(self):
+        t = path_tree(["x", "y"])
+        g = Graph.build(["u"], [])
+        m = SubtreeModel.build(t, g, {"u": frozenset({"x", "y"})})
+        assert clique_subtree(m, {"u"}) == frozenset({"x", "y"})
+
+    def test_non_adjacent_members_rejected(self):
+        # Helly speaks only of pairwise-meeting subtrees: P3's ends share no node.
+        t = path_tree(["x", "y", "z"])
+        g = path_graph(["a", "b", "c"])
+        m = SubtreeModel.build(
+            t, g, {"a": frozenset({"x"}), "b": frozenset({"x", "y", "z"}), "c": frozenset({"z"})}
+        )
+        with pytest.raises(ValueError, match="^clique members 'a' and 'c' are not adjacent$"):
+            clique_subtree(m, ["c", "b", "a"])
+
+    def test_unknown_member_rejected(self):
+        t = path_tree(["x", "y"])
+        g = Graph.build(["u"], [])
+        m = SubtreeModel.build(t, g, {"u": frozenset({"x"})})
+        with pytest.raises(ValueError, match="^clique member 'z' is not a graph vertex$"):
+            clique_subtree(m, ["u", "z"])
 
     def test_empty_clique_rejected(self):
         t = path_tree(["x", "y"])
         g = Graph.build(["u"], [])
         m = SubtreeModel.build(t, g, {"u": frozenset({"x"})})
         with pytest.raises(ValueError, match="clique is empty"):
-            clique_subtree(m, Clique(frozenset()))
+            clique_subtree(m, frozenset())
 
     def test_helly_violation_detected_on_damaged_model(self):
         # Three pairwise-meeting paths with no common node cannot happen in a
@@ -230,7 +252,7 @@ class TestCliqueSubtree:
             },
         )
         with pytest.raises(ValueError, match="Helly violation: model invalid"):
-            clique_subtree(m, Clique.of(g, ["u", "w"]))
+            clique_subtree(m, ["u", "w"])
 
     def test_maximal_clique_subtrees_nonempty_on_random_chordal_models(self):
         rng = random.Random(23)
@@ -480,7 +502,7 @@ class TestCliqueTreeModel:
             if not is_chordal(g):
                 continue
             m = clique_tree_model(g)
-            clique_sets = {c.members for c in maximal_cliques(g)}
+            clique_sets = set(maximal_cliques(g))
             host_covers = {cover(m, node) for node in m.host.nodes}
             assert clique_sets == host_covers
 
@@ -504,7 +526,7 @@ class TestCliqueTreeModel:
             g, _ = random_ball_model(rng, max_host=15, max_vertices=16)
             m = clique_tree_model(g)
             assert verify_subtree_model(m)
-            cliques = {c.members for c in maximal_cliques(g)}
+            cliques = set(maximal_cliques(g))
             assert {cover(m, node) for node in m.host.nodes} == cliques
             assert len(m.host.nodes) == len(cliques)
 

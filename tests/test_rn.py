@@ -6,7 +6,6 @@ import itertools
 import pytest
 
 from leafpower import (
-    Clique,
     MAX_EXPONENTIAL_N,
     RDP_ROOT,
     build_exponential_rs_model,
@@ -63,7 +62,7 @@ class TestBuildRn:
 
     def test_r3_has_exactly_the_defining_cliques(self):
         r = build_rn(3)
-        assert {c.members for c in maximal_cliques(r.graph)} == {
+        assert set(maximal_cliques(r.graph)) == {
             frozenset(c) for c in R3_CLIQUES
         }
 
@@ -74,7 +73,7 @@ class TestBuildRn:
 
     def test_r4_prime_cliques(self):
         r = build_rn(4)
-        got = {frozenset(r.prime_clique(i).members) for i in range(1, 4)}
+        got = {r.prime_clique(i) for i in range(1, 4)}
         assert got == {frozenset(c) for c in R4_PRIME_CLIQUES}
 
     def test_vertex_count_and_names(self):
@@ -91,7 +90,7 @@ class TestBuildRn:
         for n in range(3, 17):
             r = build_rn(n)
             assert is_chordal(r.graph)
-            cliques = {c.members for c in maximal_cliques(r.graph)}
+            cliques = set(maximal_cliques(r.graph))
             assert len(cliques) == 2 * n - 1
             assert cliques == {
                 frozenset(s) for s in r.expected_clique_sets()
@@ -101,13 +100,13 @@ class TestBuildRn:
         for n in SWEEP:
             r = build_rn(n)
             for i in range(1, n + 1):
-                assert not is_separator(r.graph, r.clique(i).members)
+                assert not is_separator(r.graph, r.clique(i))
 
     def test_prime_cliques_always_separate(self):
         for n in SWEEP:
             r = build_rn(n)
             for i in range(1, n):
-                assert is_separator(r.graph, r.prime_clique(i).members)
+                assert is_separator(r.graph, r.prime_clique(i))
 
     def test_b_vertices_induce_a_path(self):
         for n in SWEEP:
@@ -162,9 +161,9 @@ class TestRdpModel:
             r = build_rn(n)
             m = build_rdp_model(r)
             for i in range(1, n + 1):
-                assert cover(m, f"y{i}") == r.clique(i).members
+                assert cover(m, f"y{i}") == r.clique(i)
             for i in range(1, n):
-                assert cover(m, f"x{i}") == r.prime_clique(i).members
+                assert cover(m, f"x{i}") == r.prime_clique(i)
 
     def test_host_is_a_caterpillar_with_unit_legs(self):
         for n in (3, 6):
