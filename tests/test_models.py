@@ -207,6 +207,16 @@ class TestCliqueSubtree:
         )
         assert clique_subtree(m, ["w", "u", "v"]) == frozenset({"x"})
 
+    def test_triangle_members_accepted_in_any_order(self):
+        t = path_tree(["x", "y"])
+        g = Graph.build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+        m = SubtreeModel.build(
+            t, g, {"a": frozenset({"x"}), "b": frozenset({"x", "y"}), "c": frozenset({"x"})}
+        )
+        for order in itertools.permutations("abc"):
+            assert clique_subtree(m, order) == frozenset({"x"})
+        assert clique_subtree(m, frozenset("abc")) == frozenset({"x"})
+
     def test_single_vertex_is_its_own_subtree(self):
         t = path_tree(["x", "y"])
         g = Graph.build(["u"], [])
