@@ -27,16 +27,14 @@ from .audit import (
 from .certify import (
     FeasibilityResult,
     FeasibilitySystem,
-    WeightedLeafRoot,
     build_feasibility_system,
     certify_leaf_power,
     scale_to_integer_leafroot,
     solve_feasibility,
     system_to_lp_text,
-    verify_weighted_leafroot,
-    weighted_distance,
     weighted_leafroot_from_json_obj,
     weighted_leafroot_to_json_obj,
+    witness_margin,
 )
 from .enumtrees import (
     leaf_orbit_representatives,

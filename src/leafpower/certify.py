@@ -1,13 +1,14 @@
-"""Weighted leaf roots and the exact-rational feasibility certificate.
+"""The exact-rational feasibility certificate for leaf powers.
 
 For a fixed host topology (internal nodes of degree >= 3) and a fixed
-vertex-to-leaf placement, being a weighted leaf root is a linear condition on
-the edge weights: adjacent pairs need path weight at most 1, non-adjacent
-pairs need strictly more than 1.  Strictness is realized by maximizing a
-margin variable delta and accepting only optima with delta > 0; the same delta
-also forces every edge weight to be strictly positive.  A feasible rational
-witness scales by its least common denominator to an ordinary integer k-leaf
-root, so feasibility here certifies being a leaf power.
+vertex-to-leaf placement, being a leaf root with threshold 1 is a linear
+condition on the edge lengths: adjacent pairs need path length at most 1,
+non-adjacent pairs need strictly more than 1.  Strictness is realized by
+maximizing a margin variable delta and accepting only optima with delta > 0;
+the same delta also forces every edge length to be strictly positive.  A
+witness is a ``LeafRoot`` with k = 1 and exact lengths; ``witness_margin``
+derives its delta.  It scales by its least common denominator to a unit-edge
+k-leaf root, so feasibility here certifies being a leaf power.
 """
 
 from __future__ import annotations
@@ -16,71 +17,31 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from . import exactlp
 from .enumtrees import leaf_orbit_representatives, topology_trees
 from .graphs import Edge, Graph, normalize_edge
 from .jsonio import Record, items, string, string_map, string_pair
 from .roots import (
-    LeafRoot, _check_domain, _check_placement, _grow_path, _threshold_graph, leaf_power_graph
+    LeafRoot, _check_domain, _check_placement, _edge_lengths, _grow_path, leaf_power_graph,
+    verify_leaf_root,
 )
 from .trees import Tree, pairwise_distances, tree_from_json_obj, tree_path, tree_to_json_obj
 
 
-@dataclass(frozen=True)
-class WeightedLeafRoot:
-    """A host tree with positive rational edge weights and a leaf placement."""
+def witness_margin(root: LeafRoot) -> Fraction:
+    """The margin delta of ``root``, with every length divided by its k.
 
-    host: Tree
-    weights: dict[Edge, Fraction]
-    placement: dict[str, str]
-    margin: Fraction | None = None
-
-    @staticmethod
-    def build(
-        host: Tree,
-        weights: dict[Edge, Fraction],
-        placement: dict[str, str],
-        margin: Fraction | None = None,
-    ) -> "WeightedLeafRoot":
-        normalized = _edge_weights(weights.items())
-        if set(normalized) != set(host.edges):
-            raise ValueError("weights must cover exactly the host edges")
-        for e, w in normalized.items():
-            exactlp._check_number(w, f"weight of edge {e}")
-            if w <= 0:
-                raise ValueError(f"weight of edge {e} must be positive")
-        if margin is not None:
-            exactlp._check_number(margin, "margin")
-        _check_placement(host, placement)
-        return WeightedLeafRoot(
-            host=host,
-            weights={e: Fraction(w) for e, w in normalized.items()},
-            placement=dict(placement),
-            margin=None if margin is None else Fraction(margin),
-        )
-
-
-def _edge_weights(pairs: Iterable[tuple[tuple[str, str], Fraction]]) -> dict[Edge, Fraction]:
-    """Weights keyed by normalized edge; an edge given twice, in either orientation, is refused."""
-    out: dict[Edge, Fraction] = {}
-    for (u, v), w in pairs:
-        if (e := normalize_edge(u, v)) in out:
-            raise ValueError(f"edge {e} is listed twice")
-        out[e] = w
-    return out
-
-
-def weighted_distance(root: WeightedLeafRoot, x: str, y: str) -> Fraction:
-    """Total edge weight along the unique host path from x to y."""
-    return Fraction(pairwise_distances(root.host, (x, y), root.weights)[x][y])
-
-
-def verify_weighted_leafroot(graph: Graph, root: WeightedLeafRoot) -> bool:
-    """Adjacent pairs within weighted distance 1, non-adjacent strictly beyond."""
-    _check_domain(graph, root.placement)
-    return _threshold_graph(root.host, root.placement, 1, root.weights).edges == graph.edges
+    It is the least of the bounds the ``cap``, ``pos`` and ``sep`` rows put on
+    delta: 1, each length, and each distance beyond 1, minus 1.  An LP optimum
+    meets one of them, so on a certified witness this is the optimal delta.
+    """
+    leaves = list(root.placement.values())
+    dist = pairwise_distances(root.host, leaves, root.lengths)
+    pairs = itertools.combinations(leaves, 2)
+    gaps = [d - root.k for a, b in pairs if (d := dist[a][b]) > root.k]
+    lengths = (root.lengths or dict.fromkeys(root.host.edges, 1)).values()
+    return min([Fraction(1), *(Fraction(x) / root.k for x in [*lengths, *gaps])])
 
 
 @dataclass(frozen=True)
@@ -175,19 +136,20 @@ def solve_feasibility(system: FeasibilitySystem) -> FeasibilityResult:
     return FeasibilityResult(feasible=True, delta=delta, weights=weights)
 
 
-def certify_leaf_power(graph: Graph, max_internal: int) -> WeightedLeafRoot | None:
-    """Search topologies and placements for a feasible weighted leaf root.
+def certify_leaf_power(graph: Graph, max_internal: int) -> LeafRoot | None:
+    """Search topologies and placements for a leaf root with threshold 1.
 
     Every topology with |V| leaves, at most ``max_internal`` internal nodes
     and no degree-2 nodes is tried with every placement (the first vertex only
-    on one leaf per symmetry orbit).  Returns the first feasible witness, after
-    checking it against the graph by exact path sums; None means no root
-    exists WITHIN THIS BOUND, which is not a proof that the graph is no leaf
-    power.  A witness that fails the check raises RuntimeError.
+    on one leaf per symmetry orbit).  Returns the first feasible witness, a
+    ``LeafRoot`` with k = 1 and the LP's exact edge lengths, after checking it
+    against the graph by exact path sums; None means no root exists WITHIN
+    THIS BOUND, which is not a proof that the graph is no leaf power.  A
+    witness that fails the check raises RuntimeError.
 
     Such a topology has at most |V| - 2 internal nodes, so ``max_internal``
-    >= |V| - 2 covers every topology, and None then rules out every weighted
-    leaf root.  Every LP behind that verdict carries a dual or Farkas
+    >= |V| - 2 covers every topology, and None then rules out every leaf root
+    with exact lengths.  Every LP behind that verdict carries a dual or Farkas
     certificate, checked by ``solve_feasibility`` before it is believed.
     """
     if max_internal < 1:
@@ -204,10 +166,8 @@ def certify_leaf_power(graph: Graph, max_internal: int) -> WeightedLeafRoot | No
                 system = build_feasibility_system(graph, host, placement)
                 result = solve_feasibility(system)
                 if result.feasible:
-                    witness = WeightedLeafRoot.build(
-                        host, result.weights, placement, margin=result.delta
-                    )
-                    if not verify_weighted_leafroot(graph, witness):
+                    witness = LeafRoot.build(host, 1, placement, lengths=result.weights)
+                    if not verify_leaf_root(graph, witness):
                         raise RuntimeError(
                             "certificate invalid: witness fails the path-sum check"
                         )
@@ -215,31 +175,30 @@ def certify_leaf_power(graph: Graph, max_internal: int) -> WeightedLeafRoot | No
     return None
 
 
-def scale_to_integer_leafroot(root: WeightedLeafRoot) -> LeafRoot:
-    """Clear denominators: an exact witness becomes an integer k-leaf root.
+def scale_to_integer_leafroot(root: LeafRoot) -> LeafRoot:
+    """Clear denominators: a root with exact lengths becomes a unit-edge root.
 
-    With L the least common denominator, every weight w becomes the integer
-    w*L and its edge becomes a path of that many unit edges; k = L.  Adjacent
-    pairs then sit at distance <= L; non-adjacent pairs had weighted distance
-    at least 1 + margin, so they land at integer distance > L, i.e. >= L+1.
-    The scaled root is re-checked against the weighted root's graph; a failure
+    With L the least common denominator, every length w becomes the integer
+    w*L and its edge becomes a path of that many unit edges; k becomes L*k.
+    Adjacent pairs then sit at distance <= L*k.  Non-adjacent pairs were
+    beyond k, so they land beyond L*k, and being integers, at L*k + 1 or more.
+    The scaled root is re-checked against the given root's graph; a failure
     raises RuntimeError.
     """
-    if root.margin is None or root.margin <= 0:
-        raise ValueError("witness not strictly feasible")
+    lengths = root.lengths or dict.fromkeys(root.host.edges, 1)
     lcd = 1
-    for w in root.weights.values():
+    for w in lengths.values():
         lcd = math.lcm(lcd, w.denominator)
 
     taken = set(root.host.nodes)
     nodes = list(root.host.nodes)
     edges: list[tuple[str, str]] = []
     for u, v in root.host.edges:
-        length = int(root.weights[(u, v)] * lcd)
+        length = int(lengths[(u, v)] * lcd)
         end = _grow_path(u, [f"{u}~{v}~{j}" for j in range(1, length)], taken, nodes, edges)
         edges.append((end, v))
-    scaled = LeafRoot.build(Tree.build(nodes, edges), lcd, dict(root.placement))
-    if leaf_power_graph(scaled) != _threshold_graph(root.host, root.placement, 1, root.weights):
+    scaled = LeafRoot.build(Tree.build(nodes, edges), root.k * lcd, dict(root.placement))
+    if leaf_power_graph(scaled) != leaf_power_graph(root):
         raise RuntimeError("construction invalid: the scaled root represents another graph")
     return scaled
 
@@ -277,25 +236,34 @@ def _weight_from_json(obj: object, field: str) -> tuple[Edge, Fraction]:
     return Record(obj, field, "edge").get("edge", string_pair), _fraction_from_json(obj, field)
 
 
-def weighted_leafroot_to_json_obj(root: WeightedLeafRoot) -> dict:
+def weighted_leafroot_to_json_obj(root: LeafRoot) -> dict:
+    """The root with every length divided by k, so the threshold is 1, and its margin."""
+    lengths = root.lengths or dict.fromkeys(root.host.edges, 1)
     return {
         "host": tree_to_json_obj(root.host),
         "weights": [
-            {"edge": [u, v], **_fraction_to_json(w)}
-            for (u, v), w in sorted(root.weights.items())
+            {"edge": [u, v], **_fraction_to_json(Fraction(w) / root.k)}
+            for (u, v), w in sorted(lengths.items())
         ],
         "placement": dict(sorted(root.placement.items())),
-        "margin": None if root.margin is None else _fraction_to_json(root.margin),
+        "margin": _fraction_to_json(witness_margin(root)),
     }
 
 
-def weighted_leafroot_from_json_obj(obj: object, field: str = "") -> WeightedLeafRoot:
-    """Read a weighted leaf root; ValueError names the malformed field under ``field``."""
+def weighted_leafroot_from_json_obj(obj: object, field: str = "") -> LeafRoot:
+    """Read a root with threshold 1 and, if given, its ``witness_margin``.
+
+    ValueError names the malformed field under ``field``.
+    """
     rec = Record(obj, field, "host", "weights", "placement")
-    margin = rec.value.get("margin")
-    return WeightedLeafRoot.build(
-        rec.get("host", tree_from_json_obj),
-        _edge_weights(rec.get("weights", lambda value, f: items(value, f, _weight_from_json))),
-        rec.get("placement", string_map),
-        margin=None if margin is None else rec.get("margin", _fraction_from_json),
-    )
+    host = rec.get("host", tree_from_json_obj)
+    weights = rec.get("weights", lambda value, f: items(value, f, _weight_from_json))
+    root = LeafRoot.build(host, 1, rec.get("placement", string_map), _edge_lengths(weights))
+
+    def derived_margin(value: object, f: str) -> None:
+        if (margin := _fraction_from_json(value, f)) != (derived := witness_margin(root)):
+            raise ValueError(f"{f} is {margin}, but the weights give {derived}")
+
+    if rec.value.get("margin") is not None:
+        rec.get("margin", derived_margin)
+    return root

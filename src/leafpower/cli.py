@@ -22,6 +22,7 @@ from .certify import (
     certify_leaf_power,
     system_to_lp_text,
     weighted_leafroot_to_json_obj,
+    witness_margin,
 )
 from .graphs import graph_from_json_obj, graph_to_dot, graph_to_json_obj
 from .jsonio import dumps
@@ -168,8 +169,8 @@ def _cmd_certify(args: argparse.Namespace) -> Result:
     if args.format == "json":
         return dumps(weighted_leafroot_to_json_obj(witness)), 0
     system = build_feasibility_system(graph, witness.host, witness.placement)
-    lines = ["certified: weighted leaf root found", f"margin: {witness.margin}"]
-    lines += [f"weight {u} -- {v}: {w}" for (u, v), w in sorted(witness.weights.items())]
+    lines = ["certified: weighted leaf root found", f"margin: {witness_margin(witness)}"]
+    lines += [f"weight {u} -- {v}: {w}" for (u, v), w in sorted(witness.lengths.items())]
     lines += [f"place {vertex} at {leaf}" for vertex, leaf in sorted(witness.placement.items())]
     return "\n".join(lines) + "\n\n" + system_to_lp_text(system), 0
 

@@ -9,9 +9,12 @@ distance k.  The smallest workable k is the graph's leaf rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable
 
+from . import exactlp
 from .enumtrees import leaf_orbit_representatives, trees_with_leaf_count
-from .graphs import Graph, dot_graph, dot_quote, is_chordal
+from .graphs import Edge, Graph, dot_graph, dot_quote, is_chordal, normalize_edge
 from .jsonio import Record, integer, string_map
 from .models import RSModel, rs_model_violations
 from .trees import (
@@ -25,18 +28,47 @@ from .trees import (
 
 @dataclass(frozen=True)
 class LeafRoot:
-    """A host tree, a distance threshold k, and a vertex-to-leaf bijection."""
+    """A host tree, a distance threshold k, and a vertex-to-leaf bijection.
+
+    ``lengths`` is None for unit edges; otherwise it holds an exact positive
+    int or Fraction length per host edge, keyed by normalized edge.
+    """
 
     host: Tree
     k: int
     placement: dict[str, str]
+    lengths: dict[Edge, int | Fraction] | None = None
 
     @staticmethod
-    def build(host: Tree, k: int, placement: dict[str, str]) -> "LeafRoot":
+    def build(host: Tree, k: int, placement: dict[str, str], lengths=None) -> "LeafRoot":
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise ValueError("k must be a positive integer")
+        if lengths is not None:
+            lengths = _edge_lengths(lengths.items())
+            if set(lengths) != set(host.edges):
+                raise ValueError("weights must cover exactly the host edges")
+            for e, w in lengths.items():
+                exactlp._check_number(w, f"weight of edge {e}")
+                if w <= 0:
+                    raise ValueError(f"weight of edge {e} must be positive")
         _check_placement(host, placement)
-        return LeafRoot(host=host, k=k, placement=dict(placement))
+        return LeafRoot(host=host, k=k, placement=dict(placement), lengths=lengths)
+
+
+def _edge_lengths(pairs: Iterable[tuple[Edge, int | Fraction]]) -> dict[Edge, int | Fraction]:
+    """Lengths keyed by normalized edge; an edge given twice, in either orientation, is refused."""
+    out: dict[Edge, int | Fraction] = {}
+    for (u, v), w in pairs:
+        if (e := normalize_edge(u, v)) in out:
+            raise ValueError(f"edge {e} is listed twice")
+        out[e] = w
+    return out
+
+
+def _check_unit(root: LeafRoot) -> None:
+    """Unit-edge consumers refuse a root with edge lengths rather than misread it."""
+    if root.lengths is not None:
+        raise ValueError("root has edge lengths; scale_to_integer_leafroot removes them")
 
 
 def _check_placement(host: Tree, placement: dict[str, str]) -> None:
@@ -79,18 +111,13 @@ def verify_leaf_root(graph: Graph, root: LeafRoot) -> bool:
 
 def leaf_power_graph(root: LeafRoot) -> Graph:
     """The graph this leaf root represents: vertices adjacent iff leaves within k."""
-    return _threshold_graph(root.host, root.placement, root.k)
-
-
-def _threshold_graph(host: Tree, placement: dict[str, str], k: int, lengths=None) -> Graph:
-    """Vertices adjacent iff their leaves are within k, by edge count or by ``lengths``."""
-    vertices = sorted(placement)
-    dist = pairwise_distances(host, placement.values(), lengths)
+    placement, vertices = root.placement, sorted(root.placement)
+    dist = pairwise_distances(root.host, placement.values(), root.lengths)
     edges = []
     for i, u in enumerate(vertices):
         row = dist[placement[u]]
         for v in vertices[i + 1 :]:
-            if row[placement[v]] <= k:
+            if row[placement[v]] <= root.k:
                 edges.append((u, v))
     return Graph.build(vertices, edges)
 
@@ -104,6 +131,7 @@ def leafroot_to_rs(root: LeafRoot) -> RSModel:
     d <= k: the model represents the same graph, with max radius k.  The model
     is re-checked against the root's graph; a failure raises RuntimeError.
     """
+    _check_unit(root)
     graph = leaf_power_graph(root)
     taken = set(root.host.nodes)
     nodes = list(root.host.nodes)
@@ -265,6 +293,7 @@ def _best_k_on_host(
 
 
 def leafroot_to_json_obj(root: LeafRoot) -> dict:
+    _check_unit(root)
     return {
         "tree": tree_to_json_obj(root.host),
         "k": root.k,
@@ -283,6 +312,7 @@ def leafroot_from_json_obj(obj: object, field: str = "") -> LeafRoot:
 
 
 def leafroot_to_dot(root: LeafRoot, *, name: str = "R") -> str:
+    _check_unit(root)
     by_leaf = {leaf: v for v, leaf in root.placement.items()}
     lines = [f'  label="k = {root.k}";']
     for x in root.host.nodes:

@@ -13,7 +13,6 @@ from fractions import Fraction
 from leafpower import (
     Graph,
     LeafRoot,
-    WeightedLeafRoot,
     brute_force_leaf_rank,
     build_exponential_rs_model,
     build_rdp_model,
@@ -30,6 +29,7 @@ from leafpower import (
     leafroot_to_rs,
     lower_bound_certificate,
     maximal_cliques,
+    pairwise_distances,
     rs_to_leafroot,
     scale_to_integer_leafroot,
     solve_feasibility,
@@ -38,8 +38,7 @@ from leafpower import (
     verify_leaf_root,
     verify_rs_model,
     verify_subtree_model,
-    verify_weighted_leafroot,
-    weighted_distance,
+    witness_margin,
     RDP_ROOT,
 )
 
@@ -171,7 +170,7 @@ def test_criterion_6_brute_force_agrees_with_certificates_under_5min(
             g.vertices, g.edges,
         )
         if witness is not None:
-            assert verify_weighted_leafroot(g, witness)
+            assert verify_leaf_root(g, witness)
             scaled = scale_to_integer_leafroot(witness)
             assert verify_leaf_root(g, scaled)
             assert rank <= scaled.k
@@ -193,12 +192,12 @@ def test_criterion_7_exact_lp_certificates_and_scaling_under_2min():
     # Exact margins on the canonical feasible cases.
     p3 = path_graph(["a", "b", "c"])
     witness = certify_leaf_power(p3, 2)
-    assert witness is not None and witness.margin == Fraction(1, 3)
+    assert witness is not None and witness_margin(witness) == Fraction(1, 3)
     for n in (2, 3, 4, 5):
         g = complete_graph([f"v{i}" for i in range(n)])
         w = certify_leaf_power(g, 1)
         assert w is not None
-        assert w.margin >= Fraction(1, 2)
+        assert witness_margin(w) >= Fraction(1, 2)
 
     # Short cycles admit no certificate on any topology within the bound:
     # the solver reports margin zero or outright infeasibility every time.
@@ -217,7 +216,7 @@ def test_criterion_7_exact_lp_certificates_and_scaling_under_2min():
                 )
                 assert not result.feasible
 
-    # Fifty random strict witnesses scale to verifying integer roots.
+    # Fifty random roots with exact lengths scale to verifying unit-edge roots.
     rng = random.Random(777)
     denominators = (1, 2, 3, 4, 6, 12)
     done = 0
@@ -231,18 +230,14 @@ def test_criterion_7_exact_lp_certificates_and_scaling_under_2min():
         }
         names = [f"g{i}" for i in range(len(leaves))]
         placement = dict(zip(names, leaves))
-        bare = WeightedLeafRoot.build(host, weights, placement)
-        pair_dist = {
-            (u, v): weighted_distance(bare, placement[u], placement[v])
-            for u, v in itertools.combinations(names, 2)
-        }
+        strict = LeafRoot.build(host, 1, placement, weights)
+        dist = pairwise_distances(host, leaves, weights)
         graph = Graph.build(
-            names, [p for p, d in pair_dist.items() if d <= 1]
+            names,
+            [(u, v) for u, v in itertools.combinations(names, 2)
+             if dist[placement[u]][placement[v]] <= 1],
         )
-        separations = [d - 1 for d in pair_dist.values() if d > 1]
-        margin = min([Fraction(1), min(weights.values()), *separations])
-        strict = WeightedLeafRoot.build(host, weights, placement, margin)
-        assert verify_weighted_leafroot(graph, strict)
+        assert verify_leaf_root(graph, strict)
         scaled = scale_to_integer_leafroot(strict)
         assert scaled.k <= 12
         assert verify_leaf_root(graph, scaled)

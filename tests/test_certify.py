@@ -1,4 +1,4 @@
-"""Tests for weighted leaf roots and the exact LP leaf-power certificate."""
+"""Tests for leaf roots with exact lengths and the exact LP leaf-power certificate."""
 from __future__ import annotations
 
 import dataclasses
@@ -13,24 +13,27 @@ import pytest
 
 from leafpower import (
     Graph,
+    LeafRoot,
     Tree,
-    WeightedLeafRoot,
     build_feasibility_system,
     certify_leaf_power,
     distance,
     dumps,
     leaf_power_graph,
+    leafroot_to_dot,
+    leafroot_to_json_obj,
+    leafroot_to_rs,
     normalize_edge,
+    pairwise_distances,
     scale_to_integer_leafroot,
     solve_feasibility,
     system_to_lp_text,
     topology_trees,
     tree_path,
     verify_leaf_root,
-    verify_weighted_leafroot,
-    weighted_distance,
     weighted_leafroot_from_json_obj,
     weighted_leafroot_to_json_obj,
+    witness_margin,
 )
 import leafpower.certify as certify_module
 import leafpower.exactlp as exactlp_module
@@ -72,14 +75,14 @@ def witness_satisfies_system(
     return True
 
 
-def path_sum_distance(root: WeightedLeafRoot, x: str, y: str) -> Fraction:
-    """The weighted distance by climbing one host path and summing its weights."""
+def path_sum_distance(root: LeafRoot, x: str, y: str) -> Fraction:
+    """The distance by climbing one host path and summing its lengths."""
     path = tree_path(root.host, x, y)
-    return sum((root.weights[normalize_edge(p, q)] for p, q in zip(path, path[1:])), Fraction(0))
+    return sum((root.lengths[normalize_edge(p, q)] for p, q in zip(path, path[1:])), Fraction(0))
 
 
-def path_sum_verify(graph: Graph, root: WeightedLeafRoot) -> bool:
-    """The weighted-root check by one path sum per pair: adjacent exactly when at most 1."""
+def path_sum_verify(graph: Graph, root: LeafRoot) -> bool:
+    """The threshold-1 check by one path sum per pair: adjacent exactly when at most 1."""
     where = root.placement
     return all(
         graph.adjacent(u, v) == (path_sum_distance(root, where[u], where[v]) <= 1)
@@ -88,24 +91,21 @@ def path_sum_verify(graph: Graph, root: WeightedLeafRoot) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Weighted leaf roots
+# Leaf roots with exact lengths
 # ---------------------------------------------------------------------------
 
 class TestWeightedLeafRoot:
     def test_edge_keys_are_normalized(self):
-        w = WeightedLeafRoot.build(
-            STAR_HOST,
+        w = LeafRoot.build(
+            STAR_HOST, 1, P3_PLACEMENT,
             {("la", "i"): Fraction(1), ("i", "lb"): Fraction(1),
              ("i", "lc"): Fraction(1)},
-            P3_PLACEMENT,
         )
-        assert sorted(w.weights) == [("i", "la"), ("i", "lb"), ("i", "lc")]
+        assert sorted(w.lengths) == [("i", "la"), ("i", "lb"), ("i", "lc")]
 
     def test_weights_must_cover_host_edges(self):
         with pytest.raises(ValueError, match="cover exactly the host edges"):
-            WeightedLeafRoot.build(
-                STAR_HOST, {("i", "la"): Fraction(1)}, P3_PLACEMENT
-            )
+            LeafRoot.build(STAR_HOST, 1, P3_PLACEMENT, {("i", "la"): Fraction(1)})
 
     @pytest.mark.parametrize("first, second", [("i", "la"), ("la", "i")])
     def test_edge_listed_twice_is_refused(self, first, second):
@@ -113,19 +113,17 @@ class TestWeightedLeafRoot:
         weights = {(first, second): Fraction(1), (second, first): Fraction(1, 3),
                    ("i", "lb"): Fraction(1), ("i", "lc"): Fraction(1)}
         with pytest.raises(ValueError, match=r"^edge \('i', 'la'\) is listed twice$"):
-            WeightedLeafRoot.build(STAR_HOST, weights, P3_PLACEMENT)
+            LeafRoot.build(STAR_HOST, 1, P3_PLACEMENT, weights)
 
     def test_weights_must_be_positive(self):
         weights = dict(DEMO_WEIGHTS)
         weights[("i", "la")] = Fraction(0)
         with pytest.raises(ValueError, match="must be positive"):
-            WeightedLeafRoot.build(STAR_HOST, weights, P3_PLACEMENT)
+            LeafRoot.build(STAR_HOST, 1, P3_PLACEMENT, weights)
 
     def test_placement_must_biject_onto_leaves(self):
         with pytest.raises(ValueError, match="placement must be injective"):
-            WeightedLeafRoot.build(
-                STAR_HOST, DEMO_WEIGHTS, {"a": "la", "b": "lb", "c": "la"}
-            )
+            LeafRoot.build(STAR_HOST, 1, {"a": "la", "b": "lb", "c": "la"}, DEMO_WEIGHTS)
 
     @pytest.mark.parametrize("value", [0.1, True, "1/3", Decimal("0.1"), None])
     def test_weights_must_be_exact_numbers(self, value):
@@ -133,32 +131,35 @@ class TestWeightedLeafRoot:
         with pytest.raises(
             ValueError, match=r"^weight of edge \('i', 'lb'\): .* is not an int or a Fraction$"
         ):
-            WeightedLeafRoot.build(STAR_HOST, weights, P3_PLACEMENT)
+            LeafRoot.build(STAR_HOST, 1, P3_PLACEMENT, weights)
 
-    @pytest.mark.parametrize("value", [0.1, True, "1/3", Decimal("0.1")])
-    def test_margin_must_be_an_exact_number(self, value):
-        with pytest.raises(ValueError, match=r"^margin: .* is not an int or a Fraction$"):
-            WeightedLeafRoot.build(STAR_HOST, DEMO_WEIGHTS, P3_PLACEMENT, value)
+    def test_unit_root_has_no_lengths(self):
+        assert LeafRoot.build(STAR_HOST, 2, P3_PLACEMENT).lengths is None
 
     def test_weighted_distance_sums_path_weights(self):
-        w = WeightedLeafRoot.build(
-            STAR_HOST, DEMO_WEIGHTS, P3_PLACEMENT, Fraction(1, 5)
-        )
-        assert weighted_distance(w, "la", "lb") == Fraction(1)
-        assert weighted_distance(w, "la", "lc") == Fraction(6, 5)
-        assert weighted_distance(w, "i", "i") == Fraction(0)
+        w = LeafRoot.build(STAR_HOST, 1, P3_PLACEMENT, DEMO_WEIGHTS)
+        dist = pairwise_distances(w.host, ("la", "lb", "lc", "i"), w.lengths)
+        assert dist["la"]["lb"] == Fraction(1)
+        assert dist["la"]["lc"] == Fraction(6, 5)
+        assert dist["i"]["i"] == Fraction(0)
 
     def test_verify_respects_unit_threshold(self):
-        good = WeightedLeafRoot.build(STAR_HOST, DEMO_WEIGHTS, P3_PLACEMENT)
-        assert verify_weighted_leafroot(P3, good)
-        # Shrinking every weight pulls the separated pair inside the
+        good = LeafRoot.build(STAR_HOST, 1, P3_PLACEMENT, DEMO_WEIGHTS)
+        assert verify_leaf_root(P3, good)
+        # Shrinking every length pulls the separated pair inside the
         # threshold, so verification must fail.
-        shrunk = WeightedLeafRoot.build(
-            STAR_HOST,
-            {e: Fraction(1, 4) for e in DEMO_WEIGHTS},
-            P3_PLACEMENT,
+        shrunk = LeafRoot.build(
+            STAR_HOST, 1, P3_PLACEMENT, {e: Fraction(1, 4) for e in DEMO_WEIGHTS}
         )
-        assert not verify_weighted_leafroot(P3, shrunk)
+        assert not verify_leaf_root(P3, shrunk)
+
+    def test_verify_reads_lengths_against_k(self):
+        # Doubling every length and the threshold keeps the graph.
+        doubled = LeafRoot.build(
+            STAR_HOST, 2, P3_PLACEMENT, {e: 2 * w for e, w in DEMO_WEIGHTS.items()}
+        )
+        assert verify_leaf_root(P3, doubled)
+        assert leaf_power_graph(doubled) == P3
 
     def test_verify_agrees_with_path_sums_on_random_roots(self):
         # Weights from a few fractions that sum to exactly 1 in many ways, so
@@ -171,18 +172,19 @@ class TestWeightedLeafRoot:
             host = rng.choice(list(topology_trees(rng.randint(2, 6), 3)))
             weights = {e: rng.choice(weights_from) for e in host.edges}
             names = [f"g{i}" for i in range(len(host.leaves()))]
-            root = WeightedLeafRoot.build(host, weights, dict(zip(names, host.leaves())))
+            root = LeafRoot.build(host, 1, dict(zip(names, host.leaves())), weights)
             pairs = list(itertools.combinations(names, 2))
             where = root.placement
             dist = {(u, v): path_sum_distance(root, where[u], where[v]) for u, v in pairs}
-            assert dist == {(u, v): weighted_distance(root, where[u], where[v]) for u, v in pairs}
+            table = pairwise_distances(root.host, where.values(), root.lengths)
+            assert dist == {(u, v): table[where[u]][where[v]] for u, v in pairs}
             at_one += sum(d == 1 for d in dist.values())
             edges = {p for p, d in dist.items() if d <= 1}
             graph = Graph.build(names, edges)
-            assert verify_weighted_leafroot(graph, root) and path_sum_verify(graph, root)
+            assert verify_leaf_root(graph, root) and path_sum_verify(graph, root)
             for flipped in pairs:
                 other = Graph.build(names, edges ^ {flipped})
-                assert not verify_weighted_leafroot(other, root)
+                assert not verify_leaf_root(other, root)
                 assert not path_sum_verify(other, root)
         assert at_one > 20
 
@@ -305,26 +307,27 @@ class TestCertifyLeafPower:
     def test_path_is_certified(self):
         res = certify_leaf_power(P3, 2)
         assert res is not None
-        assert res.margin == Fraction(1, 3)
-        assert verify_weighted_leafroot(P3, res)
+        assert res.k == 1
+        assert witness_margin(res) == Fraction(1, 3)
+        assert verify_leaf_root(P3, res)
 
     def test_complete_graphs_certified_with_half_weights(self):
         for n in (3, 4, 5):
             g = complete_graph([f"v{i}" for i in range(n)])
             res = certify_leaf_power(g, 1)
             assert res is not None
-            assert res.margin == Fraction(1, 2)
-            assert set(res.weights.values()) == {Fraction(1, 2)}
+            assert witness_margin(res) == Fraction(1, 2)
+            assert set(res.lengths.values()) == {Fraction(1, 2)}
 
     def test_single_edge_certified_with_margin_one(self):
         res = certify_leaf_power(path_graph(["a", "b"]), 1)
         assert res is not None
-        assert res.margin == Fraction(1)
+        assert witness_margin(res) == Fraction(1)
 
     def test_two_isolated_vertices_certified(self):
         res = certify_leaf_power(Graph.build(["a", "b"], []), 1)
         assert res is not None
-        assert verify_weighted_leafroot(Graph.build(["a", "b"], []), res)
+        assert verify_leaf_root(Graph.build(["a", "b"], []), res)
 
     def test_cycles_are_never_certified(self):
         assert certify_leaf_power(cycle_graph(["a", "b", "c", "d"]), 3) is None
@@ -342,6 +345,21 @@ class TestCertifyLeafPower:
         with pytest.raises(RuntimeError, match="certificate invalid"):
             certify_leaf_power(P3, 2)
 
+    def test_witness_margin_is_the_lp_optimum(self, small_atlas_graphs):
+        # The margin is no longer stored: on every certified graph with at
+        # most five vertices, the one derived from the lengths must be the
+        # optimal delta of the LP that produced them.
+        certified = 0
+        for g in small_atlas_graphs:
+            root = certify_leaf_power(g, 3)
+            if root is None:
+                continue
+            result = solve_feasibility(build_feasibility_system(g, root.host, root.placement))
+            assert result.weights == root.lengths
+            assert result.delta == witness_margin(root), (g.vertices, g.edges)
+            certified += 1
+        assert certified == 44
+
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="max_internal must be at least 1"):
             certify_leaf_power(P3, 0)
@@ -350,14 +368,12 @@ class TestCertifyLeafPower:
 
 
 # ---------------------------------------------------------------------------
-# Scaling a strict witness to an integer leaf root
+# Scaling a root with exact lengths to a unit-edge leaf root
 # ---------------------------------------------------------------------------
 
 class TestScaleToInteger:
     def test_demo_witness_scales_to_k_five(self):
-        w = WeightedLeafRoot.build(
-            STAR_HOST, DEMO_WEIGHTS, P3_PLACEMENT, Fraction(1, 5)
-        )
+        w = LeafRoot.build(STAR_HOST, 1, P3_PLACEMENT, DEMO_WEIGHTS)
         root = scale_to_integer_leafroot(w)
         assert root.k == 5
         assert verify_leaf_root(P3, root)
@@ -370,21 +386,27 @@ class TestScaleToInteger:
         assert root.k == 3
         assert verify_leaf_root(P3, root)
 
+    def test_threshold_scales_with_the_lengths(self):
+        # Lengths 6/5, 4/5, 6/5 at k = 2: L = 5, so the scaled k is 10.
+        w = LeafRoot.build(STAR_HOST, 2, P3_PLACEMENT, {e: 2 * x for e, x in DEMO_WEIGHTS.items()})
+        root = scale_to_integer_leafroot(w)
+        assert root.k == 10 and root.lengths is None
+        assert verify_leaf_root(P3, root)
+
+    def test_unit_root_comes_back_unchanged(self):
+        unit = LeafRoot.build(STAR_HOST, 2, P3_PLACEMENT)
+        assert scale_to_integer_leafroot(unit) == unit
+
     def test_scaled_root_is_rechecked(self, monkeypatch):
-        w = WeightedLeafRoot.build(STAR_HOST, DEMO_WEIGHTS, P3_PLACEMENT, Fraction(1, 5))
+        w = LeafRoot.build(STAR_HOST, 1, P3_PLACEMENT, DEMO_WEIGHTS)
+        real = certify_module.leaf_power_graph
 
-        def edgeless(host, placement, threshold, lengths=None):
-            return Graph.build(sorted(placement), [])
+        def edgeless_when_scaled(root):
+            graph = real(root)
+            return graph if root.lengths is not None else Graph.build(graph.vertices, [])
 
-        monkeypatch.setattr(certify_module, "_threshold_graph", edgeless)
+        monkeypatch.setattr(certify_module, "leaf_power_graph", edgeless_when_scaled)
         with pytest.raises(RuntimeError, match="^construction invalid: "):
-            scale_to_integer_leafroot(w)
-
-    def test_margin_free_witness_rejected(self):
-        w = WeightedLeafRoot.build(
-            STAR_HOST, {e: Fraction(1) for e in DEMO_WEIGHTS}, P3_PLACEMENT
-        )
-        with pytest.raises(ValueError, match="witness not strictly feasible"):
             scale_to_integer_leafroot(w)
 
     def test_subdivision_names_avoid_host_names(self):
@@ -397,7 +419,7 @@ class TestScaleToInteger:
             ("i", "i~la~1"): Fraction(1, 4),
         }
         placement = {"a": "la", "b": "lb", "c": "i~la~1"}
-        w = WeightedLeafRoot.build(host, weights, placement, Fraction(1, 4))
+        w = LeafRoot.build(host, 1, placement, weights)
         root = scale_to_integer_leafroot(w)
         assert root.host.nodes == ("i", "la", "lb", "i~la~1", "_i~la~1")
         assert root.host.edges == (
@@ -424,17 +446,13 @@ class TestScaleToInteger:
             }
             names = [f"g{i}" for i in range(len(leaves))]
             placement = dict(zip(names, leaves))
-            bare = WeightedLeafRoot.build(host, weights, placement)
+            witness = LeafRoot.build(host, 1, placement, weights)
             pair_dist = {
-                (u, v): weighted_distance(bare, placement[u], placement[v])
+                (u, v): path_sum_distance(witness, placement[u], placement[v])
                 for u, v in itertools.combinations(names, 2)
             }
-            edges = [p for p, d in pair_dist.items() if d <= 1]
-            graph = Graph.build(names, edges)
-            separations = [d - 1 for d in pair_dist.values() if d > 1]
-            margin = min([Fraction(1), min(weights.values()), *separations])
-            witness = WeightedLeafRoot.build(host, weights, placement, margin)
-            assert verify_weighted_leafroot(graph, witness)
+            graph = Graph.build(names, [p for p, d in pair_dist.items() if d <= 1])
+            assert verify_leaf_root(graph, witness)
             root = scale_to_integer_leafroot(witness)
             assert root.k <= 12
             assert verify_leaf_root(graph, root)
@@ -457,9 +475,7 @@ class TestCertifySerialization:
         assert lines[-1] == "End"
 
     def test_weighted_leafroot_json_round_trip(self):
-        w = WeightedLeafRoot.build(
-            STAR_HOST, DEMO_WEIGHTS, P3_PLACEMENT, Fraction(1, 5)
-        )
+        w = LeafRoot.build(STAR_HOST, 1, P3_PLACEMENT, DEMO_WEIGHTS)
         text = dumps(weighted_leafroot_to_json_obj(w))
         assert weighted_leafroot_from_json_obj(json.loads(text)) == w
 
@@ -473,26 +489,52 @@ class TestCertifySerialization:
         ],
     )
     def test_malformed_witness_json_names_the_field(self, key, value, field):
-        w = WeightedLeafRoot.build(
-            STAR_HOST, DEMO_WEIGHTS, P3_PLACEMENT, Fraction(1, 5)
-        )
+        w = LeafRoot.build(STAR_HOST, 1, P3_PLACEMENT, DEMO_WEIGHTS)
         payload = {**weighted_leafroot_to_json_obj(w), key: value}
         with pytest.raises(ValueError, match=re.escape(field)):
             weighted_leafroot_from_json_obj(payload)
 
+    @pytest.mark.parametrize("margin", [5, -1])
+    def test_margin_other_than_the_derived_one_is_refused(self, margin):
+        payload = weighted_leafroot_to_json_obj(certify_leaf_power(P3, 2))
+        assert payload["margin"] == {"num": "1", "den": "3"}
+        payload["margin"] = {"num": str(margin), "den": "1"}
+        with pytest.raises(ValueError, match=rf"^margin is {margin}, but the weights give 1/3$"):
+            weighted_leafroot_from_json_obj(payload)
+
+    def test_margin_is_optional(self):
+        w = certify_leaf_power(P3, 2)
+        payload = weighted_leafroot_to_json_obj(w)
+        del payload["margin"]
+        assert weighted_leafroot_from_json_obj(payload) == w
+
+    def test_unit_root_is_written_at_threshold_one(self):
+        unit = LeafRoot.build(STAR_HOST, 2, P3_PLACEMENT)
+        read = weighted_leafroot_from_json_obj(weighted_leafroot_to_json_obj(unit))
+        assert read.k == 1 and set(read.lengths.values()) == {Fraction(1, 2)}
+        assert leaf_power_graph(read) == leaf_power_graph(unit)
+
     def test_edge_listed_twice_in_json_is_refused(self):
-        w = WeightedLeafRoot.build(STAR_HOST, DEMO_WEIGHTS, P3_PLACEMENT)
+        w = LeafRoot.build(STAR_HOST, 1, P3_PLACEMENT, DEMO_WEIGHTS)
         payload = weighted_leafroot_to_json_obj(w)
         payload["weights"].append({"edge": ["i", "la"], "num": "1", "den": "3"})
         with pytest.raises(ValueError, match=r"^edge \('i', 'la'\) is listed twice$"):
             weighted_leafroot_from_json_obj(payload)
 
     def test_fractions_serialized_as_num_den_strings(self):
-        w = WeightedLeafRoot.build(
-            STAR_HOST, DEMO_WEIGHTS, P3_PLACEMENT, Fraction(1, 5)
-        )
+        w = LeafRoot.build(STAR_HOST, 1, P3_PLACEMENT, DEMO_WEIGHTS)
         payload = json.loads(dumps(weighted_leafroot_to_json_obj(w)))
         assert payload["margin"] == {"num": "1", "den": "5"}
         weight_entries = {tuple(e["edge"]): e for e in payload["weights"]}
         assert weight_entries[("i", "la")]["num"] == "3"
         assert weight_entries[("i", "la")]["den"] == "5"
+
+
+@pytest.mark.parametrize("write", [leafroot_to_json_obj, leafroot_to_dot, leafroot_to_rs])
+def test_unit_edge_consumers_refuse_a_root_with_lengths(write):
+    # Written as a unit-edge root, the certified P3 witness would claim k = 1
+    # on unit edges, where every pair is 2 apart: a root of the edgeless graph.
+    witness = certify_leaf_power(P3, 2)
+    with pytest.raises(ValueError, match="scale_to_integer_leafroot"):
+        write(witness)
+    write(scale_to_integer_leafroot(witness))
