@@ -63,16 +63,16 @@ class _Refused(ValueError):
 
 
 def _read(path: str, parse: Callable[[object], T], what: str) -> T:
-    """The parsed JSON file; ValueError with a one-line message if it cannot be read."""
+    """The parsed UTF-8 JSON file; ValueError with a one-line message if it cannot be read."""
     try:
-        return parse(json.loads(Path(path).read_text()))
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
     except (OSError, ValueError, RecursionError) as exc:
         raise ValueError(f"cannot load {what}: {exc}") from None
 
 
 def _write(path: str, text: str) -> None:
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot write output: {exc}") from None
 

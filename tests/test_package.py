@@ -27,11 +27,11 @@ def test_all_names_resolve_and_none_is_a_module():
         assert not isinstance(getattr(leafpower, name), types.ModuleType), name
 
 
-def python(tmp_path, *argv: str) -> subprocess.CompletedProcess:
+def python(tmp_path, *argv: str, **env: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *argv],
-        capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 
@@ -65,6 +65,23 @@ def graph_files(tmp_path):
 def test_leafrank_runs_without_networkx(graph_files, argv, code, out):
     run = python(graph_files, "-c", WITHOUT_NETWORKX, *argv)
     assert (run.returncode, run.stdout, run.stderr) == (code, out, "")
+
+
+#: The C locale with locale coercion and UTF-8 mode off: a file opened without an
+#: encoding is read and written as ASCII.
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def test_files_are_utf8_in_an_ascii_locale(tmp_path):
+    graph = {"vertices": ["é", "b", "c"], "edges": [["é", "b"], ["b", "c"]]}
+    (tmp_path / "g.json").write_text(json.dumps(graph, ensure_ascii=False), encoding="utf-8")
+    cli = "import sys; from leafpower.cli import main; sys.exit(main(sys.argv[1:]))"
+    rank = python(tmp_path, "-c", cli, "leafrank", "--graph", "g.json", "--max-nodes", "8", **ASCII_LOCALE)
+    assert (rank.returncode, rank.stdout, rank.stderr) == (0, "3\n", "")
+    argv = ["certify", "--graph", "g.json", "--max-internal", "2", "--format", "text", "--out", "o.txt"]
+    certified = python(tmp_path, "-c", cli, *argv, **ASCII_LOCALE)
+    assert (certified.returncode, certified.stderr) == (0, "")
+    assert "place é at n1" in (tmp_path / "o.txt").read_text(encoding="utf-8").splitlines()
 
 
 def test_certify_runs_without_networkx(graph_files):
