@@ -26,7 +26,7 @@ class Tree:
         ns = tuple(nodes)
         if not ns:
             raise ValueError("a tree needs at least one node")
-        ns, es = _parse_vertices_and_edges(ns, edges, "node")
+        ns, es = _parse_vertices_and_edges(ns, edges, "node", repeats=False)
         if len(es) != len(ns) - 1:
             raise ValueError(f"a tree on {len(ns)} nodes needs {len(ns) - 1} edges, got {len(es)}")
         tree = Tree(nodes=ns, edges=es)
@@ -35,13 +35,16 @@ class Tree:
         return tree
 
     @cached_property
-    def _adjacency(self) -> Mapping[str, tuple[str, ...]]:
-        """Neighbours in ascending order: sorted edges list each (y, x) with y < x before (x, z)."""
+    def _adjacency(self) -> Mapping[str, list[str]]:
+        """Neighbours in ascending order: sorted edges list each (y, x) with y < x before (x, z).
+
+        The lists are never handed out: :meth:`neighbors` returns a tuple.
+        """
         adj: dict[str, list[str]] = {v: [] for v in self.nodes}
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return {v: tuple(nbrs) for v, nbrs in adj.items()}
+        return adj
 
     @cached_property
     def _parent(self) -> Mapping[str, str | None]:
@@ -50,10 +53,11 @@ class Tree:
         The root maps to None.  Every path question climbs this map, so a tree
         is searched once; ``build`` checks connectivity by its size.
         """
+        adj = self._adjacency
         parent: dict[str, str | None] = {self.nodes[0]: None}
         order = [self.nodes[0]]
         for x in order:
-            for y in self._adjacency[x]:
+            for y in adj[x]:
                 if y not in parent:
                     parent[y] = x
                     order.append(y)
@@ -64,14 +68,14 @@ class Tree:
         return len(self.nodes)
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        return self._adjacency[v]
+        return tuple(self._adjacency[v])
 
     def degree(self, v: str) -> int:
         return len(self._adjacency[v])
 
     def leaves(self) -> tuple[str, ...]:
         """All nodes of degree at most one, in node order (a lone node counts)."""
-        return tuple(v for v in self.nodes if len(self._adjacency[v]) <= 1)
+        return tuple([v for v, nbrs in self._adjacency.items() if len(nbrs) <= 1])
 
 
 def tree_path(tree: Tree, u: str, v: str) -> tuple[str, ...]:
@@ -102,7 +106,8 @@ def distances_from(tree: Tree, start: str, limit: int | None = None) -> dict[str
     With a ``limit`` the search stops there and the map holds only the nodes
     within that distance.
     """
-    if start not in tree._adjacency:
+    adj = tree._adjacency
+    if start not in adj:
         raise ValueError(f"node {start!r} is not in the tree")
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
@@ -113,7 +118,7 @@ def distances_from(tree: Tree, start: str, limit: int | None = None) -> dict[str
         d += 1
         nxt = []
         for x in frontier:
-            for y in tree.neighbors(x):
+            for y in adj[x]:
                 if y not in dist:
                     dist[y] = d
                     nxt.append(y)

@@ -71,6 +71,11 @@ BAD_TREES = [
     (["a", "b", "a"], [("a", "c")], "duplicate node 'a'"),
     (["a", "b"], [("a", "c")], "edge ('a', 'c') has an endpoint outside the node set"),
     (["a", "b"], [("a", "a")], "self-loop at 'a'"),
+    (["a", "b", "c"], [("a", "b"), ("b", "a"), ("b", "c")], "edge ('a', 'b') is listed twice"),
+    (["a", "b", "c"], [("a", "b"), ("a", "b"), ("b", "c")], "edge ('a', 'b') is listed twice"),
+    (["a", "b", "c", "d"], [("a", "b"), ("b", "a"), ("b", "c")], "edge ('a', 'b') is listed twice"),
+    (["a", "b", "c"], [("b", "c"), ("a", "b"), ("c", "b"), ("b", "a")], "edge ('b', 'c') is listed twice"),
+    (["a", "b", "c"], [("a", "b"), ("b", "a"), ("c", "c")], "self-loop at 'c'"),
     ([], [], "a tree needs at least one node"),
     ([], [("a", "b")], "a tree needs at least one node"),
     (["a", "b", "c"], [("a", "b")], "a tree on 3 nodes needs 2 edges, got 1"),
@@ -90,6 +95,66 @@ class TestTreeParserMessages:
         if not all(isinstance(v, str) for v in nodes):
             # The JSON reader stops a non-string before the tree is built.
             message = "tree.nodes[1] must be a string, got an integer"
+        path = tmp_path / "root.json"
+        tree = {"nodes": nodes, "edges": [list(e) for e in edges]}
+        path.write_text(json.dumps({"tree": tree, "k": 2, "placement": {}}))
+        assert main(["convert", "--from", "leafroot", "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"cannot load leaf root: {message}\n")
+
+
+def duplicate_node(nodes: list, edges: list) -> None:
+    nodes[50_000] = nodes[17]
+
+
+def unknown_endpoint(nodes: list, edges: list) -> None:
+    edges[70_000] = ("n70000", "zz")
+
+
+def self_loop(nodes: list, edges: list) -> None:
+    edges[70_000] = ("n70000", "n70000")
+
+
+def repeated_edge(nodes: list, edges: list) -> None:
+    edges[70_000] = edges[12][::-1]
+
+
+def one_edge_short(nodes: list, edges: list) -> None:
+    del edges[-1]
+
+
+def cycle_and_detached_node(nodes: list, edges: list) -> None:
+    edges[-1] = (nodes[0], nodes[-2])
+
+
+#: (damage to an 80 000-node path, the message it is refused with).  The whole-list
+#: checks find each fault; the per-item loop must still name the first bad item.
+LONG_PATH_DAMAGE = [
+    (duplicate_node, "duplicate node 'n00017'"),
+    (unknown_endpoint, "edge ('n70000', 'zz') has an endpoint outside the node set"),
+    (self_loop, "self-loop at 'n70000'"),
+    (repeated_edge, "edge ('n00012', 'n00013') is listed twice"),
+    (one_edge_short, "a tree on 80000 nodes needs 79999 edges, got 79998"),
+    (cycle_and_detached_node, "edges do not connect all nodes"),
+]
+
+
+def damaged_long_path(damage) -> tuple[list[str], list[tuple[str, str]]]:
+    nodes = [f"n{i:05d}" for i in range(80_000)]
+    edges = list(zip(nodes, nodes[1:]))
+    damage(nodes, edges)
+    return nodes, edges
+
+
+class TestLongTreeMessages:
+    @pytest.mark.parametrize("damage, message", LONG_PATH_DAMAGE)
+    def test_build_names_the_fault(self, damage, message):
+        with pytest.raises(ValueError) as caught:
+            Tree.build(*damaged_long_path(damage))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("damage, message", LONG_PATH_DAMAGE)
+    def test_convert_prints_the_message(self, capsys, tmp_path, damage, message):
+        nodes, edges = damaged_long_path(damage)
         path = tmp_path / "root.json"
         tree = {"nodes": nodes, "edges": [list(e) for e in edges]}
         path.write_text(json.dumps({"tree": tree, "k": 2, "placement": {}}))
