@@ -71,15 +71,15 @@ BAD_TREES = [
     (["a", "b", "a"], [("a", "c")], "duplicate node 'a'"),
     (["a", "b"], [("a", "c")], "edge ('a', 'c') has an endpoint outside the node set"),
     (["a", "b"], [("a", "a")], "self-loop at 'a'"),
+    ([], [], "a tree needs at least one node"),
+    ([], [("a", "b")], "a tree needs at least one node"),
+    (["a", "b", "c"], [("a", "b")], "a tree on 3 nodes needs 2 edges, got 1"),
+    (["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "a")], "edges do not connect all nodes"),
     (["a", "b", "c"], [("a", "b"), ("b", "a"), ("b", "c")], "edge ('a', 'b') is listed twice"),
     (["a", "b", "c"], [("a", "b"), ("a", "b"), ("b", "c")], "edge ('a', 'b') is listed twice"),
     (["a", "b", "c", "d"], [("a", "b"), ("b", "a"), ("b", "c")], "edge ('a', 'b') is listed twice"),
     (["a", "b", "c"], [("b", "c"), ("a", "b"), ("c", "b"), ("b", "a")], "edge ('b', 'c') is listed twice"),
     (["a", "b", "c"], [("a", "b"), ("b", "a"), ("c", "c")], "self-loop at 'c'"),
-    ([], [], "a tree needs at least one node"),
-    ([], [("a", "b")], "a tree needs at least one node"),
-    (["a", "b", "c"], [("a", "b")], "a tree on 3 nodes needs 2 edges, got 1"),
-    (["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "a")], "edges do not connect all nodes"),
 ]
 
 
