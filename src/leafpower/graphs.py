@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat, starmap
-from operator import eq, itemgetter
 from typing import Iterable, Mapping
 
 from .jsonio import Record, string_pairs, strings
@@ -25,52 +23,13 @@ def normalize_edge(u: str, v: str) -> Edge:
 
 
 def _parse_vertices_and_edges(
-    vertices: Iterable[str], edges: Iterable[tuple[str, str]], noun: str, *, repeats: bool = True
+    vertices: Iterable[str], edges: Iterable[tuple[str, str]], noun: str
 ) -> tuple[tuple[str, ...], tuple[Edge, ...]]:
     """Checked string vertices and their edges, sorted; the messages call a vertex ``noun``.
 
-    An edge listed twice, in either orientation, is kept once, or refused if not
-    ``repeats``.  Each check is one pass over the whole input; only when one fails do
-    the per-item loops run, to name the first bad item.  The edges are sorted as a
-    list, which is linear on the sorted or nearly sorted edges of the trees the
-    package writes.
+    An edge listed twice, in either orientation, is kept once.
     """
     vs = tuple(vertices)
-    seen = set(vs) if all(map(isinstance, vs, repeat(str))) else set()
-    if len(seen) != len(vs):
-        seen = _checked_vertices(vs, noun)
-    es = list(edges)
-    pairs = _normalized_edges(es, seen)
-    if pairs is None:
-        pairs = _checked_edges(es, seen, noun)
-    if len(set(pairs)) != len(pairs):
-        if not repeats:
-            once: set[Edge] = set()
-            for e in pairs:
-                if e in once:
-                    raise ValueError(f"edge {e} is listed twice")
-                once.add(e)
-        pairs = list(dict.fromkeys(pairs))
-    pairs.sort()
-    return vs, tuple(pairs)
-
-
-def _normalized_edges(es: list, seen: set[str]) -> list[Edge] | None:
-    """The edges as normalized pairs if all endpoints are in ``seen`` and none is a loop, else None."""
-    try:
-        pairs = [(u, v) if u < v else (v, u) for u, v in es]
-        ok = (
-            seen.issuperset(map(itemgetter(0), pairs))
-            and seen.issuperset(map(itemgetter(1), pairs))
-            and not any(starmap(eq, pairs))
-        )
-    except (TypeError, ValueError):
-        return None
-    return pairs if ok else None
-
-
-def _checked_vertices(vs: tuple, noun: str) -> set[str]:
-    """The vertices as a set, read one by one: the first non-string or repeat raises."""
     seen = set()
     for v in vs:
         if not isinstance(v, str):
@@ -78,17 +37,14 @@ def _checked_vertices(vs: tuple, noun: str) -> set[str]:
         if v in seen:
             raise ValueError(f"duplicate {noun} {v!r}")
         seen.add(v)
-    return seen
-
-
-def _checked_edges(es: list, seen: set[str], noun: str) -> list[Edge]:
-    """The edges as normalized pairs, read one by one: the first bad endpoint or loop raises."""
-    pairs = []
-    for u, v in es:
+    # A dict keeps the listed order, so the sort is linear on the sorted or
+    # nearly sorted edges of the trees the package writes; a set's is not.
+    es: dict[Edge, None] = {}
+    for u, v in edges:
         if u not in seen or v not in seen:
             raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the {noun} set")
-        pairs.append(normalize_edge(u, v))
-    return pairs
+        es[normalize_edge(u, v)] = None
+    return vs, tuple(sorted(es))
 
 
 @dataclass(frozen=True)

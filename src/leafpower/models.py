@@ -108,7 +108,7 @@ class RSModel:
 
 def cover(model: SubtreeModel, node: str) -> frozenset[str]:
     """All graph vertices whose assigned subtree contains the host node."""
-    if node not in model.host._adjacency:
+    if node not in model.host:
         raise ValueError(f"node {node!r} is not in the host tree")
     return frozenset(v for v, nodes in model.assignment.items() if node in nodes)
 

@@ -8,9 +8,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import starmap
 from typing import Iterable, Mapping
 
-from .graphs import Edge, _parse_vertices_and_edges, dot_graph, dot_quote
+from .graphs import Edge, _parse_vertices_and_edges, dot_graph, dot_quote, normalize_edge
 from .jsonio import Record, string_pairs, strings
 
 
@@ -26,7 +27,14 @@ class Tree:
         ns = tuple(nodes)
         if not ns:
             raise ValueError("a tree needs at least one node")
-        ns, es = _parse_vertices_and_edges(ns, edges, "node", repeats=False)
+        listed = list(edges)
+        ns, es = _parse_vertices_and_edges(ns, listed, "node")
+        if len(es) != len(listed):
+            once: set[Edge] = set()
+            for e in starmap(normalize_edge, listed):
+                if e in once:
+                    raise ValueError(f"edge {e} is listed twice")
+                once.add(e)
         if len(es) != len(ns) - 1:
             raise ValueError(f"a tree on {len(ns)} nodes needs {len(ns) - 1} edges, got {len(es)}")
         tree = Tree(nodes=ns, edges=es)
@@ -38,7 +46,7 @@ class Tree:
     def _adjacency(self) -> Mapping[str, list[str]]:
         """Neighbours in ascending order: sorted edges list each (y, x) with y < x before (x, z).
 
-        The lists are never handed out: :meth:`neighbors` returns a tuple.
+        The lists stay inside this module: :meth:`neighbors` returns a tuple.
         """
         adj: dict[str, list[str]] = {v: [] for v in self.nodes}
         for u, v in self.edges:
@@ -66,6 +74,9 @@ class Tree:
     @property
     def n(self) -> int:
         return len(self.nodes)
+
+    def __contains__(self, v: object) -> bool:
+        return v in self._adjacency
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         return tuple(self._adjacency[v])

@@ -6,13 +6,10 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 
 from leafpower import (
     Graph,
-    build_exponential_rs_model,
-    build_rn,
     components,
     dumps,
     graph_from_json_obj,
@@ -22,17 +19,10 @@ from leafpower import (
     is_chordal,
     is_cluster_graph,
     is_separator,
-    leafroot_from_json_obj,
-    leafroot_to_json_obj,
     maximal_cliques,
     normalize_edge,
     perfect_elimination_ordering,
-    rs_model_from_json_obj,
-    rs_model_to_json_obj,
-    rs_to_leafroot,
 )
-from leafpower import graphs
-from leafpower.graphs import _parse_vertices_and_edges
 
 from conftest import (
     complete_graph,
@@ -179,122 +169,6 @@ class TestGraphBuild:
         assert g.neighbors("b") == frozenset({"a", "c"})
         assert g.degree("a") == 1
         assert g.n == 3
-
-
-# ---------------------------------------------------------------------------
-# The shared parser: the whole-list checks agree with the per-item loop
-# ---------------------------------------------------------------------------
-
-def reference_parse(vertices, edges, noun, *, repeats=True):
-    """The per-item parser that the whole-list checks stand in for.
-
-    A repeated edge is kept once, or refused after every other edge check if
-    not ``repeats``, naming the first repeat in list order.
-    """
-    vs = tuple(vertices)
-    seen = set()
-    for v in vs:
-        if not isinstance(v, str):
-            raise ValueError(f"{noun} {v!r} is not a string")
-        if v in seen:
-            raise ValueError(f"duplicate {noun} {v!r}")
-        seen.add(v)
-    es = set()
-    listed = []
-    for u, v in edges:
-        if u not in seen or v not in seen:
-            raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the {noun} set")
-        e = normalize_edge(u, v)
-        es.add(e)
-        listed.append(e)
-    if not repeats and len(es) != len(listed):
-        first = next(e for i, e in enumerate(listed) if e in listed[:i])
-        raise ValueError(f"edge {first} is listed twice")
-    return vs, tuple(sorted(es))
-
-
-def parse_outcome(parse, vertices, edges, noun, repeats) -> tuple:
-    """What ``parse`` returns with the exact type of every name, or the type and message it raises."""
-    try:
-        vs, es = parse(vertices, edges, noun, repeats=repeats)
-    except Exception as exc:  # the exception is what is compared
-        return type(exc), str(exc)
-    return vs, es, [type(v) for v in vs], [tuple(map(type, e)) for e in es]
-
-
-class Name(str):
-    """A ``str`` subclass: a valid name, as the parser checks with isinstance."""
-
-
-NAME = st.one_of(st.sampled_from("abcd"), st.sampled_from("abc").map(Name))
-#: Names that no vertex list holds, sorting before and after every listed name.
-UNLISTED = st.sampled_from(["0", "e"])
-JUNK_NAME = st.one_of(UNLISTED, st.integers(0, 2), st.none(), st.lists(st.integers(0, 1), max_size=1))
-VERTEX_LISTS = st.one_of(
-    st.permutations("abcd"),
-    st.lists(NAME, unique=True),
-    st.lists(st.one_of(NAME, JUNK_NAME), max_size=6),
-)
-JUNK_EDGE = st.one_of(
-    st.tuples(NAME, UNLISTED).flatmap(st.permutations),
-    st.tuples(NAME, st.one_of(NAME, JUNK_NAME)),
-    st.lists(st.one_of(NAME, JUNK_NAME), min_size=1, max_size=3),
-    st.sampled_from(["ab", "ba", "aa", "a", "abc"]),
-    JUNK_NAME,
-)
-
-
-@st.composite
-def edge_lists(draw, vertices: list) -> list:
-    """Edges between distinct listed names, each a name or its subclass, mirrored or
-    repeated at times, and at times one junk edge among them."""
-    names = sorted({v for v in vertices if isinstance(v, str)}) or ["a", "b"]
-    end = st.sampled_from(names).flatmap(lambda v: st.sampled_from([v, Name(v)]))
-    edge = st.tuples(end, end).filter(lambda e: e[0] != e[1] or len(names) == 1)
-    edges = draw(st.lists(edge, max_size=7))
-    junk = draw(st.lists(JUNK_EDGE, max_size=1))
-    at = draw(st.integers(0, len(edges)))
-    return edges[:at] + junk + edges[at:]
-
-
-CONTAINERS = st.sampled_from([list, tuple, lambda items: (item for item in items)])
-
-
-@settings(max_examples=300)
-@given(
-    VERTEX_LISTS.flatmap(lambda vs: st.tuples(st.just(vs), edge_lists(vs))),
-    CONTAINERS,
-    CONTAINERS,
-    st.sampled_from(["vertex", "node"]),
-    st.booleans(),
-)
-def test_parser_agrees_with_the_per_item_loop(graph, vertex_box, edge_box, noun, repeats):
-    vertices, edges = graph
-    expected = parse_outcome(reference_parse, vertex_box(vertices), edge_box(edges), noun, repeats)
-    got = parse_outcome(_parse_vertices_and_edges, vertex_box(vertices), edge_box(edges), noun, repeats)
-    assert got == expected
-
-
-def test_valid_input_never_reaches_the_per_item_loop(monkeypatch):
-    """R_3..R_9, their models and roots, built and read back, pass the whole-list checks alone."""
-    documents = []
-    for n in range(3, 10):
-        r = build_rn(n)
-        model = build_exponential_rs_model(r)
-        documents.append((rs_model_to_json_obj(model), leafroot_to_json_obj(rs_to_leafroot(model))))
-
-    def refuse(*args):
-        raise AssertionError("valid input was read item by item")
-
-    monkeypatch.setattr(graphs, "_checked_vertices", refuse)
-    monkeypatch.setattr(graphs, "_checked_edges", refuse)
-    for n, (model_doc, root_doc) in zip(range(3, 10), documents):
-        r = build_rn(n)
-        model = build_exponential_rs_model(r)
-        root = rs_to_leafroot(model)
-        assert rs_model_to_json_obj(rs_model_from_json_obj(model_doc)) == model_doc
-        assert leafroot_to_json_obj(leafroot_from_json_obj(root_doc)) == root_doc
-        assert leafroot_to_json_obj(root) == root_doc
 
 
 class TestComponents:

@@ -40,6 +40,12 @@ class TestTreeBuild:
         assert t.nodes == ("a",)
         assert t.leaves() == ("a",)
 
+    def test_membership_is_by_node(self):
+        t = path_tree(["a", "b", "c"])
+        assert "b" in t
+        assert "z" not in t
+        assert ("a", "b") not in t
+
     def test_edge_count_enforced(self):
         with pytest.raises(ValueError, match="needs 1 edges, got 0"):
             Tree.build(["a", "b"], [])
@@ -126,8 +132,7 @@ def cycle_and_detached_node(nodes: list, edges: list) -> None:
     edges[-1] = (nodes[0], nodes[-2])
 
 
-#: (damage to an 80 000-node path, the message it is refused with).  The whole-list
-#: checks find each fault; the per-item loop must still name the first bad item.
+#: (damage to an 80 000-node path, the message it is refused with).
 LONG_PATH_DAMAGE = [
     (duplicate_node, "duplicate node 'n00017'"),
     (unknown_endpoint, "edge ('n70000', 'zz') has an endpoint outside the node set"),
