@@ -101,7 +101,6 @@ from .trees import (
     Tree,
     ball,
     connecting_path,
-    connector,
     distance,
     distances_from,
     median,

@@ -22,7 +22,6 @@ from .trees import (
     pairwise_distances,
     tree_from_json_obj,
     tree_path,
-    tree_to_json_obj,
 )
 
 
@@ -65,12 +64,6 @@ def _edge_lengths(pairs: Iterable[tuple[Edge, int | Fraction]]) -> dict[Edge, in
     return out
 
 
-def _check_unit(root: LeafRoot) -> None:
-    """Unit-edge consumers refuse a root with edge lengths rather than misread it."""
-    if root.lengths is not None:
-        raise ValueError("root has edge lengths; scale_to_integer_leafroot removes them")
-
-
 def _check_placement(host: Tree, placement: dict[str, str]) -> None:
     """The placement must map the vertices one-to-one onto the host leaves."""
     image = list(placement.values())
@@ -85,22 +78,74 @@ def _check_domain(graph: Graph, placement: dict[str, str]) -> None:
         raise ValueError("placement domain must equal the vertex set")
 
 
+def _fresh_name(base: str, taken: set[str]) -> str:
+    """``base`` with ``_`` prefixed until it is not in ``taken``."""
+    while base in taken:
+        base = "_" + base
+    return base
+
+
 def _grow_path(
     start: str, bases: list[str], taken: set[str], nodes: list[str], edges: list[tuple[str, str]]
 ) -> str:
     """Append a path of fresh nodes from ``start``, one per base name, and return its end.
 
-    Each name is its base with ``_`` prefixed until it is not in ``taken``.
+    Each name is :func:`_fresh_name` of its base.
     """
     for base in bases:
-        name = base
-        while name in taken:
-            name = "_" + name
+        name = _fresh_name(base, taken)
         taken.add(name)
         nodes.append(name)
         edges.append((start, name))
         start = name
     return start
+
+
+def _unit_expansion(root: LeafRoot) -> tuple[list[str], list[Edge]]:
+    """The nodes and edges of the root's host on unit edges, as a unit-edge writer lists them.
+
+    A unit root's host is listed as it is.  Otherwise an edge of integer length
+    L > 1 must end at a placed leaf, of vertex v; it becomes a path through L - 1
+    new nodes ``stem.<v>.1 .. stem.<v>.<L-1>``, from its other end outwards, each
+    :func:`_fresh_name` against the nodes already named.  Any other edge longer
+    than 1, or a Fraction length, is refused.  The new names must be distinct and
+    number exactly the sum of L - 1; the nodes come back sorted, and the edges
+    normalized and sorted.  No unit ``Tree`` is built.
+    """
+    if root.lengths is None:
+        return list(root.host.nodes), list(root.host.edges)
+    by_leaf = {leaf: v for v, leaf in root.placement.items()}
+    taken = set(root.host.nodes)
+    nodes = list(root.host.nodes)
+    edges: list[Edge] = []
+    for (x, y), length in root.lengths.items():
+        if isinstance(length, Fraction):
+            raise ValueError(
+                "root has fractional edge lengths; scale_to_integer_leafroot removes them"
+            )
+        if length > 1:
+            if y not in by_leaf:
+                x, y = y, x
+            if y not in by_leaf:
+                raise ValueError(
+                    f"edge {(y, x)} has length {length} but no placed leaf to grow a stem to"
+                )
+            names = [_fresh_name(f"stem.{by_leaf[y]}.{j}", taken) for j in range(1, length)]
+            taken.update(names)
+            nodes += names
+            path = [x, *names, y]
+            edges += [(a, b) if a < b else (b, a) for a, b in zip(path, path[1:])]
+        else:
+            edges.append((x, y))
+    added = sum(root.lengths.values()) - len(root.lengths)
+    if not len(taken) == len(nodes) == root.host.n + added:
+        raise RuntimeError(
+            f"expansion invalid: {len(nodes)} nodes with {len(taken)} distinct names,"
+            f" where {root.host.n} host nodes and {added} stem nodes were due"
+        )
+    nodes.sort()
+    edges.sort()
+    return nodes, edges
 
 
 def verify_leaf_root(graph: Graph, root: LeafRoot) -> bool:
@@ -130,13 +175,14 @@ def leafroot_to_rs(root: LeafRoot) -> RSModel:
     in the subdivided host, so balls of radius k intersect exactly when
     d <= k: the model represents the same graph, with max radius k.  The model
     is re-checked against the root's graph; a failure raises RuntimeError.
+    A root with stem lengths is first expanded to unit edges (``_unit_expansion``).
     """
-    _check_unit(root)
     graph = leaf_power_graph(root)
-    taken = set(root.host.nodes)
-    nodes = list(root.host.nodes)
+    host = root.host if root.lengths is None else Tree.build(*_unit_expansion(root))
+    taken = set(host.nodes)
+    nodes = list(host.nodes)
     edges: list[tuple[str, str]] = []
-    for u, v in root.host.edges:
+    for u, v in host.edges:
         mid = _grow_path(u, [f"{u}~{v}"], taken, nodes, edges)
         edges.append((mid, v))
     host = Tree.build(nodes, edges)
@@ -154,29 +200,31 @@ def rs_to_leafroot(model: RSModel) -> LeafRoot:
     """Turn a verifying ball model with max radius k into a (2k+2)-leaf root.
 
     The host is cut down to the smallest subtree holding every center (the
-    union of the paths from one center to all others), and each vertex gets a
-    brand-new leaf fastened to its center by a path of length k+1-r_v.  A lone
-    vertex keeps only its leaf.  For placed leaves u, v the distance becomes
-    (k+1-r_u) + dist(c_u, c_v) + (k+1-r_v), which is at most 2k+2 exactly when
-    the balls intersected.  The root is re-checked against the graph; a failure
-    raises RuntimeError.
+    union of the paths from one center to all others), on unit edges, and each
+    vertex gets a brand-new leaf ``leaf.<v>`` (``_``-prefixed while the model's
+    host has that name), fastened to its center by one edge of length
+    k+1-r_v.  A lone vertex keeps only its leaf.  For placed leaves u, v the
+    distance becomes (k+1-r_u) + dist(c_u, c_v) + (k+1-r_v), which is at most
+    2k+2 exactly when the balls intersected.  The root is re-checked against the
+    graph; a failure raises RuntimeError.  The unit-edge writers expand each stem.
     """
     vertices = model.graph.vertices
     if not vertices:
         raise ValueError("model has no vertices")
     k = max(model.radii[v] for v in vertices)
-    taken = set(model.host.nodes)
-    first = model.centers[vertices[0]]
-    core = set().union(*(tree_path(model.host, first, model.centers[v]) for v in vertices))
-    nodes = list(core)
-    edges = [(x, y) for x, y in model.host.edges if x in core and y in core]
-    placement: dict[str, str] = {}
-    for v in vertices:
-        stems = [f"stem.{v}.{j}" for j in range(1, k + 1 - model.radii[v])]
-        placement[v] = _grow_path(model.centers[v], [*stems, f"leaf.{v}"], taken, nodes, edges)
+    host_nodes = set(model.host.nodes)
+    placement = {v: _fresh_name(f"leaf.{v}", host_nodes) for v in vertices}
     if len(vertices) == 1:
-        nodes, edges = list(placement.values()), []
-    root = LeafRoot.build(Tree.build(sorted(nodes), edges), 2 * k + 2, placement)
+        nodes, lengths = list(placement.values()), {}
+    else:
+        first = model.centers[vertices[0]]
+        core = set().union(*(tree_path(model.host, first, model.centers[v]) for v in vertices))
+        nodes = [*core, *placement.values()]
+        lengths = {(x, y): 1 for x, y in model.host.edges if x in core and y in core}
+        for v in vertices:
+            lengths[normalize_edge(model.centers[v], placement[v])] = k + 1 - model.radii[v]
+    host = Tree.build(sorted(nodes), list(lengths))
+    root = LeafRoot.build(host, 2 * k + 2, placement, lengths)
     if not verify_leaf_root(model.graph, root):
         raise RuntimeError("construction invalid: the root does not represent the model's graph")
     return root
@@ -293,9 +341,10 @@ def _best_k_on_host(
 
 
 def leafroot_to_json_obj(root: LeafRoot) -> dict:
-    _check_unit(root)
+    """The root on unit edges; stem lengths are expanded (``_unit_expansion``)."""
+    nodes, edges = _unit_expansion(root)
     return {
-        "tree": tree_to_json_obj(root.host),
+        "tree": {"nodes": nodes, "edges": [[u, v] for u, v in edges]},
         "k": root.k,
         "placement": dict(sorted(root.placement.items())),
     }
@@ -312,13 +361,14 @@ def leafroot_from_json_obj(obj: object, field: str = "") -> LeafRoot:
 
 
 def leafroot_to_dot(root: LeafRoot, *, name: str = "R") -> str:
-    _check_unit(root)
+    """The root on unit edges, placed leaves boxed; stem lengths are expanded."""
+    nodes, edges = _unit_expansion(root)
     by_leaf = {leaf: v for v, leaf in root.placement.items()}
     lines = [f'  label="k = {root.k}";']
-    for x in root.host.nodes:
+    for x in nodes:
         if x in by_leaf:
             text = dot_quote(f"{x} ({by_leaf[x]})")
             lines.append(f"  {dot_quote(x)} [label={text}, shape=box];")
         else:
             lines.append(f"  {dot_quote(x)};")
-    return dot_graph(name, lines, root.host.edges)
+    return dot_graph(name, lines, edges)

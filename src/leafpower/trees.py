@@ -204,20 +204,6 @@ def median(tree: Tree, u: str, v: str, w: str) -> str:
     return m
 
 
-def connector(tree: Tree, leaf: str) -> str:
-    """The first node of degree at least three on the walk inward from ``leaf``."""
-    if tree.degree(leaf) > 1:
-        raise ValueError(f"{leaf!r} is not a leaf")
-    prev = None
-    cur = leaf
-    while tree.degree(cur) < 3:
-        nxt = [x for x in tree.neighbors(cur) if x != prev]
-        if not nxt:
-            raise ValueError("no connector: tree is a path")
-        prev, cur = cur, nxt[0]
-    return cur
-
-
 def is_connected_subset(tree: Tree, subset: Iterable[str]) -> bool:
     """Whether ``subset`` induces a (nonempty) subtree.
 

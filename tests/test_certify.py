@@ -535,6 +535,19 @@ def test_unit_edge_consumers_refuse_a_root_with_lengths(write):
     # Written as a unit-edge root, the certified P3 witness would claim k = 1
     # on unit edges, where every pair is 2 apart: a root of the edgeless graph.
     witness = certify_leaf_power(P3, 2)
+    assert {type(w) for w in witness.lengths.values()} == {Fraction}
     with pytest.raises(ValueError, match="scale_to_integer_leafroot"):
         write(witness)
     write(scale_to_integer_leafroot(witness))
+    # A whole-valued Fraction is refused too: only int lengths are expanded.
+    whole = LeafRoot.build(STAR_HOST, 2, P3_PLACEMENT, dict.fromkeys(STAR_HOST.edges, Fraction(1)))
+    with pytest.raises(ValueError, match="scale_to_integer_leafroot"):
+        write(whole)
+    # An int length above 1 expands only on a stem, an edge that ends at a placed leaf.
+    host = Tree.build(
+        ["i", "j", "la", "lb", "lc"], [("i", "j"), ("i", "la"), ("i", "lb"), ("j", "lc")]
+    )
+    inner = {("i", "j"): 2, ("i", "la"): 1, ("i", "lb"): 1, ("j", "lc"): 1}
+    with pytest.raises(ValueError, match=re.escape("edge ('i', 'j') has length 2 but no placed")):
+        write(LeafRoot.build(host, 4, P3_PLACEMENT, inner))
+    write(LeafRoot.build(host, 4, P3_PLACEMENT, {**inner, ("i", "j"): 1, ("j", "lc"): 2}))

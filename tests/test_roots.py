@@ -6,6 +6,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from leafpower import (
     Graph,
@@ -27,10 +29,12 @@ from leafpower import (
     leafroot_to_dot,
     leafroot_to_json_obj,
     leafroot_to_rs,
+    pairwise_distances,
     rs_model_to_dot,
     rs_to_leafroot,
     subtree_model_to_dot,
     tree_to_dot,
+    tree_path,
     trees_with_leaf_count,
     verify_leaf_root,
     verify_rs_model,
@@ -133,6 +137,11 @@ class TestVerifyLeafRoot:
 # Conversions between roots and ball models
 # ---------------------------------------------------------------------------
 
+def unit_root(root: LeafRoot) -> LeafRoot:
+    """The root as the unit-edge writer emits it, read back."""
+    return leafroot_from_json_obj(json.loads(dumps(leafroot_to_json_obj(root))))
+
+
 def per_leaf_bfs_graph(root: LeafRoot) -> Graph:
     """The leaf-power graph by one breadth-first search per vertex's leaf."""
     vertices = sorted(root.placement)
@@ -160,7 +169,7 @@ class TestLeafPowerGraphAgainstPerLeafSearch:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_roots_of_the_built_in_models(self, n):
         r = build_rn(n)
-        root = rs_to_leafroot(build_exponential_rs_model(r))
+        root = unit_root(rs_to_leafroot(build_exponential_rs_model(r)))
         assert leaf_power_graph(root) == per_leaf_bfs_graph(root) == r.graph
 
 
@@ -244,7 +253,7 @@ class TestBallModelToLeafRoot:
         t = path_tree(["x", "stem.a.1", "leaf.a"])
         g = Graph.build(["a", "b"], [("a", "b")])
         m = RSModel.build(t, g, {"a": "x", "b": "leaf.a"}, {"a": 0, "b": 2})
-        back = rs_to_leafroot(m)
+        back = unit_root(rs_to_leafroot(m))
         assert back.host.nodes == (
             "_leaf.a", "_stem.a.1", "leaf.a", "leaf.b", "stem.a.1", "stem.a.2", "x",
         )
@@ -293,6 +302,174 @@ class TestBallModelToLeafRoot:
             assert back.k == 2 * k + 2
             assert verify_leaf_root(graph, back)
             done += 1
+
+
+# ---------------------------------------------------------------------------
+# Stems: rs_to_leafroot's one-edge stems, expanded by the unit-edge writers
+# ---------------------------------------------------------------------------
+
+def grown_unit_root(model: RSModel) -> LeafRoot:
+    """The unit-edge root rs_to_leafroot built before its stems had lengths.
+
+    Each stem is a path of fresh unit-edge nodes, named ``_``-prefixed against
+    every node of the model's host and every name grown before it.
+    """
+
+    def grow(start, bases, taken, nodes, edges):
+        for base in bases:
+            name = base
+            while name in taken:
+                name = "_" + name
+            taken.add(name)
+            nodes.append(name)
+            edges.append((start, name))
+            start = name
+        return start
+
+    vertices = model.graph.vertices
+    k = max(model.radii[v] for v in vertices)
+    taken = set(model.host.nodes)
+    first = model.centers[vertices[0]]
+    core = set().union(*(tree_path(model.host, first, model.centers[v]) for v in vertices))
+    nodes = list(core)
+    edges = [(x, y) for x, y in model.host.edges if x in core and y in core]
+    placement = {}
+    for v in vertices:
+        stems = [f"stem.{v}.{j}" for j in range(1, k + 1 - model.radii[v])]
+        placement[v] = grow(model.centers[v], [*stems, f"leaf.{v}"], taken, nodes, edges)
+    if len(vertices) == 1:
+        nodes, edges = list(placement.values()), []
+    return LeafRoot.build(Tree.build(sorted(nodes), edges), 2 * k + 2, placement)
+
+
+def assert_expands_as_grown(model: RSModel) -> None:
+    """rs_to_leafroot's root is written byte for byte as the grown root, and reads back."""
+    root = rs_to_leafroot(model)
+    grown = grown_unit_root(model)
+    text = dumps(leafroot_to_json_obj(root))
+    assert text == dumps(leafroot_to_json_obj(grown))
+    assert leafroot_to_dot(root) == leafroot_to_dot(grown)
+    back = leafroot_from_json_obj(json.loads(text))
+    assert back == grown
+    assert verify_leaf_root(model.graph, back)
+
+
+#: Host names that clash with the stem and leaf names of vertices a, b and c.
+CLASHING_NAMES = [
+    "x", "y", "z", "leaf.a", "_leaf.a", "leaf.b", "stem.a.1", "_stem.a.1", "stem.a.2",
+    "stem.b.1", "stem.c.3",
+]
+
+
+@st.composite
+def stem_models(draw) -> RSModel:
+    """A ball model whose host is a subdivided leaf root on clashing names, radii redrawn.
+
+    Every host leaf is a center, so the whole host is the core.
+    """
+    names = draw(st.permutations(CLASHING_NAMES))[: draw(st.integers(1, len(CLASHING_NAMES)))]
+    parents = [names[draw(st.integers(0, i - 1))] for i in range(1, len(names))]
+    host = Tree.build(names, list(zip(parents, names[1:])))
+    leaves = draw(st.permutations(host.leaves()))
+    vertices = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k"][: len(leaves)]
+    k = draw(st.integers(1, 4))
+    model = leafroot_to_rs(LeafRoot.build(host, k, dict(zip(vertices, leaves))))
+    radii = {v: draw(st.integers(0, k)) for v in vertices}
+    dist = pairwise_distances(model.host, model.centers.values())
+    edges = [
+        (u, v)
+        for u, v in itertools.combinations(vertices, 2)
+        if dist[model.centers[u]][model.centers[v]] <= radii[u] + radii[v]
+    ]
+    return RSModel.build(model.host, Graph.build(vertices, edges), model.centers, radii)
+
+
+class TestStemExpansion:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_built_in_models_expand_as_grown(self, n):
+        model = build_exponential_rs_model(build_rn(n))
+        root = rs_to_leafroot(model)
+        assert set(root.lengths.values()) > {1}
+        assert_expands_as_grown(model)
+
+    @given(stem_models())
+    def test_small_models_expand_as_grown(self, model):
+        assert_expands_as_grown(model)
+
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ["x", "stem.a.1", "leaf.a"],
+            ["x", "stem.a.1", "_stem.a.1"],
+            ["stem.b.1", "stem.a.2", "leaf.b"],
+            ["leaf.a", "_leaf.a", "stem.a.1"],
+        ],
+    )
+    def test_core_names_like_stems_and_leaves(self, names):
+        # a is centered at one end with radius 0, b at the other with radius 2.
+        g = Graph.build(["a", "b"], [("a", "b")])
+        centers = {"a": names[0], "b": names[-1]}
+        model = RSModel.build(path_tree(names), g, centers, {"a": 0, "b": 2})
+        assert sorted(rs_to_leafroot(model).lengths.values()) == [1, 1, 1, 3]
+        assert_expands_as_grown(model)
+
+    def test_root_has_one_edge_per_stem(self):
+        t = path_tree(["x", "y"])
+        g = Graph.build(["a", "b"], [("a", "b")])
+        root = rs_to_leafroot(RSModel.build(t, g, {"a": "x", "b": "y"}, {"a": 0, "b": 3}))
+        assert root.host.nodes == ("leaf.a", "leaf.b", "x", "y")
+        assert root.lengths == {("leaf.a", "x"): 4, ("leaf.b", "y"): 1, ("x", "y"): 1}
+        assert root.k == 8
+        nodes = leafroot_to_json_obj(root)["tree"]["nodes"]
+        assert nodes == ["leaf.a", "leaf.b", "stem.a.1", "stem.a.2", "stem.a.3", "x", "y"]
+
+    def test_an_off_core_stem_name_is_no_longer_avoided(self):
+        # The one case where the expansion and the grown root differ: stem.a.1
+        # is a host node off the core x - y, so it never reaches the root, and
+        # the stem node takes the plain name the grown root avoided.
+        t = path_tree(["stem.a.1", "x", "y"])
+        g = Graph.build(["a", "b"], [("a", "b")])
+        model = RSModel.build(t, g, {"a": "x", "b": "y"}, {"a": 0, "b": 1})
+        expanded = leafroot_to_json_obj(rs_to_leafroot(model))["tree"]
+        grown = leafroot_to_json_obj(grown_unit_root(model))["tree"]
+        assert expanded["nodes"] == ["leaf.a", "leaf.b", "stem.a.1", "x", "y"]
+        assert grown["nodes"] == ["_stem.a.1", "leaf.a", "leaf.b", "x", "y"]
+        assert expanded["edges"] == [
+            ["leaf.a", "stem.a.1"], ["leaf.b", "y"], ["stem.a.1", "x"], ["x", "y"],
+        ]
+
+    def test_expansion_refuses_repeated_names(self, monkeypatch):
+        # With the prefixing switched off, the stem node takes the core's name.
+        t = path_tree(["x", "stem.a.1", "y"])
+        g = Graph.build(["a", "b"], [("a", "b")])
+        root = rs_to_leafroot(RSModel.build(t, g, {"a": "x", "b": "y"}, {"a": 0, "b": 2}))
+        monkeypatch.setattr(roots, "_fresh_name", lambda base, taken: base)
+        for write in (leafroot_to_json_obj, leafroot_to_dot, leafroot_to_rs):
+            with pytest.raises(RuntimeError, match="invalid: 7 nodes with 6 distinct names"):
+                write(root)
+
+    def test_weighted_root_is_rechecked(self, monkeypatch):
+        # The root is fine; the recheck is made to see a graph without edges.
+        t = path_tree(["x", "y"])
+        g = Graph.build(["a", "b"], [("a", "b")])
+        model = RSModel.build(t, g, {"a": "x", "b": "y"}, {"a": 0, "b": 3})
+        seen = []
+
+        def no_edges(root):
+            seen.append(root.lengths)
+            return Graph.build(sorted(root.placement), [])
+
+        monkeypatch.setattr(roots, "leaf_power_graph", no_edges)
+        with pytest.raises(RuntimeError, match="construction invalid"):
+            rs_to_leafroot(model)
+        assert seen == [{("leaf.a", "x"): 4, ("leaf.b", "y"): 1, ("x", "y"): 1}]
+
+    def test_stem_root_converts_back_to_a_ball_model(self):
+        model = build_exponential_rs_model(build_rn(4))
+        root = rs_to_leafroot(model)
+        back = leafroot_to_rs(root)
+        assert back == leafroot_to_rs(grown_unit_root(model))
+        assert verify_rs_model(back)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from leafpower import (
     Tree,
     ball,
     connecting_path,
-    connector,
     distance,
     distances_from,
     dumps,
@@ -248,49 +247,6 @@ class TestMedian:
         assert m in tree_path(t, u, v)
         assert m in tree_path(t, v, w)
         assert m in tree_path(t, u, w)
-
-
-# ---------------------------------------------------------------------------
-# Connectors (nearest branching node seen from a leaf)
-# ---------------------------------------------------------------------------
-
-class TestConnector:
-    def test_star_connector_is_center(self):
-        t = star_tree("c", ["x", "y", "z"])
-        assert connector(t, "x") == "c"
-
-    def test_spider_connector_skips_subdivisions(self):
-        t = Tree.build(
-            ["c", "m", "x", "y", "z"],
-            [("c", "m"), ("m", "x"), ("c", "y"), ("c", "z")],
-        )
-        assert connector(t, "x") == "c"
-
-    def test_path_has_no_connector(self):
-        t = path_tree(["a", "b", "c"])
-        with pytest.raises(ValueError, match="no connector: tree is a path"):
-            connector(t, "a")
-
-    def test_non_leaf_rejected(self):
-        t = star_tree("c", ["x", "y", "z"])
-        with pytest.raises(ValueError, match="not a leaf"):
-            connector(t, "c")
-
-    @given(random_trees(min_nodes=4, max_nodes=9), st.data())
-    def test_connector_is_first_branching_node_on_some_path(self, t: Tree, data):
-        branching = [v for v in t.nodes if t.degree(v) >= 3]
-        leaves = t.leaves()
-        if not branching:
-            leaf = data.draw(st.sampled_from(leaves))
-            with pytest.raises(ValueError):
-                connector(t, leaf)
-            return
-        leaf = data.draw(st.sampled_from(leaves))
-        c = connector(t, leaf)
-        assert t.degree(c) >= 3
-        walk = tree_path(t, leaf, c)
-        for inner in walk[1:-1]:
-            assert t.degree(inner) == 2
 
 
 # ---------------------------------------------------------------------------
