@@ -9,14 +9,21 @@ sequences, and the trees' node numbering, are those of networkx's
 ``nonisomorphic_trees``.  Trees are filtered by leaf count or topology shape
 on integer degree counts, so only the trees yielded are built as
 :class:`~leafpower.trees.Tree`.  Leaf orbits under tree automorphisms come
-from rooted canonical forms.
+from rooted canonical forms, memoized per directed edge.  A leaf-root
+search reads a parent array's leaves, leaf distances and orbit representatives
+as integer tables (``_host_tables``) without building a tree.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .trees import Tree
+
+#: A node of an orbit computation: an integer index or a tree's node name.
+Node = int | str
+#: Neighbours per node: lists indexed by integer node, or tuples keyed by name.
+Adjacency = Sequence[Sequence[int]] | Mapping[str, Sequence[str]]
 
 
 def _free_trees(order: int) -> Iterator[list[int]]:
@@ -135,12 +142,18 @@ def trees_with_leaf_count(num_leaves: int, max_nodes: int) -> Iterator[Tree]:
     Leaves are counted from the degrees of the parent array, so only the trees
     yielded are built.
     """
+    for parent in _parents_with_leaf_count(num_leaves, max_nodes):
+        yield _tree(parent)
+
+
+def _parents_with_leaf_count(num_leaves: int, max_nodes: int) -> Iterator[list[int]]:
+    """The parent arrays behind :func:`trees_with_leaf_count`, in the same order."""
     if num_leaves < 1:
         raise ValueError("need at least one leaf")
     for order in _orders(num_leaves, max_nodes):
         for parent in _free_trees(order):
             if _leaf_count(_degrees(parent)) == num_leaves:
-                yield _tree(parent)
+                yield parent
 
 
 def topology_trees(num_leaves: int, max_internal: int) -> Iterator[Tree]:
@@ -168,43 +181,73 @@ def topology_trees(num_leaves: int, max_internal: int) -> Iterator[Tree]:
                 yield _tree(parent)
 
 
-def _rooted_forms(tree: Tree) -> Callable[[str, str | None], tuple]:
+def _rooted_forms(adjacency: Adjacency) -> Callable[[Node, Node | None], tuple]:
     """``form(v, parent)``: the canonical form of the subtree at ``v`` away from ``parent``.
 
-    Forms are memoized per directed edge, so rooting the tree at many nodes
-    computes each edge's form once.
+    ``adjacency[v]`` lists the neighbours of node ``v``: a list indexed by
+    integer nodes, or a tree's neighbour tuples keyed by name.  A form is the
+    sorted tuple of its children's forms.  Forms are memoized per directed
+    edge, so rooting the tree at many nodes computes each edge's form once.
     """
-    memo: dict[tuple[str, str | None], tuple] = {}
-    neighbors = tree.neighbors
+    memo: dict[tuple[Node, Node | None], tuple] = {}
 
-    def form(v: str, parent: str | None) -> tuple:
+    def form(v: Node, parent: Node | None) -> tuple:
         key = (v, parent)
         found = memo.get(key)
         if found is None:
-            found = memo[key] = tuple(sorted([form(w, v) for w in neighbors(v) if w != parent]))
+            found = memo[key] = tuple(sorted([form(w, v) for w in adjacency[v] if w != parent]))
         return found
 
     return form
 
 
-def rooted_canonical_form(tree: Tree, root: str) -> tuple:
-    """A nested-tuple canonical form of the tree rooted at ``root``.
+def _orbits(adjacency: Adjacency, leaves: Iterable[Node]) -> list[list[Node]]:
+    """``leaves`` grouped by the canonical form of the tree rooted at each.
 
-    Two rootings yield equal forms exactly when some automorphism of the tree
-    maps one root to the other.
+    Two leaves share a form exactly when some automorphism of the tree maps one
+    to the other.  Groups come in order of their first leaf, each in ``leaves``' order.
     """
-    if root not in set(tree.nodes):
-        raise ValueError(f"root {root!r} is not in the tree")
-    return _rooted_forms(tree)(root, None)
+    form = _rooted_forms(adjacency)
+    groups: dict[tuple, list[Node]] = {}
+    for leaf in leaves:
+        groups.setdefault(form(leaf, None), []).append(leaf)
+    return list(groups.values())
+
+
+def _host_tables(parent: list[int]) -> tuple[list[int], list[list[int]], list[int]]:
+    """The integer tables a leaf-root search reads from a parent array's tree.
+
+    These are the leaf indices, ascending; the leaf-by-leaf distance table,
+    indexed by position in that list and read from one breadth-first search per
+    leaf; and the positions of the first-vertex choices, the lowest-indexed leaf
+    of each automorphism orbit, ascending.  Node ``i`` is ``n{i}`` of
+    :func:`_tree`.
+    """
+    adjacency: list[list[int]] = [[] for _ in parent]
+    for i in range(1, len(parent)):
+        adjacency[i].append(parent[i])
+        adjacency[parent[i]].append(i)
+    leaves = [i for i, nbrs in enumerate(adjacency) if len(nbrs) <= 1]
+    dist = []
+    for leaf in leaves:
+        depth = [-1] * len(parent)
+        depth[leaf] = 0
+        order = [leaf]
+        for x in order:
+            for y in adjacency[x]:
+                if depth[y] < 0:
+                    depth[y] = depth[x] + 1
+                    order.append(y)
+        dist.append([depth[other] for other in leaves])
+    position = {leaf: i for i, leaf in enumerate(leaves)}
+    firsts = [position[orbit[0]] for orbit in _orbits(adjacency, leaves)]
+    return leaves, dist, firsts
 
 
 def leaf_orbits(tree: Tree) -> list[tuple[str, ...]]:
     """Leaves grouped into automorphism orbits, each orbit sorted, orbits sorted."""
-    form = _rooted_forms(tree)
-    groups: dict[tuple, list[str]] = {}
-    for leaf in tree.leaves():
-        groups.setdefault(form(leaf, None), []).append(leaf)
-    return sorted(tuple(sorted(g)) for g in groups.values())
+    adjacency = {v: tree.neighbors(v) for v in tree.nodes}
+    return sorted(tuple(sorted(orbit)) for orbit in _orbits(adjacency, tree.leaves()))
 
 
 def leaf_orbit_representatives(tree: Tree) -> list[str]:

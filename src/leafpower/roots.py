@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import exactlp
-from .enumtrees import leaf_orbit_representatives, trees_with_leaf_count
+from .enumtrees import _host_tables, _parents_with_leaf_count, _tree
 from .graphs import Edge, Graph, dot_graph, dot_quote, is_chordal, normalize_edge
 from .jsonio import Record, integer, string_map
 from .models import RSModel, rs_model_violations
@@ -237,18 +237,20 @@ def brute_force_leaf_rank(
 
     Exhausts every tree-isomorphism class with exactly |V| leaves and at most
     ``max_nodes`` nodes, and every placement up to leaf symmetry of the first
-    vertex.  Returns None when no root exists in that space, which is NOT a
-    proof that none exists at all; ``max_k`` optionally restricts the search to
-    roots with k <= max_k (useful for questions like "is the rank <= 2?").
+    vertex and up to the order of twin vertices.  Returns None when no root
+    exists in that space, which is NOT a proof that none exists at all;
+    ``max_k`` optionally restricts the search to roots with k <= max_k (useful
+    for questions like "is the rank <= 2?").
 
     A graph that is not chordal gets None without a search, after the argument
     checks: it has no leaf root at all.  A k-leaf root gives a ball model of the
     graph (``leafroot_to_rs``), balls in a tree are subtrees, and every
     intersection graph of subtrees of a tree is chordal (Gavril 1974).
 
-    Each host is searched on index tables (see ``_best_k_on_host``).  The root
-    behind the answer is re-checked with ``verify_leaf_root``; a failure raises
-    RuntimeError.
+    Each host is searched on the integer tables of its parent array
+    (``enumtrees._host_tables``; see ``_best_k_on_host``), and only the host
+    behind the answer is built as a ``Tree``.  That root is re-checked with
+    ``verify_leaf_root``; a failure raises RuntimeError.
     """
     num = len(graph.vertices)
     if num < 1:
@@ -262,47 +264,81 @@ def brute_force_leaf_rank(
 
     vertices = graph.vertices
     adjacent = [[graph.adjacent(u, v) for v in vertices] for u in vertices]
+    after = _twin_predecessors(adjacent)
     # No leaf distance on a tree of at most max_nodes nodes reaches max_nodes.
     limit = max_k if max_k is not None else max_nodes
-    witness: LeafRoot | None = None
-    for host in trees_with_leaf_count(num, max_nodes):
-        found = _best_k_on_host(adjacent, host, limit)
+    best: tuple[int, list[int], list[int]] | None = None
+    for parent in _parents_with_leaf_count(num, max_nodes):
+        found = _best_k_on_host(adjacent, after, _host_tables(parent), limit)
         if found is not None:
             k, leaves = found
-            witness = LeafRoot.build(host, k, dict(zip(vertices, leaves)))
+            best = k, parent, leaves
             limit = k - 1
             if k == 1:
                 break
-    if witness is None:
+    if best is None:
         return None
+    k, parent, leaves = best
+    host = _tree(parent)
+    witness = LeafRoot.build(host, k, {v: host.nodes[i] for v, i in zip(vertices, leaves)})
     if not verify_leaf_root(graph, witness):
         raise RuntimeError("construction invalid: the root does not represent the graph")
-    return witness.k
+    return k
+
+
+def _twin_predecessors(adjacent: list[list[bool]]) -> list[int]:
+    """For each vertex, the latest earlier vertex of its twin class other than vertex 0, else -1.
+
+    Vertices i and j are twins when ``N(i) - {j} = N(j) - {i}``: true twins if
+    adjacent, with equal closed neighbourhoods, and false twins if not, with
+    equal open ones.  This is an equivalence, because no vertex j has a true
+    twin i and a false twin k: k is not a neighbour of j, so not of i, while i
+    is a neighbour of j, so of k.  Vertex 0 is left out of every class.
+    """
+    num = len(adjacent)
+
+    def twins(i: int, j: int) -> bool:
+        return all(adjacent[i][x] == adjacent[j][x] for x in range(num) if x != i and x != j)
+
+    return [max((j for j in range(1, i) if twins(i, j)), default=-1) for i in range(num)]
 
 
 def _best_k_on_host(
-    adjacent: list[list[bool]], host: Tree, limit: int
-) -> tuple[int, list[str]] | None:
+    adjacent: list[list[bool]],
+    after: list[int],
+    tables: tuple[list[int], list[list[int]], list[int]],
+    limit: int,
+) -> tuple[int, list[int]] | None:
     """The smallest workable k <= limit on this host and a placement for it, else None.
 
-    ``adjacent[i][j]`` says whether vertices i and j are adjacent.  The host is
-    read once into a leaf-by-leaf distance table; leaves are then indices, with
-    a ``used`` flag each.  Vertex i is placed on leaf ``slot[i]``, depth first
-    in vertex order, the first vertex on one leaf per automorphism orbit.  A
-    partial placement keeps ``adj``, the largest distance between two placed
-    adjacent vertices (at least 1), and ``sep``, the smallest between two placed
-    nonadjacent ones; it is dropped once adj >= sep or adj > cap, where cap is
+    ``adjacent[i][j]`` says whether vertices i and j are adjacent, and
+    ``after`` is ``_twin_predecessors(adjacent)``.  ``tables`` are the host's
+    leaf indices, leaf-by-leaf distances and first-vertex choices
+    (``enumtrees._host_tables``).  The search names a leaf by its position in
+    the first, with a ``used`` flag each; the placement comes back as leaf indices.  Vertex i
+    is placed on leaf ``slot[i]``, depth first in vertex order: the first vertex
+    on one leaf per automorphism orbit, and vertex i on a leaf after that of
+    ``after[i]`` when that is not -1.  A partial placement keeps ``adj``, the
+    largest distance between two placed adjacent vertices (at least 1), and
+    ``sep``, the smallest between two placed nonadjacent ones (at most
+    limit + 1); it is dropped once adj >= sep or adj > cap, where cap is
     ``limit`` until a placement is complete and one below its k after.
+
+    Neither restriction loses a k.  A tree automorphism maps leaves to leaves
+    and keeps their distances, so applied to a k-leaf root's placement it
+    gives another k-leaf root, one with vertex 0 on its orbit's
+    representative.  Exchanging two twins is a graph automorphism, since each
+    sees every other vertex alike, so a placement read through any permutation
+    of a twin class is a k-leaf root too.  Vertex 0 is in no class, so such a
+    permutation keeps it on its leaf, and the one that sorts each class by leaf
+    puts the class on increasing leaves.  Applied in that order, the two steps
+    turn any k-leaf root on this host into one that the search visits.
     """
-    leaves = host.leaves()
+    leaves, dist, firsts = tables
     num = len(leaves)
-    pair = pairwise_distances(host, leaves)
-    dist = [[pair[a][b] for b in leaves] for a in leaves]
-    position = {leaf: i for i, leaf in enumerate(leaves)}
-    firsts = [position[leaf] for leaf in leaf_orbit_representatives(host)]
     used = [False] * num
     slot = [0] * num
-    best: tuple[int, list[str]] | None = None
+    best: tuple[int, list[int]] | None = None
     cap = limit
 
     def extend(idx: int, adj: int, sep: int) -> None:
@@ -312,7 +348,8 @@ def _best_k_on_host(
             best, cap = (adj, [leaves[i] for i in slot]), adj - 1
             return
         row = adjacent[idx]
-        for leaf in firsts if idx == 0 else range(num):
+        twin = after[idx]
+        for leaf in firsts if idx == 0 else range(slot[twin] + 1 if twin >= 0 else 0, num):
             if used[leaf]:
                 continue
             to_leaf = dist[leaf]
@@ -336,7 +373,7 @@ def _best_k_on_host(
                 if adj > cap:
                     return
 
-    extend(0, 1, len(host.nodes) + 1)
+    extend(0, 1, limit + 1)
     return best
 
 

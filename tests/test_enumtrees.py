@@ -16,8 +16,7 @@ from leafpower import (
     topology_trees,
     trees_with_leaf_count,
 )
-from leafpower import enumtrees
-from leafpower.enumtrees import rooted_canonical_form
+from leafpower import enumtrees, pairwise_distances
 
 from conftest import path_tree, random_trees, star_tree
 
@@ -59,20 +58,25 @@ def networkx_named_trees(order: int) -> list[Tree]:
     ]
 
 
-def per_leaf_orbits(t: Tree) -> list[tuple[str, ...]]:
-    """Leaf orbits grouped by an unmemoized canonical form of each leaf's rooting.
+def rooted_canonical_form(t: Tree, root: str) -> tuple:
+    """A nested-tuple canonical form of ``t`` rooted at ``root``, unmemoized.
 
-    Also checks that ``rooted_canonical_form`` gives that same form.
+    Two rootings yield equal forms exactly when some automorphism of the tree
+    maps one root to the other.  The package memoizes its forms per directed
+    edge; this copy, recomputed for every rooting, is the tests' oracle.
     """
 
     def canon(v: str, parent: str | None) -> tuple:
         return tuple(sorted(canon(w, v) for w in t.neighbors(v) if w != parent))
 
+    return canon(root, None)
+
+
+def per_leaf_orbits(t: Tree) -> list[tuple[str, ...]]:
+    """Leaf orbits grouped by the oracle canonical form of each leaf's rooting."""
     groups: dict[tuple, list[str]] = {}
     for leaf in t.leaves():
-        form = canon(leaf, None)
-        assert rooted_canonical_form(t, leaf) == form
-        groups.setdefault(form, []).append(leaf)
+        groups.setdefault(rooted_canonical_form(t, leaf), []).append(leaf)
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
@@ -256,6 +260,8 @@ class TestTopologyTrees:
 
 
 class TestRootedCanonicalForm:
+    """The tests' oracle form, on which the orbit tests rest."""
+
     def test_distinguishes_root_position_on_a_path(self):
         t = path_tree(["a", "b", "c"])
         assert rooted_canonical_form(t, "a") != rooted_canonical_form(t, "b")
@@ -318,3 +324,21 @@ class TestLeafOrbits:
                 for leaf in orbit
             }
             assert len(profiles) == 1
+
+
+class TestHostTables:
+    @pytest.mark.parametrize("order", range(1, 12))
+    def test_tables_match_the_tree_built_from_the_parent_array(self, order):
+        for parent in enumtrees._free_trees(order):
+            tree = enumtrees._tree(parent)
+            leaves, dist, firsts = enumtrees._host_tables(parent)
+            names = [f"n{i}" for i in leaves]
+            assert names == list(tree.leaves())
+            pair = pairwise_distances(tree, names)
+            assert dist == [[pair[a][b] for b in names] for a in names]
+            # The lowest-indexed leaf of each orbit.  leaf_orbit_representatives
+            # takes the smallest name, the same leaf until "n10" sorts before "n2".
+            lowest = sorted(min(int(x[1:]) for x in orbit) for orbit in leaf_orbits(tree))
+            assert [leaves[i] for i in firsts] == lowest
+            if order <= 10:
+                assert [names[i] for i in firsts] == leaf_orbit_representatives(tree)

@@ -529,7 +529,7 @@ class TestBruteForceLeafRank:
         def no_hosts(num_leaves, max_nodes):
             raise AssertionError("a host was requested")
 
-        monkeypatch.setattr(roots, "trees_with_leaf_count", no_hosts)
+        monkeypatch.setattr(roots, "_parents_with_leaf_count", no_hosts)
         c4 = cycle_graph(["a", "b", "c", "d"])
         assert brute_force_leaf_rank(c4, 10) is None
 
@@ -551,7 +551,7 @@ class TestBruteForceLeafRank:
     def test_a_wrong_placement_is_caught_by_the_recheck(self, monkeypatch):
         # A kernel that claims k = 1 on every host is refused before returning.
         monkeypatch.setattr(
-            roots, "_best_k_on_host", lambda adjacent, host, limit: (1, list(host.leaves()))
+            roots, "_best_k_on_host", lambda adjacent, after, tables, limit: (1, tables[0])
         )
         with pytest.raises(RuntimeError, match="construction invalid"):
             brute_force_leaf_rank(path_graph(["a", "b", "c"]), 8)
@@ -602,14 +602,25 @@ def unpruned_workable_ks(graph: Graph, max_nodes: int) -> set[int]:
     return ks
 
 
+def assert_agrees_with_unpruned_search(graph: Graph, max_nodes: int) -> None:
+    """``brute_force_leaf_rank`` gives the unpruned search's smallest k, under each cap."""
+    ks = unpruned_workable_ks(graph, max_nodes)
+    for max_k in (None, 1, 2, 3):
+        within = [k for k in ks if max_k is None or k <= max_k]
+        expected = min(within) if within else None
+        assert brute_force_leaf_rank(graph, max_nodes, max_k) == expected, (graph.edges, max_k)
+
+
 class TestBruteForceAgainstUnprunedSearch:
     def test_atlas_graphs_up_to_five_vertices(self, small_atlas_graphs):
         for g in small_atlas_graphs:
-            ks = unpruned_workable_ks(g, 8)
-            for max_k in (None, 1, 2, 3):
-                within = [k for k in ks if max_k is None or k <= max_k]
-                expected = min(within) if within else None
-                assert brute_force_leaf_rank(g, 8, max_k) == expected, (g.edges, max_k)
+            assert_agrees_with_unpruned_search(g, 8)
+
+    def test_chordal_six_vertex_graphs(self, atlas_graphs):
+        graphs = [g for g in atlas_graphs if g.n == 6 and is_chordal(g)]
+        assert len(graphs) == 94
+        for g in graphs:
+            assert_agrees_with_unpruned_search(g, 8)
 
     def test_non_chordal_six_vertex_graphs(self, atlas_graphs):
         graphs = [g for g in atlas_graphs if g.n == 6 and not is_chordal(g)]
@@ -617,6 +628,39 @@ class TestBruteForceAgainstUnprunedSearch:
         for g in graphs:
             assert unpruned_workable_ks(g, 7) == set()
             assert brute_force_leaf_rank(g, 7) is None
+
+
+def adjacency_table(graph: Graph) -> list[list[bool]]:
+    return [[graph.adjacent(u, v) for v in graph.vertices] for u in graph.vertices]
+
+
+class TestTwinOrder:
+    """The search places each twin class, vertex 0 left out, on increasing leaves."""
+
+    def test_vertex_zero_in_a_false_twin_class(self):
+        # K1,4: a is vertex 0, so only b, c and d are kept in order.
+        star = Graph.build(["a", "b", "c", "d", "z"], [(x, "z") for x in "abcd"])
+        assert roots._twin_predecessors(adjacency_table(star)) == [-1, -1, 1, 2, -1]
+        assert brute_force_leaf_rank(star, 10) == 3
+        assert brute_force_leaf_rank(star, 9) is None
+        assert_agrees_with_unpruned_search(star, 10)
+
+    def test_a_true_twin_class_of_three(self):
+        # b, c and d are a triangle, each joined to e; a hangs from e.
+        g = Graph.build(
+            list("abcde"),
+            [("b", "c"), ("b", "d"), ("c", "d"), ("a", "e"), ("b", "e"), ("c", "e"), ("d", "e")],
+        )
+        assert roots._twin_predecessors(adjacency_table(g)) == [-1, -1, 1, 2, -1]
+        assert brute_force_leaf_rank(g, 8) == 3
+        assert_agrees_with_unpruned_search(g, 8)
+
+    def test_true_and_false_twin_classes_together(self):
+        # Hub a; b, c adjacent true twins; d, e nonadjacent false twins.
+        g = Graph.build(list("abcde"), [("a", "b"), ("a", "c"), ("b", "c"), ("a", "d"), ("a", "e")])
+        assert roots._twin_predecessors(adjacency_table(g)) == [-1, -1, 1, -1, 3]
+        assert brute_force_leaf_rank(g, 9) == 3
+        assert_agrees_with_unpruned_search(g, 9)
 
 
 # ---------------------------------------------------------------------------
