@@ -70,12 +70,9 @@ from .models import (
     rs_model_to_dot,
     rs_model_to_json_obj,
     rs_model_violations,
-    subtree_model_from_json_obj,
     subtree_model_to_dot,
     subtree_model_to_json_obj,
     subtree_model_violations,
-    verify_rs_model,
-    verify_subtree_model,
 )
 from .rn import (
     MAX_EXPONENTIAL_N,

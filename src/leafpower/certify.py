@@ -7,8 +7,8 @@ non-adjacent pairs need strictly more than 1.  Strictness is realized by
 maximizing a margin variable delta and accepting only optima with delta > 0;
 the same delta also forces every edge length to be strictly positive.  A
 witness is a ``LeafRoot`` with k = 1 and exact lengths; ``witness_margin``
-derives its delta.  It scales by its least common denominator to a unit-edge
-k-leaf root, so feasibility here certifies being a leaf power.
+derives its delta.  It scales by its least common denominator to a k-leaf
+root with integer lengths, so feasibility here certifies being a leaf power.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from .enumtrees import leaf_orbit_representatives, topology_trees
 from .graphs import Edge, Graph, normalize_edge
 from .jsonio import Record, items, string, string_map, string_pair
 from .roots import (
-    LeafRoot, _check_domain, _check_placement, _edge_lengths, _grow_path, leaf_power_graph,
-    verify_leaf_root,
+    LeafRoot, _check_domain, _check_placement, _edge_lengths, leaf_power_graph, verify_leaf_root,
 )
 from .trees import Tree, pairwise_distances, tree_from_json_obj, tree_path, tree_to_json_obj
 
@@ -176,28 +175,21 @@ def certify_leaf_power(graph: Graph, max_internal: int) -> LeafRoot | None:
 
 
 def scale_to_integer_leafroot(root: LeafRoot) -> LeafRoot:
-    """Clear denominators: a root with exact lengths becomes a unit-edge root.
+    """Clear denominators: a root with exact lengths gets integer lengths on the same host.
 
     With L the least common denominator, every length w becomes the integer
-    w*L and its edge becomes a path of that many unit edges; k becomes L*k.
+    w*L and k becomes L*k, so every leaf distance is multiplied by exactly L.
     Adjacent pairs then sit at distance <= L*k.  Non-adjacent pairs were
     beyond k, so they land beyond L*k, and being integers, at L*k + 1 or more.
-    The scaled root is re-checked against the given root's graph; a failure
-    raises RuntimeError.
+    A unit root comes back as it is.  The scaled root is re-checked against the
+    given root's graph; a failure raises RuntimeError.  The unit-edge writers
+    expand the integer lengths.
     """
-    lengths = root.lengths or dict.fromkeys(root.host.edges, 1)
-    lcd = 1
-    for w in lengths.values():
-        lcd = math.lcm(lcd, w.denominator)
-
-    taken = set(root.host.nodes)
-    nodes = list(root.host.nodes)
-    edges: list[tuple[str, str]] = []
-    for u, v in root.host.edges:
-        length = int(lengths[(u, v)] * lcd)
-        end = _grow_path(u, [f"{u}~{v}~{j}" for j in range(1, length)], taken, nodes, edges)
-        edges.append((end, v))
-    scaled = LeafRoot.build(Tree.build(nodes, edges), root.k * lcd, dict(root.placement))
+    if root.lengths is None:
+        return root
+    lcd = math.lcm(*(w.denominator for w in root.lengths.values()))
+    lengths = {e: int(w * lcd) for e, w in root.lengths.items()}
+    scaled = LeafRoot.build(root.host, root.k * lcd, root.placement, lengths)
     if leaf_power_graph(scaled) != leaf_power_graph(root):
         raise RuntimeError("construction invalid: the scaled root represents another graph")
     return scaled

@@ -161,24 +161,19 @@ def topology_trees(num_leaves: int, max_internal: int) -> Iterator[Tree]:
 
     Every internal node has degree at least three, so these are exactly the
     shapes that remain after suppressing subdivision nodes.  ``max_internal``
-    bounds the number of internal nodes.  They are the trees of
-    :func:`trees_with_leaf_count` without a degree-2 node, in the same order;
-    both filters read the degrees of the parent array, so only the trees
-    yielded are built.
+    bounds the number of internal nodes.  They are the parent arrays of
+    :func:`_parents_with_leaf_count` without a degree-2 node, in the same
+    order, so only the trees yielded are built.
 
     Counting degrees, ``L + 3I <= 2(L + I - 1)``, so such a tree with L leaves
     has at most ``L - 2`` internal nodes, and larger orders are never generated.
     """
-    if num_leaves < 1:
-        raise ValueError("need at least one leaf")
     if max_internal < 0:
         raise ValueError("max_internal must be nonnegative")
     internal = min(max_internal, max(num_leaves - 2, 0))
-    for order in _orders(num_leaves, num_leaves + internal):
-        for parent in _free_trees(order):
-            degree = _degrees(parent)
-            if _leaf_count(degree) == num_leaves and 2 not in degree:
-                yield _tree(parent)
+    for parent in _parents_with_leaf_count(num_leaves, num_leaves + internal):
+        if 2 not in _degrees(parent):
+            yield _tree(parent)
 
 
 def _rooted_forms(adjacency: Adjacency) -> Callable[[Node, Node | None], tuple]:

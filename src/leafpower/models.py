@@ -27,7 +27,7 @@ from .graphs import (
     graph_from_json_obj,
     graph_to_json_obj,
 )
-from .jsonio import Record, entries, integer_map, string_map, strings
+from .jsonio import Record, integer_map, string_map
 from .trees import (
     Tree,
     ball,
@@ -136,10 +136,6 @@ def subtree_model_violations(model: SubtreeModel) -> list[str]:
     return problems
 
 
-def verify_subtree_model(model: SubtreeModel) -> bool:
-    return not subtree_model_violations(model)
-
-
 def clique_subtree(model: SubtreeModel, clique: Iterable[str]) -> frozenset[str]:
     """The host nodes shared by every member of the clique.
 
@@ -190,10 +186,6 @@ def rs_model_violations(model: RSModel) -> list[str]:
             elif not meets and model.graph.adjacent(u, v):
                 problems.append(f"balls of adjacent {u!r} and {v!r} are disjoint")
     return problems
-
-
-def verify_rs_model(model: RSModel) -> bool:
-    return not rs_model_violations(model)
 
 
 def check_path_cover(model: SubtreeModel, path: Iterable[str], x_u: str, x_v: str) -> bool:
@@ -262,16 +254,6 @@ def subtree_model_to_json_obj(model: SubtreeModel) -> dict:
         "graph": graph_to_json_obj(model.graph),
         "assignment": {v: sorted(nodes) for v, nodes in model.assignment.items()},
     }
-
-
-def subtree_model_from_json_obj(obj: object, field: str = "") -> SubtreeModel:
-    """Read a subtree model; ValueError names the malformed field under ``field``."""
-    rec = Record(obj, field, "host", "graph", "assignment")
-    return SubtreeModel.build(
-        rec.get("host", tree_from_json_obj),
-        rec.get("graph", graph_from_json_obj),
-        rec.get("assignment", lambda value, f: entries(value, f, strings)),
-    )
 
 
 def rs_model_to_json_obj(model: RSModel) -> dict:

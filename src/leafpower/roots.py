@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import exactlp
 from .enumtrees import _host_tables, _parents_with_leaf_count, _tree
@@ -85,63 +85,67 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     return base
 
 
-def _grow_path(
-    start: str, bases: list[str], taken: set[str], nodes: list[str], edges: list[tuple[str, str]]
-) -> str:
-    """Append a path of fresh nodes from ``start``, one per base name, and return its end.
+def _expand(
+    nodes: Iterable[str], paths: Iterable[tuple[str, str, list[str]]]
+) -> tuple[list[str], list[Edge]]:
+    """The nodes and normalized edges of a tree whose edges become paths.
 
-    Each name is :func:`_fresh_name` of its base.
+    Each ``(x, y, bases)`` in ``paths`` is an edge x–y that becomes a path from
+    x through one new node per base to y.  Each new name is :func:`_fresh_name`
+    of its base against every name before it, ``nodes`` first; the new names
+    follow ``nodes`` in path order.  This is where every subdivision node is
+    made.  The names must come out distinct; otherwise RuntimeError.
     """
-    for base in bases:
-        name = _fresh_name(base, taken)
-        taken.add(name)
-        nodes.append(name)
-        edges.append((start, name))
-        start = name
-    return start
+    out = list(nodes)
+    taken = set(out)
+    edges: list[Edge] = []
+    for x, y, bases in paths:
+        for base in bases:
+            name = _fresh_name(base, taken)
+            taken.add(name)
+            out.append(name)
+            edges.append((x, name) if x < name else (name, x))
+            x = name
+        edges.append((x, y) if x < y else (y, x))
+    if len(taken) != len(out):
+        raise RuntimeError(f"expansion invalid: {len(out)} nodes with {len(taken)} distinct names")
+    return out, edges
 
 
 def _unit_expansion(root: LeafRoot) -> tuple[list[str], list[Edge]]:
     """The nodes and edges of the root's host on unit edges, as a unit-edge writer lists them.
 
     A unit root's host is listed as it is.  Otherwise an edge of integer length
-    L > 1 must end at a placed leaf, of vertex v; it becomes a path through L - 1
-    new nodes ``stem.<v>.1 .. stem.<v>.<L-1>``, from its other end outwards, each
-    :func:`_fresh_name` against the nodes already named.  Any other edge longer
-    than 1, or a Fraction length, is refused.  The new names must be distinct and
-    number exactly the sum of L - 1; the nodes come back sorted, and the edges
-    normalized and sorted.  No unit ``Tree`` is built.
+    L becomes a path through L - 1 new nodes (:func:`_expand`).  On a stem, an
+    edge that ends at the placed leaf of vertex v, they are ``stem.<v>.1 ..
+    stem.<v>.<L-1>`` from its other end outwards; on any other edge (x, y), they
+    are ``x~y~1 .. x~y~<L-1>`` from x.  A Fraction length is refused.  The new
+    names must be distinct and number exactly the sum of L - 1; the nodes come
+    back sorted, and the edges normalized and sorted.  No unit ``Tree`` is built.
     """
     if root.lengths is None:
         return list(root.host.nodes), list(root.host.edges)
     by_leaf = {leaf: v for v, leaf in root.placement.items()}
-    taken = set(root.host.nodes)
-    nodes = list(root.host.nodes)
-    edges: list[Edge] = []
-    for (x, y), length in root.lengths.items():
-        if isinstance(length, Fraction):
-            raise ValueError(
-                "root has fractional edge lengths; scale_to_integer_leafroot removes them"
-            )
-        if length > 1:
-            if y not in by_leaf:
-                x, y = y, x
-            if y not in by_leaf:
+
+    def paths() -> Iterator[tuple[str, str, list[str]]]:
+        # Made as consumed: a list of every path would outlive the expansion
+        # and add to each garbage collection while the nodes are named.
+        for (x, y), length in root.lengths.items():
+            if isinstance(length, Fraction):
                 raise ValueError(
-                    f"edge {(y, x)} has length {length} but no placed leaf to grow a stem to"
+                    "root has fractional edge lengths; scale_to_integer_leafroot removes them"
                 )
-            names = [_fresh_name(f"stem.{by_leaf[y]}.{j}", taken) for j in range(1, length)]
-            taken.update(names)
-            nodes += names
-            path = [x, *names, y]
-            edges += [(a, b) if a < b else (b, a) for a, b in zip(path, path[1:])]
-        else:
-            edges.append((x, y))
+            if y not in by_leaf and x in by_leaf:
+                x, y = y, x
+            base = f"stem.{by_leaf[y]}." if y in by_leaf else f"{x}~{y}~"
+            yield x, y, [f"{base}{j}" for j in range(1, length)]
+
+    nodes, edges = _expand(root.host.nodes, paths())
     added = sum(root.lengths.values()) - len(root.lengths)
-    if not len(taken) == len(nodes) == root.host.n + added:
+    if len(nodes) != root.host.n + added:
         raise RuntimeError(
-            f"expansion invalid: {len(nodes)} nodes with {len(taken)} distinct names,"
-            f" where {root.host.n} host nodes and {added} stem nodes were due"
+            f"expansion invalid: {len(nodes)} nodes, where {root.host.n} host nodes"
+            f" and {added} subdivision nodes were due"
         )
     nodes.sort()
     edges.sort()
@@ -170,22 +174,18 @@ def leaf_power_graph(root: LeafRoot) -> Graph:
 def leafroot_to_rs(root: LeafRoot) -> RSModel:
     """Turn a k-leaf root into a ball model with every radius equal to k.
 
-    Every host edge is subdivided once and each vertex is centered on its own
-    leaf.  Two leaves at distance d in the original host end up at distance 2d
-    in the subdivided host, so balls of radius k intersect exactly when
-    d <= k: the model represents the same graph, with max radius k.  The model
-    is re-checked against the root's graph; a failure raises RuntimeError.
-    A root with stem lengths is first expanded to unit edges (``_unit_expansion``).
+    A ball model's host has unit edges, so a root with integer lengths is first
+    written on unit edges (``_unit_expansion``).  Every unit edge (u, v) then
+    gets a midpoint ``u~v`` (:func:`_expand`), and one ``Tree`` is built from
+    the two steps' lists.  Each vertex is centered on its own leaf.  Two leaves
+    at distance d in the root end up at distance 2d in the subdivided host, so
+    balls of radius k intersect exactly when d <= k: the model represents the
+    same graph, with max radius k.  The model is re-checked against the root's
+    graph; a failure raises RuntimeError.
     """
     graph = leaf_power_graph(root)
-    host = root.host if root.lengths is None else Tree.build(*_unit_expansion(root))
-    taken = set(host.nodes)
-    nodes = list(host.nodes)
-    edges: list[tuple[str, str]] = []
-    for u, v in host.edges:
-        mid = _grow_path(u, [f"{u}~{v}"], taken, nodes, edges)
-        edges.append((mid, v))
-    host = Tree.build(nodes, edges)
+    nodes, edges = _unit_expansion(root)
+    host = Tree.build(*_expand(nodes, ((u, v, [f"{u}~{v}"]) for u, v in edges)))
 
     centers = {v: root.placement[v] for v in graph.vertices}
     radii = {v: root.k for v in graph.vertices}
@@ -378,7 +378,7 @@ def _best_k_on_host(
 
 
 def leafroot_to_json_obj(root: LeafRoot) -> dict:
-    """The root on unit edges; stem lengths are expanded (``_unit_expansion``)."""
+    """The root on unit edges; integer lengths are expanded (``_unit_expansion``)."""
     nodes, edges = _unit_expansion(root)
     return {
         "tree": {"nodes": nodes, "edges": [[u, v] for u, v in edges]},
@@ -398,7 +398,7 @@ def leafroot_from_json_obj(obj: object, field: str = "") -> LeafRoot:
 
 
 def leafroot_to_dot(root: LeafRoot, *, name: str = "R") -> str:
-    """The root on unit edges, placed leaves boxed; stem lengths are expanded."""
+    """The root on unit edges, placed leaves boxed; integer lengths are expanded."""
     nodes, edges = _unit_expansion(root)
     by_leaf = {leaf: v for v, leaf in root.placement.items()}
     lines = [f'  label="k = {root.k}";']

@@ -36,10 +36,10 @@ from leafpower import (
     build_feasibility_system,
     topology_trees,
     verify_leaf_root,
-    verify_rs_model,
-    verify_subtree_model,
     witness_margin,
     RDP_ROOT,
+    rs_model_violations,
+    subtree_model_violations,
 )
 
 from conftest import (
@@ -74,7 +74,7 @@ def test_criterion_2_rooted_path_models_n3_to_n10_under_1s():
     for n in range(3, 11):
         r = build_rn(n)
         m = build_rdp_model(r)
-        assert verify_subtree_model(m)
+        assert subtree_model_violations(m) == []
         assert is_rooted_directed_path_model(m, RDP_ROOT)
         for i in range(1, n + 1):
             assert cover(m, f"y{i}") == r.clique(i)
@@ -98,7 +98,7 @@ def test_criterion_3_hundred_random_root_conversions_under_30s():
         graph = leaf_power_graph(root)
         model = leafroot_to_rs(root)
         assert model.graph == graph
-        assert verify_rs_model(model)
+        assert rs_model_violations(model) == []
         assert max(model.radii.values()) == k
         back = rs_to_leafroot(model)
         assert back.k == 2 * k + 2
@@ -253,7 +253,7 @@ def test_criterion_8_path_cover_on_hundred_clique_tree_models_under_30s():
     while done < 100:
         graph, _ = random_ball_model(rng, max_host=6, max_vertices=8)
         model = clique_tree_model(graph)
-        assert verify_subtree_model(model)
+        assert subtree_model_violations(model) == []
         pairs = [
             (u, v)
             for u, v in itertools.combinations(graph.vertices, 2)

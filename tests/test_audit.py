@@ -31,9 +31,9 @@ from leafpower import (
     report_to_text,
     rs_model_from_json_obj,
     rs_model_to_json_obj,
+    rs_model_violations,
     rs_to_leafroot,
     tree_path,
-    verify_rs_model,
 )
 
 from conftest import random_tree_rng
@@ -261,7 +261,7 @@ class TestLowerBoundCertificate:
             m = build_exponential_rs_model(r)
             rebuilt = leafroot_to_rs(rs_to_leafroot(m))
             assert rebuilt.graph == r.graph
-            assert verify_rs_model(rebuilt)
+            assert rs_model_violations(rebuilt) == []
             rep = lower_bound_certificate(r, rebuilt)
             assert rep.holds
             # Subdivision doubles all the distances.
@@ -276,7 +276,7 @@ class TestLowerBoundCertificate:
 class TestAgainstDefinitions:
     def test_fixture_verifies_and_fails_only_the_gap_sum_floor(self):
         r, m = r3_fixture()
-        assert verify_rs_model(m)
+        assert rs_model_violations(m) == []
         bp = branch_points(r, m)
         assert bp.m == ("y1", "x2", "y3")
         assert bp.s == {2: "z2"}

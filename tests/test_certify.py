@@ -4,12 +4,15 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import random
 import re
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from leafpower import (
     Graph,
@@ -17,9 +20,9 @@ from leafpower import (
     Tree,
     build_feasibility_system,
     certify_leaf_power,
-    distance,
     dumps,
     leaf_power_graph,
+    leafroot_from_json_obj,
     leafroot_to_dot,
     leafroot_to_json_obj,
     leafroot_to_rs,
@@ -39,7 +42,7 @@ import leafpower.certify as certify_module
 import leafpower.exactlp as exactlp_module
 from leafpower.certify import FeasibilityResult
 
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, path_graph, random_trees
 
 from test_exactlp import fm_feasible
 
@@ -368,7 +371,7 @@ class TestCertifyLeafPower:
 
 
 # ---------------------------------------------------------------------------
-# Scaling a root with exact lengths to a unit-edge leaf root
+# Scaling a root with exact lengths to integer lengths
 # ---------------------------------------------------------------------------
 
 class TestScaleToInteger:
@@ -376,9 +379,12 @@ class TestScaleToInteger:
         w = LeafRoot.build(STAR_HOST, 1, P3_PLACEMENT, DEMO_WEIGHTS)
         root = scale_to_integer_leafroot(w)
         assert root.k == 5
+        assert root.host == STAR_HOST
+        assert root.lengths == {("i", "la"): 3, ("i", "lb"): 2, ("i", "lc"): 3}
+        assert {type(x) for x in root.lengths.values()} == {int}
         assert verify_leaf_root(P3, root)
-        assert distance(root.host, root.placement["a"], root.placement["b"]) == 5
-        assert distance(root.host, root.placement["a"], root.placement["c"]) == 6
+        assert path_sum_distance(root, root.placement["a"], root.placement["b"]) == 5
+        assert path_sum_distance(root, root.placement["a"], root.placement["c"]) == 6
 
     def test_certified_path_scales_to_k_three(self):
         res = certify_leaf_power(P3, 2)
@@ -390,7 +396,8 @@ class TestScaleToInteger:
         # Lengths 6/5, 4/5, 6/5 at k = 2: L = 5, so the scaled k is 10.
         w = LeafRoot.build(STAR_HOST, 2, P3_PLACEMENT, {e: 2 * x for e, x in DEMO_WEIGHTS.items()})
         root = scale_to_integer_leafroot(w)
-        assert root.k == 10 and root.lengths is None
+        assert root.k == 10 and root.host == STAR_HOST
+        assert root.lengths == {("i", "la"): 6, ("i", "lb"): 4, ("i", "lc"): 6}
         assert verify_leaf_root(P3, root)
 
     def test_unit_root_comes_back_unchanged(self):
@@ -403,30 +410,34 @@ class TestScaleToInteger:
 
         def edgeless_when_scaled(root):
             graph = real(root)
-            return graph if root.lengths is not None else Graph.build(graph.vertices, [])
+            return graph if root.k == 1 else Graph.build(graph.vertices, [])
 
         monkeypatch.setattr(certify_module, "leaf_power_graph", edgeless_when_scaled)
         with pytest.raises(RuntimeError, match="^construction invalid: "):
             scale_to_integer_leafroot(w)
 
     def test_subdivision_names_avoid_host_names(self):
+        # The inner edge (i, la) scales to length 3.  The writer names its
+        # subdivision nodes i~la~1, i~la~2 from i, the first prefixed past the
+        # host node of that name.
         host = Tree.build(
-            ["i", "la", "lb", "i~la~1"], [("i", "la"), ("i", "lb"), ("i", "i~la~1")]
+            ["i", "la", "lb", "lc", "ld", "i~la~1"],
+            [("i", "la"), ("i", "lb"), ("i", "i~la~1"), ("la", "lc"), ("la", "ld")],
         )
-        weights = {
-            ("i", "la"): Fraction(1, 2),
-            ("i", "lb"): Fraction(1, 4),
-            ("i", "i~la~1"): Fraction(1, 4),
-        }
-        placement = {"a": "la", "b": "lb", "c": "i~la~1"}
+        weights = {**dict.fromkeys(host.edges, Fraction(1, 4)), ("i", "la"): Fraction(3, 4)}
+        placement = {"a": "lb", "b": "lc", "c": "ld", "d": "i~la~1"}
         w = LeafRoot.build(host, 1, placement, weights)
         root = scale_to_integer_leafroot(w)
-        assert root.host.nodes == ("i", "la", "lb", "i~la~1", "_i~la~1")
-        assert root.host.edges == (
-            ("_i~la~1", "i"), ("_i~la~1", "la"), ("i", "i~la~1"), ("i", "lb"),
-        )
+        assert root.host == host
+        assert root.lengths == {**dict.fromkeys(host.edges, 1), ("i", "la"): 3}
         assert root.placement == placement
         assert root.k == 4
+        tree = leafroot_to_json_obj(root)["tree"]
+        assert tree["nodes"] == ["_i~la~1", "i", "i~la~1", "i~la~2", "la", "lb", "lc", "ld"]
+        assert tree["edges"] == [
+            ["_i~la~1", "i"], ["_i~la~1", "i~la~2"], ["i", "i~la~1"], ["i", "lb"],
+            ["i~la~2", "la"], ["la", "lc"], ["la", "ld"],
+        ]
 
     def test_random_witnesses_scale_and_verify(self):
         # Witness-first generation: draw a topology and weights whose
@@ -543,11 +554,74 @@ def test_unit_edge_consumers_refuse_a_root_with_lengths(write):
     whole = LeafRoot.build(STAR_HOST, 2, P3_PLACEMENT, dict.fromkeys(STAR_HOST.edges, Fraction(1)))
     with pytest.raises(ValueError, match="scale_to_integer_leafroot"):
         write(whole)
-    # An int length above 1 expands only on a stem, an edge that ends at a placed leaf.
+    # An int length above 1 on an inner edge (i, j) is written through i~j~1, as
+    # the unit root with that node would be.
     host = Tree.build(
         ["i", "j", "la", "lb", "lc"], [("i", "j"), ("i", "la"), ("i", "lb"), ("j", "lc")]
     )
     inner = {("i", "j"): 2, ("i", "la"): 1, ("i", "lb"): 1, ("j", "lc"): 1}
-    with pytest.raises(ValueError, match=re.escape("edge ('i', 'j') has length 2 but no placed")):
-        write(LeafRoot.build(host, 4, P3_PLACEMENT, inner))
+    unit = Tree.build(
+        ["i", "i~j~1", "j", "la", "lb", "lc"],
+        [("i", "i~j~1"), ("i~j~1", "j"), ("i", "la"), ("i", "lb"), ("j", "lc")],
+    )
+    expected = write(LeafRoot.build(unit, 4, P3_PLACEMENT))
+    assert write(LeafRoot.build(host, 4, P3_PLACEMENT, inner)) == expected
     write(LeafRoot.build(host, 4, P3_PLACEMENT, {**inner, ("i", "j"): 1, ("j", "lc"): 2}))
+
+
+@st.composite
+def integer_roots(draw) -> LeafRoot:
+    """A random host with int lengths 1..4 and a placement on its leaves."""
+    host = draw(random_trees(1, 8))
+    lengths = {e: draw(st.integers(1, 4)) for e in host.edges}
+    leaves = draw(st.permutations(host.leaves()))
+    placement = {f"v{i}": leaf for i, leaf in enumerate(leaves)}
+    return LeafRoot.build(host, draw(st.integers(1, 12)), placement, lengths)
+
+
+def dot_nodes_and_edges(text: str) -> tuple[list[str], list[list[str]]]:
+    """The node statements and edge statements of a DOT graph, by name, in order."""
+    lines = text.splitlines()[2:-1]
+    edges = [re.findall(r'"([^"]*)"', line) for line in lines if " -- " in line]
+    nodes = [re.match(r'  "([^"]*)"', line)[1] for line in lines if " -- " not in line]
+    return nodes, edges
+
+
+@given(integer_roots())
+def test_unit_writers_agree_on_a_root_with_int_lengths(root):
+    obj = leafroot_to_json_obj(root)
+    back = leafroot_from_json_obj(json.loads(dumps(obj)))
+    assert back.lengths is None and back.k == root.k and back.placement == root.placement
+    leaves = list(root.placement.values())
+    assert pairwise_distances(back.host, leaves) == pairwise_distances(
+        root.host, leaves, root.lengths
+    )
+    assert dot_nodes_and_edges(leafroot_to_dot(root)) == (
+        obj["tree"]["nodes"], obj["tree"]["edges"]
+    )
+    model, read_model = leafroot_to_rs(root), leafroot_to_rs(back)
+    assert model.graph == read_model.graph == leaf_power_graph(root)
+    assert model.radii == read_model.radii
+
+
+@st.composite
+def fractional_roots(draw) -> LeafRoot:
+    """A random host with Fraction lengths in [1/6, 4], denominators up to 6, k 1..3."""
+    host = draw(random_trees(1, 8))
+    length = st.fractions(Fraction(1, 6), 4, max_denominator=6)
+    lengths = {e: draw(length) for e in host.edges}
+    placement = {f"v{i}": leaf for i, leaf in enumerate(host.leaves())}
+    return LeafRoot.build(host, draw(st.integers(1, 3)), placement, lengths)
+
+
+@given(fractional_roots())
+def test_scaling_multiplies_every_leaf_distance_by_the_denominator(root):
+    scaled = scale_to_integer_leafroot(root)
+    lcd = math.lcm(*(w.denominator for w in root.lengths.values()))
+    assert scaled.host == root.host and scaled.placement == root.placement
+    assert scaled.k == root.k * lcd
+    assert {type(w) for w in scaled.lengths.values()} <= {int}
+    leaves = list(root.placement.values())
+    before = pairwise_distances(root.host, leaves, root.lengths)
+    after = pairwise_distances(root.host, leaves, scaled.lengths)
+    assert after == {a: {b: d * lcd for b, d in row.items()} for a, row in before.items()}

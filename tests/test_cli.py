@@ -24,8 +24,8 @@ from leafpower import (
     leafroot_from_json_obj,
     rs_model_from_json_obj,
     rs_model_to_json_obj,
+    rs_model_violations,
     verify_leaf_root,
-    verify_rs_model,
 )
 from leafpower import cli
 from leafpower.cli import main
@@ -324,7 +324,7 @@ class TestConvertCommand:
         )
         assert code == 0
         rebuilt = rs_model_from_json_obj(json.loads(out))
-        assert verify_rs_model(rebuilt)
+        assert rs_model_violations(rebuilt) == []
         assert rebuilt.graph == r.graph
 
     def test_leafroot_conversion_matches_library_graph(self, capsys, tmp_path):

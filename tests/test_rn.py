@@ -19,8 +19,8 @@ from leafpower import (
     is_rooted_directed_path_model,
     is_separator,
     maximal_cliques,
-    verify_rs_model,
-    verify_subtree_model,
+    rs_model_violations,
+    subtree_model_violations,
 )
 
 
@@ -136,7 +136,7 @@ class TestRdpModel:
         for n in SWEEP:
             r = build_rn(n)
             m = build_rdp_model(r)
-            assert verify_subtree_model(m)
+            assert subtree_model_violations(m) == []
 
     def test_is_rooted_directed_path_model(self):
         for n in SWEEP:
@@ -213,8 +213,8 @@ class TestExponentialModel:
         for n in SWEEP:
             r = build_rn(n)
             m = build_exponential_rs_model(r)
-            assert verify_rs_model(m)
-            assert verify_subtree_model(expand_rs(m))
+            assert rs_model_violations(m) == []
+            assert subtree_model_violations(expand_rs(m)) == []
 
     def test_max_radius_is_two_to_the_n_minus_one(self):
         for n in SWEEP:

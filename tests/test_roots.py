@@ -37,8 +37,8 @@ from leafpower import (
     tree_path,
     trees_with_leaf_count,
     verify_leaf_root,
-    verify_rs_model,
-    verify_subtree_model,
+    rs_model_violations,
+    subtree_model_violations,
 )
 
 from leafpower import roots
@@ -180,8 +180,8 @@ class TestLeafRootToBallModel:
         )
         m = leafroot_to_rs(root)
         assert set(m.radii.values()) == {3}
-        assert verify_rs_model(m)
-        assert verify_subtree_model(expand_rs(m))
+        assert rs_model_violations(m) == []
+        assert subtree_model_violations(expand_rs(m)) == []
 
     def test_subdivision_doubles_leaf_distances(self):
         root = LeafRoot.build(
@@ -297,7 +297,7 @@ class TestBallModelToLeafRoot:
             m = leafroot_to_rs(root)
             assert m.graph == graph
             assert max(m.radii.values()) == k
-            assert verify_rs_model(m)
+            assert rs_model_violations(m) == []
             back = rs_to_leafroot(m)
             assert back.k == 2 * k + 2
             assert verify_leaf_root(graph, back)
@@ -469,7 +469,7 @@ class TestStemExpansion:
         root = rs_to_leafroot(model)
         back = leafroot_to_rs(root)
         assert back == leafroot_to_rs(grown_unit_root(model))
-        assert verify_rs_model(back)
+        assert rs_model_violations(back) == []
 
 
 # ---------------------------------------------------------------------------
