@@ -55,7 +55,6 @@ from .graphs import (
     is_separator,
     maximal_cliques,
     normalize_edge,
-    perfect_elimination_ordering,
 )
 from .jsonio import dumps
 from .models import (
@@ -104,7 +103,6 @@ from .trees import (
     pairwise_distances,
     tree_from_json_obj,
     tree_path,
-    tree_to_dot,
     tree_to_json_obj,
 )
 

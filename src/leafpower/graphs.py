@@ -67,18 +67,12 @@ class Graph:
             adj[v].add(u)
         return {v: frozenset(nbrs) for v, nbrs in adj.items()}
 
-    @cached_property
-    def _edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
     @property
     def n(self) -> int:
         return len(self.vertices)
 
     def adjacent(self, u: str, v: str) -> bool:
-        if u == v:
-            return False
-        return normalize_edge(u, v) in self._edge_set
+        return v in self._adjacency.get(u, ())
 
     def neighbors(self, v: str) -> frozenset[str]:
         return self._adjacency[v]
@@ -87,12 +81,11 @@ class Graph:
         return len(self._adjacency[v])
 
 
-def components(graph: Graph, *, without: frozenset[str] = frozenset()) -> list[frozenset[str]]:
-    """Connected components of the graph with ``without`` deleted, sorted by smallest member."""
-    remaining = [v for v in graph.vertices if v not in without]
+def components(graph: Graph) -> list[frozenset[str]]:
+    """Connected components of the graph, sorted by smallest member."""
     seen: set[str] = set()
     comps: list[frozenset[str]] = []
-    for start in remaining:
+    for start in graph.vertices:
         if start in seen:
             continue
         comp = {start}
@@ -101,7 +94,7 @@ def components(graph: Graph, *, without: frozenset[str] = frozenset()) -> list[f
         while frontier:
             x = frontier.pop()
             for y in graph.neighbors(x):
-                if y not in without and y not in seen:
+                if y not in seen:
                     seen.add(y)
                     comp.add(y)
                     frontier.append(y)
@@ -130,12 +123,6 @@ def _max_cardinality_search(graph: Graph) -> tuple[list[str], dict[str, list[str
                 earlier[w].append(v)
     chordal = all(w in graph.neighbors(ns[-1]) for ns in earlier.values() for w in ns[:-1])
     return visit_order, earlier, chordal
-
-
-def perfect_elimination_ordering(graph: Graph) -> list[str] | None:
-    """A perfect elimination ordering of ``graph``, or None if there is none."""
-    visit_order, _, chordal = _max_cardinality_search(graph)
-    return visit_order[::-1] if chordal else None
 
 
 def is_chordal(graph: Graph) -> bool:
@@ -182,7 +169,7 @@ def is_separator(graph: Graph, cut: Iterable[str]) -> bool:
     for v in cut_set:
         if v not in graph._adjacency:
             raise ValueError(f"cut member {v!r} is not a vertex")
-    after = components(graph, without=cut_set)
+    after = components(induced_subgraph(graph, set(graph.vertices) - cut_set))
     comp_id = {}
     for i, comp in enumerate(after):
         for v in comp:

@@ -397,7 +397,7 @@ def leafroot_from_json_obj(obj: object, field: str = "") -> LeafRoot:
     )
 
 
-def leafroot_to_dot(root: LeafRoot, *, name: str = "R") -> str:
+def leafroot_to_dot(root: LeafRoot) -> str:
     """The root on unit edges, placed leaves boxed; integer lengths are expanded."""
     nodes, edges = _unit_expansion(root)
     by_leaf = {leaf: v for v, leaf in root.placement.items()}
@@ -408,4 +408,4 @@ def leafroot_to_dot(root: LeafRoot, *, name: str = "R") -> str:
             lines.append(f"  {dot_quote(x)} [label={text}, shape=box];")
         else:
             lines.append(f"  {dot_quote(x)};")
-    return dot_graph(name, lines, edges)
+    return dot_graph("R", lines, edges)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import starmap
 from typing import Iterable, Mapping
 
-from .graphs import Edge, _parse_vertices_and_edges, dot_graph, dot_quote, normalize_edge
+from .graphs import Edge, _parse_vertices_and_edges, normalize_edge
 from .jsonio import Record, string_pairs, strings
 
 
@@ -251,7 +251,3 @@ def tree_from_json_obj(obj: object, field: str = "") -> Tree:
     """Read a tree; ValueError names the malformed field under ``field``."""
     rec = Record(obj, field, "nodes", "edges")
     return Tree.build(rec.get("nodes", strings), rec.get("edges", string_pairs))
-
-
-def tree_to_dot(tree: Tree, *, name: str = "T") -> str:
-    return dot_graph(name, [f"  {dot_quote(v)};" for v in tree.nodes], tree.edges)

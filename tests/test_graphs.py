@@ -21,8 +21,8 @@ from leafpower import (
     is_separator,
     maximal_cliques,
     normalize_edge,
-    perfect_elimination_ordering,
 )
+from leafpower.graphs import _max_cardinality_search
 
 from conftest import (
     complete_graph,
@@ -65,9 +65,11 @@ def oracle_has_induced_long_cycle(g: Graph) -> bool:
 
 
 def assert_perfect_elimination_ordering(g: Graph) -> None:
-    """The returned ordering lists every vertex once, and each vertex's later neighbours form a clique."""
-    order = perfect_elimination_ordering(g)
-    assert order is not None
+    """The search calls ``g`` chordal, and its reverse visit order lists every vertex
+    once, each vertex's later neighbours forming a clique."""
+    visit_order, _, chordal = _max_cardinality_search(g)
+    assert chordal
+    order = visit_order[::-1]
     assert sorted(order) == sorted(g.vertices)
     position = {v: i for i, v in enumerate(order)}
     for i, v in enumerate(order):
@@ -165,7 +167,10 @@ class TestGraphBuild:
     def test_adjacency_and_degree(self):
         g = path_graph(["a", "b", "c"])
         assert g.adjacent("a", "b")
+        assert g.adjacent("b", "a")
         assert not g.adjacent("a", "c")
+        assert not g.adjacent("a", "a")
+        assert not g.adjacent("a", "z") and not g.adjacent("z", "a")
         assert g.neighbors("b") == frozenset({"a", "c"})
         assert g.degree("a") == 1
         assert g.n == 3
@@ -175,13 +180,6 @@ class TestComponents:
     def test_two_components(self):
         g = Graph.build(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
         assert components(g) == [frozenset({"a", "b"}), frozenset({"c", "d"})]
-
-    def test_without_removes_vertices(self):
-        g = path_graph(["a", "b", "c"])
-        assert components(g, without=frozenset({"b"})) == [
-            frozenset({"a"}),
-            frozenset({"c"}),
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +208,7 @@ class TestChordality:
                 assert_perfect_elimination_ordering(g)
 
     def test_peo_none_for_non_chordal(self):
-        assert perfect_elimination_ordering(cycle_graph(["a", "b", "c", "d"])) is None
+        assert not _max_cardinality_search(cycle_graph(["a", "b", "c", "d"]))[2]
 
 
 # ---------------------------------------------------------------------------

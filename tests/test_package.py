@@ -1,6 +1,7 @@
 """Tests for the package's public namespace and its run-time dependencies."""
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -25,6 +26,52 @@ def test_all_names_resolve_and_none_is_a_module():
     assert leafpower.__all__ == sorted(set(leafpower.__all__))
     for name in leafpower.__all__:
         assert not isinstance(getattr(leafpower, name), types.ModuleType), name
+
+
+#: The public names that no module of the package uses, each with what keeps it.
+KEPT = {
+    "check_path_cover": "acceptance criterion 8 calls it",
+    "is_separator": "acceptance criterion 1 calls it",
+    "clique_tree_model": "ROADMAP item 10 gives it a caller",
+    "is_cluster_graph": "ROADMAP item 10 gives it a caller",
+    "distance": "the tests' reference route for pairwise_distances and distances_from",
+    "nonisomorphic_trees": "perfbench's Tracer.install looks it up",
+    "trees_with_leaf_count": "perfbench's Tracer.install looks it up, and it feeds hosts "
+    "to the unpruned-search oracle in tests/test_roots.py",
+    "scale_to_integer_leafroot": "acceptance criterion 7 and CI call it",
+    "weighted_leafroot_from_json_obj": "it reads certify's JSON back, and CI's scale_p3 step calls it",
+}
+
+
+def names_used_in_package() -> set[str]:
+    """The names each module but ``__init__`` uses outside the def or class that defines them.
+
+    A use is a loaded name, an attribute or an import; text in strings does not count.
+    """
+    used: set[str] = set()
+    for path in (SRC / "leafpower").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.rpartition(".")[2])
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+            used |= names
+    return used
+
+
+def test_every_public_name_has_a_use():
+    used = names_used_in_package()
+    assert [name for name in leafpower.__all__ if name not in used and name not in KEPT] == []
+    # A kept name that gains a use, or leaves the API, leaves the table too.
+    assert [name for name in KEPT if name in used or name not in leafpower.__all__] == []
 
 
 def python(tmp_path, *argv: str, **env: str) -> subprocess.CompletedProcess:

@@ -33,7 +33,6 @@ from leafpower import (
     rs_model_to_dot,
     rs_to_leafroot,
     subtree_model_to_dot,
-    tree_to_dot,
     tree_path,
     trees_with_leaf_count,
     verify_leaf_root,
@@ -694,7 +693,6 @@ class TestLeafRootSerialization:
         model = leafroot_to_rs(root)
         dots = [
             graph_to_dot(model.graph),
-            tree_to_dot(root.host),
             leafroot_to_dot(root),
             rs_model_to_dot(model),
             subtree_model_to_dot(expand_rs(model)),
@@ -704,15 +702,14 @@ class TestLeafRootSerialization:
                 assert line.replace('\\"', "").count('"') % 2 == 0, line
         assert '  "v\\"1" -- "w";' in dots[0]
         assert '  "x\\"y";' in dots[1]
-        assert '  "p" [label="p (v\\"1)", shape=box];' in dots[2]
-        assert '  "p" [label="p: v\\"1 r=2", shape=box];' in dots[3]
+        assert '  "p" [label="p (v\\"1)", shape=box];' in dots[1]
+        assert '  "p" [label="p: v\\"1 r=2", shape=box];' in dots[2]
 
     def test_dot_refuses_names_ending_in_a_backslash(self):
         root = LeafRoot.build(star_tree("x\\", ["p", "q"]), 2, {"v\\": "p", "w": "q"})
         model = leafroot_to_rs(root)
         writers = [
             lambda: graph_to_dot(model.graph),
-            lambda: tree_to_dot(root.host),
             lambda: leafroot_to_dot(root),
             lambda: rs_model_to_dot(model),
             lambda: subtree_model_to_dot(expand_rs(model)),

@@ -20,7 +20,6 @@ from leafpower import (
     pairwise_distances,
     tree_from_json_obj,
     tree_path,
-    tree_to_dot,
     tree_to_json_obj,
 )
 from leafpower.cli import main
@@ -448,9 +447,3 @@ class TestTreeSerialization:
         t = path_tree(["a", "b"])
         payload = json.loads(dumps(tree_to_json_obj(t)))
         assert payload == {"nodes": ["a", "b"], "edges": [["a", "b"]]}
-
-    def test_dot_contains_nodes_and_edges(self):
-        t = star_tree("c", ["x", "y"])
-        dot = tree_to_dot(t)
-        assert dot.startswith("graph")
-        assert '"c" -- "x"' in dot
