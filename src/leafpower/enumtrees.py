@@ -8,22 +8,19 @@ trees", SIAM J. Comput. 9, 1980) and keeps one rooting per free tree.  The
 sequences, and the trees' node numbering, are those of networkx's
 ``nonisomorphic_trees``.  Trees are filtered by leaf count or topology shape
 on integer degree counts, so only the trees yielded are built as
-:class:`~leafpower.trees.Tree`.  Leaf orbits under tree automorphisms come
-from rooted canonical forms, memoized per directed edge.  A leaf-root
+:class:`~leafpower.trees.Tree`.  A tree's leaf orbits under automorphisms
+come from rooted canonical forms, memoized per directed edge.  A leaf-root
 search reads a parent array's leaves, leaf distances and orbit representatives
-as integer tables (``_host_tables``) without building a tree.
+as integer tables (``_host_tables``) straight off its level sequence, which is
+rooted at a centre and holds each subtree as a canonical slice, so it builds no
+tree, runs no breadth-first search and computes no canonical form.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterator
 
 from .trees import Tree
-
-#: A node of an orbit computation: an integer index or a tree's node name.
-Node = int | str
-#: Neighbours per node: lists indexed by integer node, or tuples keyed by name.
-Adjacency = Sequence[Sequence[int]] | Mapping[str, Sequence[str]]
 
 
 def _free_trees(order: int) -> Iterator[list[int]]:
@@ -176,73 +173,89 @@ def topology_trees(num_leaves: int, max_internal: int) -> Iterator[Tree]:
             yield _tree(parent)
 
 
-def _rooted_forms(adjacency: Adjacency) -> Callable[[Node, Node | None], tuple]:
-    """``form(v, parent)``: the canonical form of the subtree at ``v`` away from ``parent``.
-
-    ``adjacency[v]`` lists the neighbours of node ``v``: a list indexed by
-    integer nodes, or a tree's neighbour tuples keyed by name.  A form is the
-    sorted tuple of its children's forms.  Forms are memoized per directed
-    edge, so rooting the tree at many nodes computes each edge's form once.
-    """
-    memo: dict[tuple[Node, Node | None], tuple] = {}
-
-    def form(v: Node, parent: Node | None) -> tuple:
-        key = (v, parent)
-        found = memo.get(key)
-        if found is None:
-            found = memo[key] = tuple(sorted([form(w, v) for w in adjacency[v] if w != parent]))
-        return found
-
-    return form
-
-
-def _orbits(adjacency: Adjacency, leaves: Iterable[Node]) -> list[list[Node]]:
-    """``leaves`` grouped by the canonical form of the tree rooted at each.
-
-    Two leaves share a form exactly when some automorphism of the tree maps one
-    to the other.  Groups come in order of their first leaf, each in ``leaves``' order.
-    """
-    form = _rooted_forms(adjacency)
-    groups: dict[tuple, list[Node]] = {}
-    for leaf in leaves:
-        groups.setdefault(form(leaf, None), []).append(leaf)
-    return list(groups.values())
-
-
 def _host_tables(parent: list[int]) -> tuple[list[int], list[list[int]], list[int]]:
-    """The integer tables a leaf-root search reads from a parent array's tree.
+    """The integer tables a leaf-root search reads from a parent array of :func:`_free_trees`.
 
     These are the leaf indices, ascending; the leaf-by-leaf distance table,
-    indexed by position in that list and read from one breadth-first search per
-    leaf; and the positions of the first-vertex choices, the lowest-indexed leaf
-    of each automorphism orbit, ascending.  Node ``i`` is ``n{i}`` of
-    :func:`_tree`.
+    indexed by position in that list; and the positions of the first-vertex
+    choices, the lowest-indexed leaf of each automorphism orbit, ascending.
+    Node ``i`` is ``n{i}`` of :func:`_tree`.  Both tables are read off the
+    array, which lists a level sequence in preorder with ``parent[i] < i``.
+
+    Distances: every node j < i lies outside the subtree of i, so its path to i
+    passes through ``parent[i]``, and over j < i row i is the parent's row plus
+    one.  Each row is also written into the earlier nodes' columns, so the
+    parent's row is complete up to i when row i is read from it.
+
+    Orbits: the root is a centre of the tree (Wright, Richmond, Odlyzko and
+    McKay), and the subtree of node i is the slice ``depth[i:i + size[i]]``, a
+    canonical level sequence (Beyer and Hedetniemi), so two subtrees at equal
+    depth are isomorphic exactly when their slices are equal.  When every
+    automorphism fixes the root, two nodes share an orbit exactly when their
+    parents do and their subtrees are isomorphic, so a node is keyed by its
+    parent's key and its slice.  Otherwise the tree is bicentral and some
+    automorphism swaps the root with the other centre, its tallest child,
+    node 1.  That happens exactly when node 1's subtree, one level up, equals
+    the rest of the sequence, ``[0] + depth[end:]``.  Then the two centres
+    share the root's key, and the nodes under node 1 are keyed on their
+    distance from node 1, ``depth - 1``, as the others are on theirs from the
+    root.
     """
-    adjacency: list[list[int]] = [[] for _ in parent]
-    for i in range(1, len(parent)):
-        adjacency[i].append(parent[i])
-        adjacency[parent[i]].append(i)
-    leaves = [i for i, nbrs in enumerate(adjacency) if len(nbrs) <= 1]
-    dist = []
-    for leaf in leaves:
-        depth = [-1] * len(parent)
-        depth[leaf] = 0
-        order = [leaf]
-        for x in order:
-            for y in adjacency[x]:
-                if depth[y] < 0:
-                    depth[y] = depth[x] + 1
-                    order.append(y)
-        dist.append([depth[other] for other in leaves])
-    position = {leaf: i for i, leaf in enumerate(leaves)}
-    firsts = [position[orbit[0]] for orbit in _orbits(adjacency, leaves)]
-    return leaves, dist, firsts
+    n = len(parent)
+    depth = [0] * n
+    dist = [[0] * n for _ in parent]
+    for i in range(1, n):
+        p = parent[i]
+        depth[i] = depth[p] + 1
+        row = dist[i]
+        for j, d in enumerate(dist[p][:i]):
+            row[j] = dist[j][i] = d + 1
+    if n <= 2:
+        # The root is a centre, so it is a leaf only here, where all leaves are one orbit.
+        return list(range(n)), dist, [0]
+    size = [1] * n
+    for i in range(n - 1, 0, -1):
+        size[parent[i]] += size[i]
+    leaves = [i for i in range(1, n) if size[i] == 1]
+    start = 1
+    end = 1 + size[1]
+    lifted = [d - 1 for d in depth[1:end]]
+    if lifted == [0, *depth[end:]]:
+        depth[1:end] = lifted
+        start = 2
+    key = [0] * n
+    ids: dict[tuple[int, ...], int] = {}
+    for i in range(start, n):
+        if size[i] > 1:
+            key[i] = ids.setdefault((key[parent[i]], *depth[i:i + size[i]]), len(ids) + 1)
+    # A leaf's slice is its depth, which its parent's key fixes, so its key is its parent's.
+    first: dict[int, int] = {}
+    for position, leaf in enumerate(leaves):
+        first.setdefault(key[parent[leaf]], position)
+    return leaves, [[dist[a][b] for b in leaves] for a in leaves], list(first.values())
 
 
 def leaf_orbits(tree: Tree) -> list[tuple[str, ...]]:
-    """Leaves grouped into automorphism orbits, each orbit sorted, orbits sorted."""
-    adjacency = {v: tree.neighbors(v) for v in tree.nodes}
-    return sorted(tuple(sorted(orbit)) for orbit in _orbits(adjacency, tree.leaves()))
+    """Leaves grouped into automorphism orbits, each orbit sorted, orbits sorted.
+
+    Two leaves share an orbit exactly when the tree rooted at each has the same
+    canonical form, the sorted tuple of its children's forms.  Forms are
+    memoized per directed edge, so rooting the tree at every leaf computes each
+    edge's form once.
+    """
+    memo: dict[tuple[str, str | None], tuple] = {}
+
+    def form(v: str, parent: str | None) -> tuple:
+        key = (v, parent)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = tuple(sorted([form(w, v) for w in tree.neighbors(v) if w != parent]))
+        return found
+
+    groups: dict[tuple, list[str]] = {}
+    for leaf in tree.leaves():
+        groups.setdefault(form(leaf, None), []).append(leaf)
+    return sorted(tuple(sorted(orbit)) for orbit in groups.values())
 
 
 def leaf_orbit_representatives(tree: Tree) -> list[str]:

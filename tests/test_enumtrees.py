@@ -327,7 +327,7 @@ class TestLeafOrbits:
 
 
 class TestHostTables:
-    @pytest.mark.parametrize("order", range(1, 12))
+    @pytest.mark.parametrize("order", range(1, 15))
     def test_tables_match_the_tree_built_from_the_parent_array(self, order):
         for parent in enumtrees._free_trees(order):
             tree = enumtrees._tree(parent)
@@ -342,3 +342,27 @@ class TestHostTables:
             assert [leaves[i] for i in firsts] == lowest
             if order <= 10:
                 assert [names[i] for i in firsts] == leaf_orbit_representatives(tree)
+
+    @pytest.mark.parametrize(
+        "parent, centres_swap, firsts",
+        [
+            ([-1, 0], True, [0]),
+            ([-1, 0, 1, 0], True, [0]),
+            ([-1, 0, 1, 2, 0, 4], True, [0]),
+            # The fork n2-n1-n0-{n3, n4}: bicentral, its centres n0 and n1 kept apart.
+            ([-1, 0, 1, 0, 0], False, [0, 1]),
+        ],
+        ids=["P2", "P4", "P6", "fork"],
+    )
+    def test_bicentral_trees_against_the_automorphism_oracle(self, parent, centres_swap, firsts):
+        assert parent in enumtrees._free_trees(len(parent))
+        tree = enumtrees._tree(parent)
+        assert oracle_automorphism_exists(tree, "n0", "n1") == centres_swap
+        leaves, _, got = enumtrees._host_tables(parent)
+        names = [f"n{i}" for i in leaves]
+        # A leaf is its orbit's first unless an automorphism maps an earlier leaf onto it.
+        expected = [
+            i for i, leaf in enumerate(names)
+            if not any(oracle_automorphism_exists(tree, earlier, leaf) for earlier in names[:i])
+        ]
+        assert got == expected == firsts

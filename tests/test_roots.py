@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -556,12 +557,17 @@ class TestBruteForceLeafRank:
             brute_force_leaf_rank(path_graph(["a", "b", "c"]), 8)
 
     def test_answers_on_the_atlas_within_ten_nodes(self, atlas_graphs):
-        got = [brute_force_leaf_rank(g, 10) for g in atlas_graphs if g.n <= 6]
+        graphs = [g for g in atlas_graphs if g.n <= 6]
+        got = [brute_force_leaf_rank(g, 10) for g in graphs]
         expected = [
             None if ch == "." else int(ch) for ch in "".join(ATLAS_RANKS_WITHIN_TEN_NODES)
         ]
         assert len(expected) == 208 and expected.count(None) == 143
         assert got == expected
+        counts: dict[int, Counter] = {}
+        for g, rank in zip(graphs, got):
+            counts.setdefault(g.n, Counter())[rank] += 1
+        assert counts == ATLAS_RANK_COUNTS
 
 
 #: ``brute_force_leaf_rank(g, 10)`` on the 208 atlas graphs with 1 to 6
@@ -578,6 +584,18 @@ ATLAS_RANKS_WITHIN_TEN_NODES = (
     ".......3..3........3.......3.........3....3..........2.33.3.........3.."
     ".3....33...3.32",
 )
+
+#: The same answers counted per vertex count, rank -> graphs, 65 ranked in all.
+#: This is the ``leafrank`` benchmark workload: ``leafrank --max-nodes 10`` on
+#: every atlas graph with 1 to 6 vertices.
+ATLAS_RANK_COUNTS = {
+    1: {1: 1},
+    2: {1: 2},
+    3: {1: 1, 2: 2, 3: 1},
+    4: {1: 1, 2: 4, 3: 5, None: 1},
+    5: {1: 1, 2: 6, 3: 14, 4: 1, None: 12},
+    6: {1: 1, 2: 9, 3: 16, None: 130},
+}
 
 
 def unpruned_workable_ks(graph: Graph, max_nodes: int) -> set[int]:
