@@ -11,6 +11,7 @@ be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -214,7 +215,13 @@ def _cmd_report(args: argparse.Namespace) -> Result:
     return "\n".join(lines) + "\n", 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by every later one.
+
+    It depends on no input, and ``parse_args`` makes a fresh namespace on each
+    call, so nothing of one command reaches the next.
+    """
     parser = argparse.ArgumentParser(
         prog="leafpower", description="Leaf powers, tree representations, and the hard family R_n."
     )
@@ -266,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; the only place that writes output or maps errors to exit codes."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text, code = args.func(args)
         if args.out is None:

@@ -13,14 +13,20 @@ come from rooted canonical forms, memoized per directed edge.  A leaf-root
 search reads a parent array's leaves, leaf distances and orbit representatives
 as integer tables (``_host_tables``) straight off its level sequence, which is
 rooted at a centre and holds each subtree as a canonical slice, so it builds no
-tree, runs no breadth-first search and computes no canonical form.
+tree, runs no breadth-first search and computes no canonical form.  Those
+hosts and tables depend only on the leaf count and the order, so ``_hosts``
+builds them once per process; nothing that depends on a graph is kept.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import functools
+from typing import Iterator, Sequence
 
 from .trees import Tree
+
+#: A host's ``_host_tables`` frozen: its leaves, leaf-by-leaf distances and first-vertex choices.
+HostTables = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
 def _free_trees(order: int) -> Iterator[list[int]]:
@@ -107,7 +113,7 @@ def _degrees(parent: list[int]) -> list[int]:
     return degree
 
 
-def _tree(parent: list[int]) -> Tree:
+def _tree(parent: Sequence[int]) -> Tree:
     """The tree of a parent array, its nodes named n0.. by index."""
     names = [f"n{i}" for i in range(len(parent))]
     return Tree.build(names, [(names[p], names[i]) for i, p in enumerate(parent) if i])
@@ -148,9 +154,32 @@ def _parents_with_leaf_count(num_leaves: int, max_nodes: int) -> Iterator[list[i
     if num_leaves < 1:
         raise ValueError("need at least one leaf")
     for order in _orders(num_leaves, max_nodes):
-        for parent in _free_trees(order):
-            if _leaf_count(_degrees(parent)) == num_leaves:
-                yield parent
+        yield from _parents_of_order(num_leaves, order)
+
+
+def _parents_of_order(num_leaves: int, order: int) -> Iterator[list[int]]:
+    """The parent arrays of :func:`_free_trees` with ``order`` nodes and ``num_leaves`` leaves."""
+    for parent in _free_trees(order):
+        if _leaf_count(_degrees(parent)) == num_leaves:
+            yield parent
+
+
+@functools.cache
+def _hosts(num_leaves: int, order: int) -> tuple[tuple[tuple[int, ...], HostTables], ...]:
+    """Each parent array of :func:`_parents_of_order`, in order, with its :func:`_host_tables`.
+
+    Everything is a tuple, so no caller can change what the next one reads.
+    The hosts and their tables depend on nothing but the key, so they are
+    built once per process, on first use, and every later search over the same
+    leaf count and order reads them.  The package never clears the memo: it
+    holds every (leaf count, order) a search has asked for, so it grows with
+    the largest ``--max-nodes`` of the process.
+    """
+    hosts = []
+    for parent in _parents_of_order(num_leaves, order):
+        leaves, dist, firsts = _host_tables(parent)
+        hosts.append((tuple(parent), (tuple(leaves), tuple(map(tuple, dist)), tuple(firsts))))
+    return tuple(hosts)
 
 
 def topology_trees(num_leaves: int, max_internal: int) -> Iterator[Tree]:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator
 
 from . import exactlp
-from .enumtrees import _host_tables, _parents_with_leaf_count, _tree
+from .enumtrees import HostTables, _hosts, _orders, _tree
 from .graphs import Edge, Graph, dot_graph, dot_quote, is_chordal, normalize_edge
 from .jsonio import Record, integer, string_map
 from .models import RSModel, rs_model_violations
@@ -250,7 +251,10 @@ def brute_force_leaf_rank(
     Each host is searched on the integer tables of its parent array
     (``enumtrees._host_tables``; see ``_best_k_on_host``), and only the host
     behind the answer is built as a ``Tree``.  That root is re-checked with
-    ``verify_leaf_root``; a failure raises RuntimeError.
+    ``verify_leaf_root``; a failure raises RuntimeError.  The hosts and their
+    tables depend only on |V| and the order, so they come from the per-process
+    memo ``enumtrees._hosts``; the graph's tables and the search are made anew
+    on every call.
     """
     num = len(graph.vertices)
     if num < 1:
@@ -267,9 +271,10 @@ def brute_force_leaf_rank(
     after = _twin_predecessors(adjacent)
     # No leaf distance on a tree of at most max_nodes nodes reaches max_nodes.
     limit = max_k if max_k is not None else max_nodes
-    best: tuple[int, list[int], list[int]] | None = None
-    for parent in _parents_with_leaf_count(num, max_nodes):
-        found = _best_k_on_host(adjacent, after, _host_tables(parent), limit)
+    best: tuple[int, tuple[int, ...], list[int]] | None = None
+    hosts = chain.from_iterable(_hosts(num, order) for order in _orders(num, max_nodes))
+    for parent, tables in hosts:
+        found = _best_k_on_host(adjacent, after, tables, limit)
         if found is not None:
             k, leaves = found
             best = k, parent, leaves
@@ -306,7 +311,7 @@ def _twin_predecessors(adjacent: list[list[bool]]) -> list[int]:
 def _best_k_on_host(
     adjacent: list[list[bool]],
     after: list[int],
-    tables: tuple[list[int], list[list[int]], list[int]],
+    tables: HostTables,
     limit: int,
 ) -> tuple[int, list[int]] | None:
     """The smallest workable k <= limit on this host and a placement for it, else None.
@@ -314,7 +319,7 @@ def _best_k_on_host(
     ``adjacent[i][j]`` says whether vertices i and j are adjacent, and
     ``after`` is ``_twin_predecessors(adjacent)``.  ``tables`` are the host's
     leaf indices, leaf-by-leaf distances and first-vertex choices
-    (``enumtrees._host_tables``).  The search names a leaf by its position in
+    (``enumtrees._hosts``).  The search names a leaf by its position in
     the first, with a ``used`` flag each; the placement comes back as leaf indices.  Vertex i
     is placed on leaf ``slot[i]``, depth first in vertex order: the first vertex
     on one leaf per automorphism orbit, and vertex i on a leaf after that of

@@ -1,6 +1,7 @@
 """Shared fixtures, graph builders, and random generators for the test suite."""
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -58,10 +59,16 @@ def _convert_atlas(g: "nx.Graph") -> Graph:
     )
 
 
+@functools.cache
+def atlas() -> tuple[Graph, ...]:
+    """All nonempty graphs on at most 7 vertices, as library graphs, in atlas order."""
+    return tuple(_convert_atlas(g) for g in nx.graph_atlas_g() if g.number_of_nodes() > 0)
+
+
 @pytest.fixture(scope="session")
 def atlas_graphs() -> list[Graph]:
     """All nonempty graphs on at most 7 vertices, as library graphs."""
-    return [_convert_atlas(g) for g in nx.graph_atlas_g() if g.number_of_nodes() > 0]
+    return list(atlas())
 
 
 @pytest.fixture(scope="session")

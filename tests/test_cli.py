@@ -465,6 +465,47 @@ class TestParserBasics:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_one_parser_serves_a_sequence_of_commands(self, capsys, tmp_path, monkeypatch):
+        # The bull (triangle a-b-c, pendants d on b and e on c) has rank 4 within
+        # 11 nodes; within 10 nodes, or under --max-k 3, it is unknown.
+        bull = tmp_path / "bull.json"
+        edges = [("a", "b"), ("b", "c"), ("a", "c"), ("b", "d"), ("c", "e")]
+        bull.write_text(dumps(graph_to_json_obj(Graph.build(list("abcde"), edges))))
+        sequence = [
+            (["--max-nodes", "11"], 0, "4\n"),
+            (["--max-nodes", "11", "--max-k", "3"], 1, "unknown\n"),
+            (["--max-nodes", "eleven"], 2, ""),
+            (["--max-nodes", "10"], 1, "unknown\n"),
+            (["--max-nodes", "11"], 0, "4\n"),
+        ]
+        searched = []
+        search = cli.brute_force_leaf_rank
+
+        def spy(graph, max_nodes, max_k):
+            searched.append((max_nodes, max_k))
+            return search(graph, max_nodes, max_k)
+
+        monkeypatch.setattr(cli, "brute_force_leaf_rank", spy)
+
+        def outcome(options: list[str]) -> tuple[int, str, str]:
+            try:
+                code = main(["leafrank", "--graph", str(bull), *options])
+            except SystemExit as exc:  # argparse refuses its arguments this way
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        shared = [outcome(options) for options, _, _ in sequence]
+        assert searched == [(11, None), (11, 3), (10, None), (11, None)]
+        assert [(code, out) for code, out, _ in shared] == [(c, o) for _, c, o in sequence]
+        assert "invalid int value: 'eleven'" in shared[2][2]
+        assert "Traceback" not in shared[2][2]
+        fresh = []
+        for options, _, _ in sequence:
+            cli._parser.cache_clear()
+            fresh.append(outcome(options))
+        assert fresh == shared
+
 
 # ---------------------------------------------------------------------------
 # Malformed input: exit 2 with a one-line message, never a traceback

@@ -41,9 +41,10 @@ from leafpower import (
     subtree_model_violations,
 )
 
-from leafpower import roots
+from leafpower import enumtrees, roots
 
 from conftest import (
+    atlas,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -526,10 +527,10 @@ class TestBruteForceLeafRank:
         assert verify_leaf_root(g, root)
 
     def test_non_chordal_graph_is_unknown_without_a_host(self, monkeypatch):
-        def no_hosts(num_leaves, max_nodes):
+        def no_hosts(num_leaves, order):
             raise AssertionError("a host was requested")
 
-        monkeypatch.setattr(roots, "_parents_with_leaf_count", no_hosts)
+        monkeypatch.setattr(roots, "_hosts", no_hosts)
         c4 = cycle_graph(["a", "b", "c", "d"])
         assert brute_force_leaf_rank(c4, 10) is None
 
@@ -557,17 +558,39 @@ class TestBruteForceLeafRank:
             brute_force_leaf_rank(path_graph(["a", "b", "c"]), 8)
 
     def test_answers_on_the_atlas_within_ten_nodes(self, atlas_graphs):
+        # The first pass builds the host memo, the second reads it.
         graphs = [g for g in atlas_graphs if g.n <= 6]
-        got = [brute_force_leaf_rank(g, 10) for g in graphs]
         expected = [
             None if ch == "." else int(ch) for ch in "".join(ATLAS_RANKS_WITHIN_TEN_NODES)
         ]
         assert len(expected) == 208 and expected.count(None) == 143
-        assert got == expected
-        counts: dict[int, Counter] = {}
-        for g, rank in zip(graphs, got):
-            counts.setdefault(g.n, Counter())[rank] += 1
-        assert counts == ATLAS_RANK_COUNTS
+        enumtrees._hosts.cache_clear()
+        for _ in range(2):
+            got = [brute_force_leaf_rank(g, 10) for g in graphs]
+            assert got == expected
+            counts: dict[int, Counter] = {}
+            for g, rank in zip(graphs, got):
+                counts.setdefault(g.n, Counter())[rank] += 1
+            assert counts == ATLAS_RANK_COUNTS
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 207), st.integers(6, 10), st.sampled_from([None, 1, 2, 3])
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_answers_do_not_depend_on_earlier_calls(self, calls):
+        # The calls run in turn on one memo, then each alone on an empty one.
+        graphs = atlas()
+        assert all(graphs[i].n <= 6 for i, _, _ in calls)
+        enumtrees._hosts.cache_clear()
+        got = [brute_force_leaf_rank(graphs[i], m, k) for i, m, k in calls]
+        for (i, m, k), answer in zip(calls, got):
+            enumtrees._hosts.cache_clear()
+            assert answer == brute_force_leaf_rank(graphs[i], m, k), (i, m, k)
 
 
 #: ``brute_force_leaf_rank(g, 10)`` on the 208 atlas graphs with 1 to 6
