@@ -3,9 +3,9 @@
 The package provides immutable graphs and trees, two kinds of subtree
 intersection models (explicit node sets and center/radius balls), the R_n
 graph family with its rooted-path and exponential-radius ball models,
-k-leaf-root verification and conversion, a brute-force leaf-rank search, an
-exact-rational LP certificate for leaf powers, and the machine audit of the
-exponential lower bound.
+k-leaf-root verification and conversion, a brute-force leaf-rank search and
+its census over the small chordal graphs, an exact-rational LP certificate
+for leaf powers, and the machine audit of the exponential lower bound.
 
 ``__all__`` is every name imported below; the submodules themselves are left
 out.
@@ -24,6 +24,7 @@ from .audit import (
     report_to_json_obj,
     report_to_text,
 )
+from .census import chordal_graphs, leaf_rank_census
 from .certify import (
     FeasibilityResult,
     FeasibilitySystem,

@@ -1,4 +1,4 @@
-"""Command-line front end: build, convert, audit, search, certify, report.
+"""Command-line front end: build, convert, audit, search, census, certify, report.
 
 Every command writes deterministic output (sorted keys, canonical edge order)
 to stdout or --out, so identical invocations produce byte-identical files.
@@ -11,13 +11,13 @@ be written.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple, TypeVar
 
 from .audit import lower_bound_certificate, report_to_json_obj, report_to_text
+from .census import leaf_rank_census
 from .certify import (
     build_feasibility_system,
     certify_leaf_power,
@@ -162,6 +162,10 @@ def _cmd_leafrank(args: argparse.Namespace) -> Result:
     return ("unknown" if rank is None else str(rank)) + "\n", 0 if rank is not None else 1
 
 
+def _cmd_census(args: argparse.Namespace) -> Result:
+    return dumps(leaf_rank_census(args.max_vertices, args.max_nodes, args.max_k)), 0
+
+
 def _cmd_certify(args: argparse.Namespace) -> Result:
     graph = _read(args.graph, graph_from_json_obj, "graph")
     witness = certify_leaf_power(graph, args.max_internal)
@@ -215,13 +219,7 @@ def _cmd_report(args: argparse.Namespace) -> Result:
     return "\n".join(lines) + "\n", 0
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and reused by every later one.
-
-    It depends on no input, and ``parse_args`` makes a fresh namespace on each
-    call, so nothing of one command reaches the next.
-    """
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leafpower", description="Leaf powers, tree representations, and the hard family R_n."
     )
@@ -250,6 +248,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_leafrank)
 
+    p = sub.add_parser("census", help="brute-force leaf ranks of all small chordal graphs")
+    p.add_argument("--max-vertices", type=int, required=True)
+    p.add_argument("--max-nodes", type=int, required=True)
+    p.add_argument("--max-k", type=int, default=None)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=_cmd_census)
+
     p = sub.add_parser("certify", help="search for an exact weighted leaf root")
     p.add_argument("--graph", required=True, help="graph JSON file")
     p.add_argument("--max-internal", type=int, required=True)
@@ -273,7 +278,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; the only place that writes output or maps errors to exit codes."""
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         text, code = args.func(args)
         if args.out is None:

@@ -15,7 +15,8 @@ as integer tables (``_host_tables``) straight off its level sequence, which is
 rooted at a centre and holds each subtree as a canonical slice, so it builds no
 tree, runs no breadth-first search and computes no canonical form.  Those
 hosts and tables depend only on the leaf count and the order, so ``_hosts``
-builds them once per process; nothing that depends on a graph is kept.
+builds them once per process, for the searches of a census over many graphs
+with the same number of vertices; nothing that depends on a graph is kept.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from leafpower import (
     Graph,
     RSModel,
     Tree,
+    brute_force_leaf_rank,
     build_exponential_rs_model,
     build_rn,
     dumps,
@@ -271,6 +272,54 @@ class TestLeafrankCommand:
         assert err == "graph must have at least one vertex\n"
 
 
+class TestCensusCommand:
+    def test_census_json(self, capsys, tmp_path):
+        # The counts of ROADMAP item 13 within ten nodes.
+        code, out, err = run(capsys, "census", "--max-vertices", "4", "--max-nodes", "10")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["max_nodes"], doc["max_k"]) == (10, None)
+        rows = doc["census"]
+        assert [row["graphs"] for row in rows] == [1, 2, 4, 10]
+        assert [row["ranks"] for row in rows][2:] == [
+            {"1": 1, "2": 2, "3": 1},
+            {"1": 1, "2": 4, "3": 5},
+        ]
+        assert [row["unknown"] for row in rows] == [0, 0, 0, 0]
+        assert [row["largest_rank"] for row in rows] == [1, 1, 3, 3]
+        for row in rows:
+            for obj in row["extremal"]:
+                assert brute_force_leaf_rank(graph_from_json_obj(obj), 10) == row["largest_rank"]
+        target = tmp_path / "census.json"
+        code, out, _ = run(
+            capsys, "census", "--max-vertices", "4", "--max-nodes", "10", "--out", str(target)
+        )
+        assert (code, out) == (0, "")
+        assert json.loads(target.read_text()) == doc
+
+    def test_unknown_graphs_are_counted_not_failed(self, capsys):
+        code, out, _ = run(
+            capsys, "census", "--max-vertices", "3", "--max-nodes", "6", "--max-k", "1"
+        )
+        assert code == 0
+        last = json.loads(out)["census"][-1]
+        assert (last["ranks"], last["unknown"], last["largest_rank"]) == ({"1": 1}, 3, 1)
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--max-vertices", "0", "--max-nodes", "4"], "max_vertices must be at least 1"),
+            (["--max-vertices", "5", "--max-nodes", "4"], "max_nodes must be at least max_vertices"),
+            (
+                ["--max-vertices", "2", "--max-nodes", "4", "--max-k", "0"],
+                "max_k must be positive when given",
+            ),
+        ],
+    )
+    def test_argument_refusals(self, capsys, options, message):
+        assert run(capsys, "census", *options) == (2, "", message + "\n")
+
+
 class TestCertifyCommand:
     def test_certify_path_graph_json(self, capsys, p3_file):
         code, out, _ = run(
@@ -464,47 +513,6 @@ class TestParserBasics:
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
-
-    def test_one_parser_serves_a_sequence_of_commands(self, capsys, tmp_path, monkeypatch):
-        # The bull (triangle a-b-c, pendants d on b and e on c) has rank 4 within
-        # 11 nodes; within 10 nodes, or under --max-k 3, it is unknown.
-        bull = tmp_path / "bull.json"
-        edges = [("a", "b"), ("b", "c"), ("a", "c"), ("b", "d"), ("c", "e")]
-        bull.write_text(dumps(graph_to_json_obj(Graph.build(list("abcde"), edges))))
-        sequence = [
-            (["--max-nodes", "11"], 0, "4\n"),
-            (["--max-nodes", "11", "--max-k", "3"], 1, "unknown\n"),
-            (["--max-nodes", "eleven"], 2, ""),
-            (["--max-nodes", "10"], 1, "unknown\n"),
-            (["--max-nodes", "11"], 0, "4\n"),
-        ]
-        searched = []
-        search = cli.brute_force_leaf_rank
-
-        def spy(graph, max_nodes, max_k):
-            searched.append((max_nodes, max_k))
-            return search(graph, max_nodes, max_k)
-
-        monkeypatch.setattr(cli, "brute_force_leaf_rank", spy)
-
-        def outcome(options: list[str]) -> tuple[int, str, str]:
-            try:
-                code = main(["leafrank", "--graph", str(bull), *options])
-            except SystemExit as exc:  # argparse refuses its arguments this way
-                code = exc.code
-            captured = capsys.readouterr()
-            return code, captured.out, captured.err
-
-        shared = [outcome(options) for options, _, _ in sequence]
-        assert searched == [(11, None), (11, 3), (10, None), (11, None)]
-        assert [(code, out) for code, out, _ in shared] == [(c, o) for _, c, o in sequence]
-        assert "invalid int value: 'eleven'" in shared[2][2]
-        assert "Traceback" not in shared[2][2]
-        fresh = []
-        for options, _, _ in sequence:
-            cli._parser.cache_clear()
-            fresh.append(outcome(options))
-        assert fresh == shared
 
 
 # ---------------------------------------------------------------------------
