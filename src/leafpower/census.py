@@ -76,20 +76,22 @@ def _canonical_form(adj: Masks) -> Masks:
             for v in tried
         )
 
-    return search([list(range(len(adj)))])
+    form = search([list(range(len(adj)))])
+    del search  # it refers to itself: a reference cycle that only the collector would free
+    return form
 
 
-def _cliques(adj: Masks) -> Iterator[int]:
-    """Every clique of the graph as a vertex mask, the empty one included."""
+def _cliques(adj: Masks, clique: int, candidates: int) -> Iterator[int]:
+    """``clique`` and every clique that adds vertices of ``candidates`` to it, as vertex masks.
 
-    def grow(clique: int, candidates: int) -> Iterator[int]:
-        yield clique
-        while candidates:
-            v = candidates.bit_length() - 1
-            candidates &= ~(1 << v)
-            yield from grow(clique | 1 << v, candidates & adj[v])
-
-    return grow(0, (1 << len(adj)) - 1)
+    Every vertex of ``candidates`` must be adjacent to all of ``clique``; all
+    vertices and the empty clique give every clique, the empty one included.
+    """
+    yield clique
+    while candidates:
+        v = candidates.bit_length() - 1
+        candidates &= ~(1 << v)
+        yield from _cliques(adj, clique | 1 << v, candidates & adj[v])
 
 
 def _graph(adj: Masks) -> Graph:
@@ -111,7 +113,7 @@ def chordal_graphs(max_vertices: int) -> Iterator[list[Graph]]:
     for n in range(max_vertices):
         grown = set()
         for adj in forms:
-            for clique in _cliques(adj):
+            for clique in _cliques(adj, 0, (1 << n) - 1):
                 joined = tuple(m | (1 << n if clique >> v & 1 else 0) for v, m in enumerate(adj))
                 grown.add(_canonical_form(joined + (clique,)))
         forms = sorted(grown)

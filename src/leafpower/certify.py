@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from . import exactlp
 from .enumtrees import leaf_orbit_representatives, topology_trees
@@ -57,7 +58,23 @@ class FeasibilitySystem:
 
     @property
     def variable_names(self) -> tuple[str, ...]:
-        return tuple(f"w_{u}_{v}" for u, v in self.edge_vars) + ("delta",)
+        return tuple(f"w_{name}" for name in _edge_names(self.edge_vars)) + ("delta",)
+
+
+def _plain(names: Iterable[str]) -> bool:
+    """Whether every name is ASCII letters and digits, at least one.
+
+    Such names joined by ``_`` stay distinct, since none holds a ``_``, and an
+    LP-format reader accepts them.
+    """
+    return all(name.isascii() and name.isalnum() for name in names)
+
+
+def _edge_names(edges: tuple[Edge, ...]) -> list[str]:
+    """``u_v`` for each edge (u, v) when all node names are plain, else each edge's position."""
+    if _plain(itertools.chain.from_iterable(edges)):
+        return [f"{u}_{v}" for u, v in edges]
+    return [str(i) for i in range(len(edges))]
 
 
 @dataclass(frozen=True)
@@ -73,6 +90,11 @@ def build_feasibility_system(graph: Graph, host: Tree, placement: dict[str, str]
 
     The cap loses nothing (a margin beyond 1 is never needed to witness
     strictness) and keeps the objective bounded even for edgeless graphs.
+    A pair's row is named after its two vertices, ``adj_u_v`` or ``sep_u_v``,
+    and an edge's after its two nodes, ``pos_x_y`` (its weight is ``w_x_y``).
+    Where some vertex or node name is not :func:`_plain`, the names use
+    positions instead: the vertices' in the graph, ``sep_0_3``, and the edges'
+    in ``edge_vars``, ``pos_2``.  So every name is distinct and LP-safe.
     """
     _check_domain(graph, placement)
     _check_placement(host, placement)
@@ -85,23 +107,26 @@ def build_feasibility_system(graph: Graph, host: Tree, placement: dict[str, str]
     num_vars = len(edge_vars) + 1
     delta = num_vars - 1
 
+    vertices = graph.vertices
+    names = vertices if _plain(vertices) else [str(i) for i in range(len(vertices))]
     rows: list[tuple[str, tuple[int, ...], str, int]] = []
-    for i, u in enumerate(graph.vertices):
-        for v in graph.vertices[i + 1 :]:
+    for i, u in enumerate(vertices):
+        for j in range(i + 1, len(vertices)):
+            v = vertices[j]
             coeffs = [0] * num_vars
             path = tree_path(host, placement[u], placement[v])
             for p, q in zip(path, path[1:]):
                 coeffs[edge_index[normalize_edge(p, q)]] = 1
             if graph.adjacent(u, v):
-                rows.append((f"adj_{u}_{v}", tuple(coeffs), exactlp.LE, 1))
+                rows.append((f"adj_{names[i]}_{names[j]}", tuple(coeffs), exactlp.LE, 1))
             else:
                 coeffs[delta] = -1
-                rows.append((f"sep_{u}_{v}", tuple(coeffs), exactlp.GE, 1))
-    for e in edge_vars:
+                rows.append((f"sep_{names[i]}_{names[j]}", tuple(coeffs), exactlp.GE, 1))
+    for i, name in enumerate(_edge_names(edge_vars)):
         coeffs = [0] * num_vars
-        coeffs[edge_index[e]] = 1
+        coeffs[i] = 1
         coeffs[delta] = -1
-        rows.append((f"pos_{e[0]}_{e[1]}", tuple(coeffs), exactlp.GE, 0))
+        rows.append((f"pos_{name}", tuple(coeffs), exactlp.GE, 0))
     cap = [0] * num_vars
     cap[delta] = 1
     rows.append(("cap_delta", tuple(cap), exactlp.LE, 1))

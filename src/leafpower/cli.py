@@ -11,6 +11,7 @@ be written.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -279,6 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command; the only place that writes output or maps errors to exit codes."""
     args = build_parser().parse_args(argv)
+    # The package makes no reference cycles (tests/test_package.py checks every
+    # command), so reference counting frees all a command allocates and the
+    # cyclic collector would only walk R_n's large trees to find nothing.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         text, code = args.func(args)
         if args.out is None:
@@ -288,6 +294,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 1 if isinstance(exc, _Refused) else 2
+    finally:
+        if enabled:
+            gc.enable()
     return code
 
 

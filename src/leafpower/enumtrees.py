@@ -285,6 +285,7 @@ def leaf_orbits(tree: Tree) -> list[tuple[str, ...]]:
     groups: dict[tuple, list[str]] = {}
     for leaf in tree.leaves():
         groups.setdefault(form(leaf, None), []).append(leaf)
+    del form  # it refers to itself: a reference cycle that only the collector would free
     return sorted(tuple(sorted(orbit)) for orbit in groups.values())
 
 

@@ -129,8 +129,7 @@ def _unit_expansion(root: LeafRoot) -> tuple[list[str], list[Edge]]:
     by_leaf = {leaf: v for v, leaf in root.placement.items()}
 
     def paths() -> Iterator[tuple[str, str, list[str]]]:
-        # Made as consumed: a list of every path would outlive the expansion
-        # and add to each garbage collection while the nodes are named.
+        # Made as consumed, so no list of every path outlives the expansion.
         for (x, y), length in root.lengths.items():
             if isinstance(length, Fraction):
                 raise ValueError(
@@ -379,6 +378,7 @@ def _best_k_on_host(
                     return
 
     extend(0, 1, limit + 1)
+    del extend  # it refers to itself: a reference cycle that only the collector would free
     return best
 
 
@@ -386,7 +386,7 @@ def leafroot_to_json_obj(root: LeafRoot) -> dict:
     """The root on unit edges; integer lengths are expanded (``_unit_expansion``)."""
     nodes, edges = _unit_expansion(root)
     return {
-        "tree": {"nodes": nodes, "edges": [[u, v] for u, v in edges]},
+        "tree": {"nodes": nodes, "edges": list(map(list, edges))},
         "k": root.k,
         "placement": dict(sorted(root.placement.items())),
     }

@@ -171,12 +171,15 @@ def pairwise_distances(
 
     groups: dict[str, list[str]] = {}
     for x in reversed(parent):
-        group = groups.pop(x, [])
+        group = groups.pop(x, None)
         if x in dist:
-            meet([x], group, x)
-            group.append(x)
+            if group is None:
+                group = [x]
+            else:
+                meet([x], group, x)
+                group.append(x)
         p = parent[x]
-        if not group or p is None:
+        if group is None or p is None:
             continue
         held = groups.setdefault(p, group)
         if held is not group:

@@ -211,11 +211,6 @@ class TestFeasibilitySystem:
             "pos_i_la", "pos_i_lb", "pos_i_lc", "cap_delta",
         ]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="rows are named after vertex names, so (a, b_c) and (a_b, c) both give "
-        "sep_a_b_c; naming them apart changes certify's text output",
-    )
     def test_row_names_are_distinct_when_vertex_names_hold_underscores(self):
         graph = path_graph(["a", "a_b", "b_c", "c"])
         host = Tree.build(
@@ -225,6 +220,28 @@ class TestFeasibilitySystem:
         placement = {"a": "la", "a_b": "lb", "b_c": "lc", "c": "ld"}
         names = [row[0] for row in build_feasibility_system(graph, host, placement).rows]
         assert len(set(names)) == len(names)
+
+    def test_names_fall_back_to_positions_when_a_name_is_not_plain(self):
+        # Vertex "x y" would put a space in a row name, and the host edges
+        # (a, b_c) and (a_b, c) would both have the weight w_a_b_c.
+        graph = path_graph(["x y", "z", "u", "v"])
+        host = Tree.build(
+            ["a", "a_b", "b_c", "c", "x1", "x2"],
+            [("a", "b_c"), ("a", "x1"), ("a", "a_b"), ("a_b", "c"), ("a_b", "x2")],
+        )
+        placement = {"x y": "b_c", "z": "x1", "u": "c", "v": "x2"}
+        system = build_feasibility_system(graph, host, placement)
+        assert [row[0] for row in system.rows] == [
+            "adj_0_1", "sep_0_2", "sep_0_3", "adj_1_2", "sep_1_3", "adj_2_3",
+            "pos_0", "pos_1", "pos_2", "pos_3", "pos_4", "cap_delta",
+        ]
+        assert system.variable_names == ("w_0", "w_1", "w_2", "w_3", "w_4", "delta")
+        plain = build_feasibility_system(path_graph(["x", "z", "u", "v"]), host, {
+            "x": "b_c", "z": "x1", "u": "c", "v": "x2",
+        })
+        assert [row[0] for row in plain.rows][:6] == [
+            "adj_x_z", "sep_x_u", "sep_x_v", "adj_z_u", "sep_z_v", "adj_u_v",
+        ]
 
     def test_rows_are_plain_ints(self):
         # The LP then runs at scale 1: coefficients 0 or +-1, rhs 0 or 1.

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import gc
 import json
 import os
 import subprocess
@@ -12,6 +13,18 @@ from pathlib import Path
 import pytest
 
 import leafpower
+from leafpower import (
+    build_exponential_rs_model,
+    build_rn,
+    dumps,
+    graph_to_json_obj,
+    leafroot_to_json_obj,
+    rs_model_to_json_obj,
+    rs_to_leafroot,
+)
+from leafpower import cli
+
+from conftest import cycle_graph, path_graph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -138,3 +151,117 @@ def test_certify_runs_without_networkx(graph_files):
     lines = run.stdout.splitlines()
     assert " cap_delta: delta <= 1" in lines
     assert "weight n0 -- n2: 1/3" in lines
+
+
+#: Every subcommand, each output format, ``--out``, a failed verification, a
+#: refusal and a malformed input.  A ``{name}`` is the path of a ``documents`` file.
+COMMANDS = [
+    "build-rn --n 4",
+    "build-rn --n 4 --format dot",
+    "rdp-model --n 4 --format dot",
+    "rs-model --n 5",
+    "audit --n 5",
+    "audit --model {model} --format json",
+    "audit --n 2",
+    "leafrank --graph {p5} --max-nodes 9",
+    "leafrank --graph {c4} --max-nodes 8 --out {out}",
+    "census --max-vertices 5 --max-nodes 9",
+    "certify --graph {p5} --max-internal 3",
+    "certify --graph {p5} --max-internal 3 --format text",
+    "certify --graph {c4} --max-internal 2",
+    "convert --from rs --input {model}",
+    "convert --from rs --input {model} --format dot",
+    "convert --from leafroot --input {root}",
+    "convert --from leafroot --input {malformed}",
+    "report --n-min 3 --n-max 6",
+    "report --n-min 3 --n-max 6 --format json",
+]
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory) -> dict[str, str]:
+    model = build_exponential_rs_model(build_rn(4))
+    docs = {
+        "p5": graph_to_json_obj(path_graph(["a", "b", "c", "d", "e"])),
+        "c4": graph_to_json_obj(cycle_graph(["a", "b", "c", "d"])),
+        "model": rs_model_to_json_obj(model),
+        "root": leafroot_to_json_obj(rs_to_leafroot(model)),
+        "malformed": {"tree": {"nodes": ["x"], "edges": 5}, "k": 1, "placement": {}},
+    }
+    folder = tmp_path_factory.mktemp("documents")
+    for name, doc in docs.items():
+        (folder / f"{name}.json").write_text(dumps(doc), encoding="utf-8")
+    return {name: str(folder / f"{name}.json") for name in [*docs, "out"]}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_leave_no_cyclic_garbage(documents, command, monkeypatch, capsys):
+    """Reference counting frees all a command allocates, so pausing the collector costs nothing.
+
+    ``main`` runs each command with the collector paused; an object in a reference cycle would stay allocated until some later collection.
+    argparse's help formatters hold cycles of their own, so the parser is built
+    before the count starts.
+    """
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    argv = [part.format(**documents) for part in command.split()]
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        cli.main(argv)
+        gc.collect()
+        garbage = sorted({type(x).__name__ for x in gc.garbage})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert garbage == []
+
+
+class _Boom(Exception):
+    pass
+
+
+def _returns(args):
+    return "", 0
+
+
+def _refuses(args):
+    raise ValueError("refused")
+
+
+def _crashes(args):
+    raise _Boom
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    ("command", "outcome"),
+    [(_returns, 0), (_refuses, 2), (_crashes, _Boom)],
+    ids=["returns", "refuses", "crashes"],
+)
+def test_main_pauses_the_collector_and_restores_the_state_it_found(
+    monkeypatch, capsys, enabled, command, outcome
+):
+    seen = []
+
+    def report(args):
+        seen.append(gc.isenabled())
+        return command(args)
+
+    monkeypatch.setattr(cli, "_cmd_report", report)
+    argv = ["report", "--n-min", "3", "--n-max", "3"]
+    if not enabled:
+        gc.disable()
+    try:
+        if outcome is _Boom:
+            with pytest.raises(_Boom):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == outcome
+        assert (seen, gc.isenabled()) == ([False], enabled)
+    finally:
+        gc.enable()
