@@ -30,20 +30,25 @@ def _parse_vertices_and_edges(
     An edge listed twice, in either orientation, is kept once.
     """
     vs = tuple(vertices)
-    seen = set()
-    for v in vs:
-        if not isinstance(v, str):
-            raise ValueError(f"{noun} {v!r} is not a string")
-        if v in seen:
-            raise ValueError(f"duplicate {noun} {v!r}")
-        seen.add(v)
+    seen = set(vs) if set(map(type, vs)) <= {str} else set()
+    if len(seen) != len(vs):
+        seen.clear()  # name the first vertex that is not a string or repeats one
+        for v in vs:
+            if not isinstance(v, str):
+                raise ValueError(f"{noun} {v!r} is not a string")
+            if v in seen:
+                raise ValueError(f"duplicate {noun} {v!r}")
+            seen.add(v)
     # A dict keeps the listed order, so the sort is linear on the sorted or
     # nearly sorted edges of the trees the package writes; a set's is not.
+    # A listed tuple already in order is kept rather than copied, so a tree read
+    # from a file allocates each edge once.
     es: dict[Edge, None] = {}
-    for u, v in edges:
+    for e in edges:
+        u, v = e
         if u not in seen or v not in seen:
             raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the {noun} set")
-        es[normalize_edge(u, v)] = None
+        es[e if type(e) is tuple and u < v else normalize_edge(u, v)] = None
     return vs, tuple(sorted(es))
 
 

@@ -1,14 +1,22 @@
 """Immutable free trees with the path / distance / median toolkit.
 
 Tree nodes are strings, as with graphs.  Distances count edges unless exact lengths are given.
+
+Inside, a tree works on node positions, the indices into ``nodes``: one dict
+maps a name to its position, and a few flat lists of positions and counts
+hold the rest (each node's parent towards ``nodes[0]``, a parents-first order,
+the degrees, and on demand the depths and the children).  There is no
+container per node, so a tree of 87 000 nodes is a handful of objects for the
+cyclic garbage collector, and every helper converts names only on the way in
+and out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import starmap
+from itertools import accumulate, islice, starmap
 from typing import Iterable, Mapping
 
 from .graphs import Edge, _parse_vertices_and_edges, normalize_edge
@@ -21,6 +29,53 @@ class Tree:
 
     nodes: tuple[str, ...]
     edges: tuple[Edge, ...]
+    #: Each node's position in ``nodes``.
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    #: Each node's degree, by position.
+    _degree: list[int] = field(init=False, repr=False, compare=False)
+    #: The position of each node's neighbour towards ``nodes[0]``; -1 for ``nodes[0]``.
+    _parent: list[int] = field(init=False, repr=False, compare=False)
+    #: Positions with every parent before its children, ``nodes[0]`` first.
+    _order: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        """Root the tree at ``nodes[0]`` by peeling leaves towards it.
+
+        Each node holds its degree and the XOR of its neighbours' positions.  A
+        leaf other than ``nodes[0]`` is peeled: its one neighbour left is that
+        XOR, its parent, which loses it and is queued once it is a leaf itself.
+        Each node is queued at most once and a cycle's nodes never are, so with
+        n - 1 edges the other n - 1 nodes are all peeled exactly when the edges
+        make a tree; ``build`` checks both counts.  The peeling order, reversed, puts every
+        parent before its children.
+        """
+        n = len(self.nodes)
+        index = dict(zip(self.nodes, range(n)))
+        degree = [0] * n
+        links = [0] * n
+        for u, v in self.edges:
+            a, b = index[u], index[v]
+            degree[a] += 1
+            degree[b] += 1
+            links[a] ^= b
+            links[b] ^= a
+        left = degree.copy()
+        parent = [-1] * n
+        peeled = [x for x in range(1, n) if left[x] == 1]
+        for x in peeled:
+            p = parent[x] = links[x]
+            links[p] ^= x
+            left[p] -= 1
+            if left[p] == 1 and p:
+                peeled.append(p)
+        peeled.reverse()
+        for name, value in (
+            ("_index", index),
+            ("_degree", degree),
+            ("_parent", parent),
+            ("_order", [0, *peeled] if n else []),
+        ):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def build(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Tree":
@@ -38,73 +93,93 @@ class Tree:
         if len(es) != len(ns) - 1:
             raise ValueError(f"a tree on {len(ns)} nodes needs {len(ns) - 1} edges, got {len(es)}")
         tree = Tree(nodes=ns, edges=es)
-        if len(tree._parent) != len(ns):
+        if len(tree._order) != len(ns):
             raise ValueError("edges do not connect all nodes")
         return tree
 
     @cached_property
-    def _adjacency(self) -> Mapping[str, list[str]]:
-        """Neighbours in ascending order: sorted edges list each (y, x) with y < x before (x, z).
-
-        The lists stay inside this module: :meth:`neighbors` returns a tuple.
-        """
-        adj: dict[str, list[str]] = {v: [] for v in self.nodes}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+    def _depth(self) -> list[int]:
+        """Each node's distance from ``nodes[0]``, by position."""
+        parent = self._parent
+        depth = [0] * len(self.nodes)
+        for x in islice(self._order, 1, None):
+            depth[x] = depth[parent[x]] + 1
+        return depth
 
     @cached_property
-    def _parent(self) -> Mapping[str, str | None]:
-        """Each reachable node's parent in a breadth-first search from ``nodes[0]``.
+    def _children(self) -> list[int]:
+        """Each node's children, by position, in one flat list.
 
-        The root maps to None.  Every path question climbs this map, so a tree
-        is searched once; ``build`` checks connectivity by its size.
+        The list opens with n + 1 offsets: the children of x are
+        ``children[children[x]:children[x + 1]]``, in parents-first order.
         """
-        adj = self._adjacency
-        parent: dict[str, str | None] = {self.nodes[0]: None}
-        order = [self.nodes[0]]
-        for x in order:
-            for y in adj[x]:
-                if y not in parent:
-                    parent[y] = x
-                    order.append(y)
-        return parent
+        n, parent = len(self.nodes), self._parent
+        counts = [d - 1 for d in self._degree]
+        if n:
+            counts[0] += 1  # nodes[0] has no parent
+        children = list(accumulate(counts, initial=n + 1))
+        slot = children[:n]
+        children += [0] * (children[-1] - n - 1)
+        for x in islice(self._order, 1, None):
+            p = parent[x]
+            children[slot[p]] = x
+            slot[p] += 1
+        return children
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
     def __contains__(self, v: object) -> bool:
-        return v in self._adjacency
+        return v in self._index
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        return tuple(self._adjacency[v])
+        """The neighbours of ``v`` in ascending order."""
+        x, names, children = self._index[v], self.nodes, self._children
+        out = [names[y] for y in children[children[x] : children[x + 1]]]
+        if (p := self._parent[x]) >= 0:
+            out.append(names[p])
+        return tuple(sorted(out))
 
     def degree(self, v: str) -> int:
-        return len(self._adjacency[v])
+        return self._degree[self._index[v]]
 
     def leaves(self) -> tuple[str, ...]:
         """All nodes of degree at most one, in node order (a lone node counts)."""
-        return tuple([v for v, nbrs in self._adjacency.items() if len(nbrs) <= 1])
+        return tuple([v for v, d in zip(self.nodes, self._degree) if d <= 1])
+
+
+def _position(tree: Tree, v: str) -> int:
+    x = tree._index.get(v)
+    if x is None:
+        raise ValueError(f"node {v!r} is not in the tree")
+    return x
 
 
 def tree_path(tree: Tree, u: str, v: str) -> tuple[str, ...]:
     """The unique path from u to v, inclusive of both endpoints.
 
-    Climbs from u to the root, then from v until that chain is met.
+    Climbs from the deeper end to the other's depth, then from both ends until they meet.
     """
-    parent = tree._parent
-    if u not in parent or v not in parent:
+    index = tree._index
+    if u not in index or v not in index:
         raise ValueError("path endpoints must be tree nodes")
-    up = [u]
-    while (p := parent[up[-1]]) is not None:
-        up.append(p)
-    position = {x: i for i, x in enumerate(up)}
-    down = [v]
-    while down[-1] not in position:
-        down.append(parent[down[-1]])
-    return tuple(up[: position[down[-1]]]) + tuple(reversed(down))
+    parent, depth = tree._parent, tree._depth
+    a, b = index[u], index[v]
+    up, down = [a], [b]
+    while depth[a] > depth[b]:
+        a = parent[a]
+        up.append(a)
+    while depth[b] > depth[a]:
+        b = parent[b]
+        down.append(b)
+    while a != b:
+        a, b = parent[a], parent[b]
+        up.append(a)
+        down.append(b)
+    down.pop()
+    up += reversed(down)
+    return tuple(map(tree.nodes.__getitem__, up))
 
 
 def distance(tree: Tree, u: str, v: str) -> int:
@@ -112,29 +187,49 @@ def distance(tree: Tree, u: str, v: str) -> int:
 
 
 def distances_from(tree: Tree, start: str, limit: int | None = None) -> dict[str, int]:
-    """Distances from ``start`` to every node, by breadth-first search.
+    """Distances from ``start`` to every node.
 
     With a ``limit`` the search stops there and the map holds only the nodes
-    within that distance.
+    within that distance, found level by level: the children of the last
+    level's nodes, and one step further up from ``start``.  Without one, a node
+    on the path from ``start`` to ``nodes[0]`` is counted along it and any other
+    is one further than its parent, in one parents-first pass.
     """
-    adj = tree._adjacency
-    if start not in adj:
-        raise ValueError(f"node {start!r} is not in the tree")
+    s = _position(tree, start)
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
-    dist = {start: 0}
-    frontier = [start]
+    parent, names = tree._parent, tree.nodes
+    if limit is None:
+        dist = [-1] * len(names)
+        x, d = s, 0
+        while x >= 0:
+            dist[x] = d
+            x, d = parent[x], d + 1
+        for x in tree._order:
+            if dist[x] < 0:
+                dist[x] = dist[parent[x]] + 1
+        return dict(zip(names, dist))
+    children = tree._children
+    found = {start: 0}
+    level: list[int] = []
+    up, below = s, -1
     d = 0
-    while frontier and d != limit:
+    while d != limit and (level or up >= 0):
         d += 1
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if y not in dist:
-                    dist[y] = d
+        nxt: list[int] = []
+        for x in level:
+            nxt += children[children[x] : children[x + 1]]
+        if up >= 0:
+            for y in children[children[up] : children[up + 1]]:
+                if y != below:
                     nxt.append(y)
-        frontier = nxt
-    return dist
+            up, below = parent[up], up
+            if up >= 0:
+                found[names[up]] = d
+        for y in nxt:
+            found[names[y]] = d
+        level = nxt
+    return found
 
 
 def pairwise_distances(
@@ -143,48 +238,41 @@ def pairwise_distances(
     """The distance between every two of ``nodes``, each node at 0 from itself.
 
     With ``lengths``, exact int or Fraction lengths keyed by normalized edge, a
-    distance sums the lengths along the path.  One pass over the parent map gives
-    every depth; a second, leaves first, carries each group of listed nodes up to
-    the parent of the node holding it.  Where two groups meet, at p, every pair
-    (a, b) across them is depth(a) + depth(b) - 2 depth(p) apart.  The cost is
+    distance sums the lengths along the path.  Each listed node starts a group;
+    one pass over the nodes, children first, carries each group up to the parent
+    of the node holding it.  Where two groups meet, at p, every pair (a, b)
+    across them is depth(a) + depth(b) - 2 depth(p) apart.  The cost is
     O(|tree| + |nodes|^2), where one search per node would cost O(|tree|) each.
     """
-    parent = tree._parent
     dist = {v: {v: 0} for v in nodes}
-    for v in dist:
-        if v not in parent:
-            raise ValueError(f"node {v!r} is not in the tree")
-    depth: dict[str, int | Fraction] = {}
+    names, parent = tree.nodes, tree._parent
+    rows = {_position(tree, v): row for v, row in dist.items()}
+    held: list[list[int] | None] = [None] * len(names)
+    for x in rows:
+        held[x] = [x]
+    depth: list[int | Fraction]
     if lengths is None:
-        for x, p in parent.items():
-            depth[x] = 0 if p is None else depth[p] + 1
+        depth = tree._depth
     else:
-        for x, p in parent.items():
-            depth[x] = 0 if p is None else depth[p] + lengths[(x, p) if x < p else (p, x)]
+        depth = [0] * len(names)
+        for x in islice(tree._order, 1, None):
+            u, w = names[x], names[parent[x]]
+            depth[x] = depth[parent[x]] + lengths[(u, w) if u < w else (w, u)]
 
-    def meet(low: list[str], high: list[str], at: str) -> None:
-        base = 2 * depth[at]
-        for a in low:
-            row, da = dist[a], depth[a] - base
-            for b in high:
-                row[b] = dist[b][a] = da + depth[b]
-
-    groups: dict[str, list[str]] = {}
-    for x in reversed(parent):
-        group = groups.pop(x, None)
-        if x in dist:
-            if group is None:
-                group = [x]
-            else:
-                meet([x], group, x)
-                group.append(x)
-        p = parent[x]
-        if group is None or p is None:
+    for x in reversed(tree._order):
+        group = held[x]
+        if group is None or (p := parent[x]) < 0:
             continue
-        held = groups.setdefault(p, group)
-        if held is not group:
-            meet(group, held, p)
-            held.extend(group)
+        above = held[p]
+        if above is None:
+            held[p] = group
+            continue
+        base = 2 * depth[p]
+        for a in group:
+            row, name, da = rows[a], names[a], depth[a] - base
+            for b in above:
+                row[names[b]] = rows[b][name] = da + depth[b]
+        above += group
     return dist
 
 
@@ -214,12 +302,9 @@ def is_connected_subset(tree: Tree, subset: Iterable[str]) -> bool:
     lies outside the subset (its node nearest the root), so the subset is
     connected exactly when one member has such a parent.
     """
-    sub = frozenset(subset)
+    at = {_position(tree, v) for v in frozenset(subset)}
     parent = tree._parent
-    for v in sub:
-        if v not in parent:
-            raise ValueError(f"node {v!r} is not in the tree")
-    return sum(parent[v] not in sub for v in sub) == 1
+    return sum(parent[x] not in at for x in at) == 1
 
 
 def connecting_path(tree: Tree, a: Iterable[str], b: Iterable[str]) -> tuple[str, ...]:

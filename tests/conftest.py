@@ -1,6 +1,7 @@
 """Shared fixtures, graph builders, and random generators for the test suite."""
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import random
@@ -91,6 +92,28 @@ def random_trees(draw, min_nodes: int = 1, max_nodes: int = 8) -> Tree:
         parent = draw(st.integers(0, i - 1))
         edges.append((nodes[parent], nodes[i]))
     return Tree.build(nodes, edges)
+
+
+@st.composite
+def scrambled_trees(draw, min_nodes: int = 1, max_nodes: int = 30) -> Tree:
+    """A random tree whose node order, name order and parent/child order disagree.
+
+    Each node attaches to an earlier one, as in :func:`random_trees`, but the
+    names are a shuffle of ``v0 .. v{n-1}`` ("v10" sorts before "v2"), so a
+    normalized edge may list the child first.  The node list is shuffled and
+    opens with a leaf or an internal node, as drawn, and each edge is listed
+    in a random place and orientation.
+    """
+    n = draw(st.integers(min_nodes, max_nodes))
+    names = draw(st.permutations([f"v{i}" for i in range(n)]))
+    edges = [(names[draw(st.integers(0, i - 1))], names[i]) for i in range(1, n)]
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in draw(st.permutations(edges))]
+    nodes = draw(st.permutations(names))
+    degree = collections.Counter(itertools.chain.from_iterable(edges))
+    leaf_first = draw(st.booleans())
+    first = draw(st.sampled_from([v for v in nodes if (degree[v] <= 1) == leaf_first] or nodes))
+    nodes.remove(first)
+    return Tree.build([first, *nodes], edges)
 
 
 @st.composite

@@ -1,12 +1,13 @@
 """Tests for the immutable tree type and its path/median/corridor helpers."""
 from __future__ import annotations
 
+import gc
 import json
 from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, find, given
 from hypothesis import strategies as st
 
 from leafpower import (
@@ -25,7 +26,17 @@ from leafpower import (
 from leafpower.cli import main
 from leafpower.trees import is_connected_subset
 
-from conftest import path_tree, random_trees, star_tree
+from conftest import path_tree, random_trees, scrambled_trees, star_tree
+
+
+def any_trees(min_nodes: int = 1, max_nodes: int = 12):
+    """Trees listed in attachment order up to ``max_nodes``, or scrambled ones up to 30 nodes.
+
+    A scrambled tree's node order, name order and parent/child order disagree,
+    so a helper that mixes up a node's position with its name, or a normalized
+    edge with a parent/child pair, fails on it.
+    """
+    return st.one_of(random_trees(min_nodes, max_nodes), scrambled_trees(min_nodes, 30))
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +71,7 @@ class TestTreeBuild:
         t2 = path_tree(["a", "b", "c"])
         assert t2.leaves() == ("a", "c")
 
-    @given(random_trees(max_nodes=12))
+    @given(any_trees(max_nodes=12))
     def test_neighbors_ascend_as_networkx_sorts_them(self, t: Tree):
         g = _nx_tree(t)
         for v in t.nodes:
@@ -130,6 +141,14 @@ def cycle_and_detached_node(nodes: list, edges: list) -> None:
     edges[-1] = (nodes[0], nodes[-2])
 
 
+def detached_first_node(nodes: list, edges: list) -> None:
+    edges[0] = (nodes[1], nodes[-1])
+
+
+def first_node_off_the_cycle(nodes: list, edges: list) -> None:
+    edges[-1] = (nodes[40_000], nodes[-2])
+
+
 #: (damage to an 80 000-node path, the message it is refused with).
 LONG_PATH_DAMAGE = [
     (duplicate_node, "duplicate node 'n00017'"),
@@ -138,6 +157,8 @@ LONG_PATH_DAMAGE = [
     (repeated_edge, "edge ('n00012', 'n00013') is listed twice"),
     (one_edge_short, "a tree on 80000 nodes needs 79999 edges, got 79998"),
     (cycle_and_detached_node, "edges do not connect all nodes"),
+    (detached_first_node, "edges do not connect all nodes"),
+    (first_node_off_the_cycle, "edges do not connect all nodes"),
 ]
 
 
@@ -187,7 +208,7 @@ class TestPaths:
         assert distance(t, "x", "c") == 1
         assert distance(t, "x", "x") == 0
 
-    @given(random_trees(max_nodes=9), st.data())
+    @given(any_trees(max_nodes=9), st.data())
     def test_distance_equals_path_edges_everywhere(self, t: Tree, data):
         u = data.draw(st.sampled_from(t.nodes))
         v = data.draw(st.sampled_from(t.nodes))
@@ -199,7 +220,7 @@ class TestPaths:
                 (min(a, b), max(a, b)) for a, b in t.edges
             }
 
-    @given(random_trees(max_nodes=9))
+    @given(any_trees(max_nodes=9))
     def test_distances_from_agrees_with_pairwise_distance(self, t: Tree):
         for source in t.nodes:
             table = distances_from(t, source)
@@ -229,7 +250,7 @@ class TestMedian:
         t = star_tree("c", ["x", "y", "z"])
         assert median(t, "x", "y", "z") == "c"
 
-    @given(random_trees(max_nodes=9), st.data())
+    @given(any_trees(max_nodes=9), st.data())
     def test_median_is_permutation_invariant(self, t: Tree, data):
         picks = [data.draw(st.sampled_from(t.nodes)) for _ in range(3)]
         u, v, w = picks
@@ -237,7 +258,7 @@ class TestMedian:
         assert m == median(t, v, w, u) == median(t, w, u, v)
         assert m == median(t, u, w, v)
 
-    @given(random_trees(max_nodes=9), st.data())
+    @given(any_trees(max_nodes=9), st.data())
     def test_median_lies_on_all_three_pairwise_paths(self, t: Tree, data):
         u = data.draw(st.sampled_from(t.nodes))
         v = data.draw(st.sampled_from(t.nodes))
@@ -286,7 +307,7 @@ class TestConnectingPath:
         with pytest.raises(ValueError, match="nonempty subtrees"):
             connecting_path(t, frozenset({"a"}), frozenset({"c", "e"}))
 
-    @given(random_trees(min_nodes=2, max_nodes=9), st.data())
+    @given(any_trees(min_nodes=2, max_nodes=9), st.data())
     def test_corridor_endpoints_inside_and_interior_outside(self, t: Tree, data):
         a = data.draw(st.sampled_from(t.nodes))
         b = data.draw(st.sampled_from([v for v in t.nodes if v != a]))
@@ -327,13 +348,33 @@ def _grow(data, t: Tree, start: str, allowed: set[str]) -> frozenset[str]:
 
 
 class TestClimbsAgainstNetworkx:
-    @given(random_trees(max_nodes=10), st.data())
+    @given(any_trees(), st.data())
+    def test_tree_path_is_the_networkx_path(self, t: Tree, data):
+        u = data.draw(st.sampled_from(t.nodes))
+        v = data.draw(st.sampled_from(t.nodes))
+        assert tree_path(t, u, v) == tuple(nx.shortest_path(_nx_tree(t), u, v))
+
+    @given(any_trees(), st.data())
+    def test_median_is_the_node_on_all_three_networkx_paths(self, t: Tree, data):
+        u, v, w = (data.draw(st.sampled_from(t.nodes)) for _ in range(3))
+        g = _nx_tree(t)
+        on_all = set(nx.shortest_path(g, u, v)) & set(nx.shortest_path(g, v, w)) & set(nx.shortest_path(g, u, w))
+        assert on_all == {median(t, u, v, w)}
+
+    @given(any_trees())
+    def test_degrees_and_leaves_in_node_order(self, t: Tree):
+        g = _nx_tree(t)
+        assert [t.degree(v) for v in t.nodes] == [g.degree(v) for v in t.nodes]
+        assert t.leaves() == tuple(v for v in t.nodes if g.degree(v) <= 1)
+        assert all(v in t for v in t.nodes)
+
+    @given(any_trees(max_nodes=10), st.data())
     def test_is_connected_subset_agrees_with_induced_subgraph(self, t: Tree, data):
         subset = data.draw(st.sets(st.sampled_from(t.nodes)))
         expected = bool(subset) and nx.is_connected(_nx_tree(t).subgraph(subset))
         assert is_connected_subset(t, subset) == expected
 
-    @given(random_trees(min_nodes=4, max_nodes=10), st.data())
+    @given(any_trees(min_nodes=4, max_nodes=10), st.data())
     def test_connecting_path_is_the_shortest_path_between_subtrees(self, t: Tree, data):
         a = _grow(data, t, data.draw(st.sampled_from(t.nodes)), set(t.nodes))
         rest = {v for v in t.nodes if v not in a}
@@ -359,35 +400,35 @@ def _check_pairwise(t: Tree, listed: list[str]) -> None:
 
 
 class TestDistanceSweepAgainstNetworkx:
-    @given(random_trees(max_nodes=12), st.data())
+    @given(any_trees(max_nodes=12), st.data())
     def test_pairwise_distances_on_random_subsets(self, t: Tree, data):
         _check_pairwise(t, data.draw(st.lists(st.sampled_from(t.nodes), max_size=14)))
 
-    @given(random_trees(max_nodes=12), st.data())
+    @given(any_trees(max_nodes=12), st.data())
     def test_pairwise_distances_with_the_search_root(self, t: Tree, data):
         others = data.draw(st.lists(st.sampled_from(t.nodes), max_size=5))
         _check_pairwise(t, [*others, t.nodes[0]])
 
-    @given(random_trees(min_nodes=3, max_nodes=12))
+    @given(any_trees(min_nodes=3, max_nodes=12))
     def test_pairwise_distances_among_internal_nodes(self, t: Tree):
         _check_pairwise(t, [v for v in t.nodes if t.degree(v) > 1])
 
-    @given(random_trees(max_nodes=12), st.data())
+    @given(any_trees(max_nodes=12), st.data())
     def test_pairwise_distances_of_a_single_node(self, t: Tree, data):
         v = data.draw(st.sampled_from(t.nodes))
         assert pairwise_distances(t, [v]) == {v: {v: 0}}
 
-    @given(random_trees(max_nodes=12))
+    @given(any_trees(max_nodes=12))
     def test_pairwise_distances_among_every_node(self, t: Tree):
         _check_pairwise(t, list(reversed(t.nodes)))
 
-    @given(random_trees(min_nodes=2, max_nodes=12), st.data())
+    @given(any_trees(min_nodes=2, max_nodes=12), st.data())
     def test_a_node_listed_twice_counts_once(self, t: Tree, data):
         u, v = data.draw(st.lists(st.sampled_from(t.nodes), min_size=2, max_size=2, unique=True))
         assert pairwise_distances(t, [u, v, u]) == pairwise_distances(t, [u, v])
         _check_pairwise(t, [u, v, u, v])
 
-    @given(random_trees(max_nodes=12), st.data())
+    @given(any_trees(max_nodes=12), st.data())
     def test_weighted_pairwise_distances_match_networkx(self, t: Tree, data):
         lengths = {
             e: Fraction(data.draw(st.integers(1, 30)), data.draw(st.integers(1, 7)))
@@ -414,7 +455,7 @@ class TestDistanceSweepAgainstNetworkx:
         with pytest.raises(ValueError, match="node 'z' is not in the tree"):
             distances_from(t, "z")
 
-    @given(random_trees(max_nodes=12), st.data())
+    @given(any_trees(max_nodes=12), st.data())
     def test_limited_search_is_the_full_map_cut_at_the_limit(self, t: Tree, data):
         start = data.draw(st.sampled_from(t.nodes))
         full = distances_from(t, start)
@@ -426,7 +467,7 @@ class TestDistanceSweepAgainstNetworkx:
         with pytest.raises(ValueError, match="limit must be nonnegative"):
             distances_from(path_tree(["a", "b"]), "a", -1)
 
-    @given(random_trees(max_nodes=12), st.data())
+    @given(any_trees(max_nodes=12), st.data())
     def test_ball_is_the_full_search_cut_at_the_radius(self, t: Tree, data):
         center = data.draw(st.sampled_from(t.nodes))
         radius = data.draw(st.integers(0, len(t.nodes)))
@@ -435,11 +476,62 @@ class TestDistanceSweepAgainstNetworkx:
 
 
 # ---------------------------------------------------------------------------
+# The scrambled strategy and the flat storage
+# ---------------------------------------------------------------------------
+
+def _child_listed_first(t: Tree) -> bool:
+    depth = distances_from(t, t.nodes[0])
+    return any(depth[u] > depth[v] for u, v in t.edges)
+
+
+@pytest.mark.parametrize(
+    "condition",
+    [
+        lambda t: t.degree(t.nodes[0]) > 1,
+        lambda t: t.n > 1 and t.degree(t.nodes[0]) == 1,
+        lambda t: list(t.nodes) != sorted(t.nodes),
+        _child_listed_first,
+    ],
+    ids=["first node internal", "first node a leaf", "nodes out of name order", "child listed first"],
+)
+def test_scrambled_trees_reach(condition):
+    assert condition(find(scrambled_trees(), condition))
+
+
+def _long_path() -> Tree:
+    return path_tree([f"n{i:05d}" for i in range(80_000)])
+
+
+def _large_star() -> Tree:
+    return star_tree("hub", [f"leaf{i:05d}" for i in range(20_000)])
+
+
+@pytest.mark.parametrize("make", [_long_path, _large_star])
+def test_a_tree_caches_only_flat_untracked_containers(make):
+    """Whatever a tree keeps is a flat list or dict of strings and ints, however many nodes it has."""
+    t = make()
+    a, b, c = t.nodes[1], t.nodes[len(t.nodes) // 2], t.nodes[-1]
+    assert a in t and t.degree(b) > 0 and t.neighbors(b) and t.leaves()
+    assert distance(t, a, c) == len(tree_path(t, a, c)) - 1
+    assert median(t, a, b, c) in tree_path(t, a, c)
+    assert distances_from(t, b)[c] == distance(t, b, c)
+    assert ball(t, c, 2) == frozenset(distances_from(t, c, 2))
+    assert pairwise_distances(t, [a, c], dict.fromkeys(t.edges, 1)) == pairwise_distances(t, [a, c])
+    assert is_connected_subset(t, [a, t.nodes[0]]) and connecting_path(t, [a], [c])
+    cached = {name: value for name, value in vars(t).items() if name not in ("nodes", "edges")}
+    assert set(cached) == {"_index", "_degree", "_parent", "_order", "_depth", "_children"}
+    for name, value in cached.items():
+        assert type(value) in (list, tuple, dict), name
+        items = [*value, *value.values()] if isinstance(value, dict) else value
+        assert not any(map(gc.is_tracked, items)), name
+
+
+# ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
 class TestTreeSerialization:
-    @given(random_trees(max_nodes=9))
+    @given(any_trees(max_nodes=9))
     def test_json_round_trip(self, t: Tree):
         assert tree_from_json_obj(json.loads(dumps(tree_to_json_obj(t)))) == t
 
