@@ -24,13 +24,14 @@ def normalize_edge(u: str, v: str) -> Edge:
 
 def _parse_vertices_and_edges(
     vertices: Iterable[str], edges: Iterable[tuple[str, str]], noun: str
-) -> tuple[tuple[str, ...], tuple[Edge, ...]]:
-    """Checked string vertices and their edges, sorted; the messages call a vertex ``noun``.
+) -> tuple[tuple[str, ...], tuple[Edge, ...], dict[str, int]]:
+    """Checked string vertices, their edges sorted, and each vertex's position.
 
-    An edge listed twice, in either orientation, is kept once.
+    The messages call a vertex ``noun``.  An edge listed twice, in either
+    orientation, is kept once.
     """
     vs = tuple(vertices)
-    seen = set(vs) if set(map(type, vs)) <= {str} else set()
+    seen = dict(zip(vs, range(len(vs)))) if set(map(type, vs)) <= {str} else {}
     if len(seen) != len(vs):
         seen.clear()  # name the first vertex that is not a string or repeats one
         for v in vs:
@@ -38,7 +39,7 @@ def _parse_vertices_and_edges(
                 raise ValueError(f"{noun} {v!r} is not a string")
             if v in seen:
                 raise ValueError(f"duplicate {noun} {v!r}")
-            seen.add(v)
+            seen[v] = len(seen)
     # A dict keeps the listed order, so the sort is linear on the sorted or
     # nearly sorted edges of the trees the package writes; a set's is not.
     # A listed tuple already in order is kept rather than copied, so a tree read
@@ -49,7 +50,7 @@ def _parse_vertices_and_edges(
         if u not in seen or v not in seen:
             raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the {noun} set")
         es[e if type(e) is tuple and u < v else normalize_edge(u, v)] = None
-    return vs, tuple(sorted(es))
+    return vs, tuple(sorted(es)), seen
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,8 @@ class Graph:
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Graph":
         """Validate and canonicalize raw vertex / edge collections."""
-        return Graph(*_parse_vertices_and_edges(vertices, edges, "vertex"))
+        vs, es, _ = _parse_vertices_and_edges(vertices, edges, "vertex")
+        return Graph(vs, es)
 
     @cached_property
     def _adjacency(self) -> Mapping[str, frozenset[str]]:

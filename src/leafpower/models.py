@@ -56,13 +56,12 @@ class SubtreeModel:
         constructed, inspected, and reported on.
         """
         assign: dict[str, frozenset[str]] = {}
-        host_nodes = set(host.nodes)
         for v in graph.vertices:
             if v not in assignment:
                 raise ValueError(f"vertex {v!r} has no assigned node set")
             nodes = frozenset(assignment[v])
             for x in nodes:
-                if x not in host_nodes:
+                if x not in host:
                     raise ValueError(f"assigned node {x!r} of vertex {v!r} is not in the host tree")
             assign[v] = nodes
         extra = set(assignment) - set(graph.vertices)
@@ -87,13 +86,12 @@ class RSModel:
         centers: Mapping[str, str],
         radii: Mapping[str, int],
     ) -> "RSModel":
-        host_nodes = set(host.nodes)
         cs: dict[str, str] = {}
         rs: dict[str, int] = {}
         for v in graph.vertices:
             if v not in centers or v not in radii:
                 raise ValueError(f"vertex {v!r} has no center or no radius")
-            if centers[v] not in host_nodes:
+            if centers[v] not in host:
                 raise ValueError(f"center {centers[v]!r} of vertex {v!r} is not in the host tree")
             r = radii[v]
             if isinstance(r, bool) or not isinstance(r, int) or r < 0:

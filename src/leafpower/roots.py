@@ -8,6 +8,7 @@ distance k.  The smallest workable k is the graph's leaf rank.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -79,7 +80,7 @@ def _check_domain(graph: Graph, placement: dict[str, str]) -> None:
         raise ValueError("placement domain must equal the vertex set")
 
 
-def _fresh_name(base: str, taken: set[str]) -> str:
+def _fresh_name(base: str, taken: Container[str]) -> str:
     """``base`` with ``_`` prefixed until it is not in ``taken``."""
     while base in taken:
         base = "_" + base
@@ -212,8 +213,7 @@ def rs_to_leafroot(model: RSModel) -> LeafRoot:
     if not vertices:
         raise ValueError("model has no vertices")
     k = max(model.radii[v] for v in vertices)
-    host_nodes = set(model.host.nodes)
-    placement = {v: _fresh_name(f"leaf.{v}", host_nodes) for v in vertices}
+    placement = {v: _fresh_name(f"leaf.{v}", model.host) for v in vertices}
     if len(vertices) == 1:
         nodes, lengths = list(placement.values()), {}
     else:

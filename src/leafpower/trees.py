@@ -2,13 +2,14 @@
 
 Tree nodes are strings, as with graphs.  Distances count edges unless exact lengths are given.
 
-Inside, a tree works on node positions, the indices into ``nodes``: one dict
-maps a name to its position, and a few flat lists of positions and counts
-hold the rest (each node's parent towards ``nodes[0]``, a parents-first order,
-the degrees, and on demand the depths and the children).  There is no
-container per node, so a tree of 87 000 nodes is a handful of objects for the
-cyclic garbage collector, and every helper converts names only on the way in
-and out.
+``Tree.build`` is the one way to make a tree: it parses, indexes, roots and
+checks it.  Inside, a tree works on node positions, the indices into
+``nodes``: one dict maps a name to its position (the shared parser's, so each
+name is hashed once), and a few flat lists of positions and counts hold the
+rest (each node's parent towards ``nodes[0]``, a parents-first order, the
+degrees, and on demand the depths and the children).  There is no container
+per node, so a tree of 87 000 nodes is a handful of objects for the cyclic
+garbage collector, and every helper converts names only on the way in and out.
 """
 
 from __future__ import annotations
@@ -25,35 +26,48 @@ from .jsonio import Record, string_pairs, strings
 
 @dataclass(frozen=True)
 class Tree:
-    """A finite free (unrooted) tree."""
+    """A finite free (unrooted) tree, made by :meth:`build`."""
 
     nodes: tuple[str, ...]
     edges: tuple[Edge, ...]
     #: Each node's position in ``nodes``.
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _index: dict[str, int] = field(repr=False, compare=False)
     #: Each node's degree, by position.
-    _degree: list[int] = field(init=False, repr=False, compare=False)
+    _degree: list[int] = field(repr=False, compare=False)
     #: The position of each node's neighbour towards ``nodes[0]``; -1 for ``nodes[0]``.
-    _parent: list[int] = field(init=False, repr=False, compare=False)
+    _parent: list[int] = field(repr=False, compare=False)
     #: Positions with every parent before its children, ``nodes[0]`` first.
-    _order: list[int] = field(init=False, repr=False, compare=False)
+    _order: list[int] = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        """Root the tree at ``nodes[0]`` by peeling leaves towards it.
+    @staticmethod
+    def build(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Tree":
+        """Check the tree and root it at ``nodes[0]`` by peeling leaves towards it.
 
         Each node holds its degree and the XOR of its neighbours' positions.  A
         leaf other than ``nodes[0]`` is peeled: its one neighbour left is that
         XOR, its parent, which loses it and is queued once it is a leaf itself.
         Each node is queued at most once and a cycle's nodes never are, so with
         n - 1 edges the other n - 1 nodes are all peeled exactly when the edges
-        make a tree; ``build`` checks both counts.  The peeling order, reversed, puts every
-        parent before its children.
+        make a tree; both counts are checked.  The peeling order, reversed, puts
+        every parent before its children.
         """
-        n = len(self.nodes)
-        index = dict(zip(self.nodes, range(n)))
+        ns = tuple(nodes)
+        if not ns:
+            raise ValueError("a tree needs at least one node")
+        listed = list(edges)
+        ns, es, index = _parse_vertices_and_edges(ns, listed, "node")
+        if len(es) != len(listed):
+            once: set[Edge] = set()
+            for e in starmap(normalize_edge, listed):
+                if e in once:
+                    raise ValueError(f"edge {e} is listed twice")
+                once.add(e)
+        n = len(ns)
+        if len(es) != n - 1:
+            raise ValueError(f"a tree on {n} nodes needs {n - 1} edges, got {len(es)}")
         degree = [0] * n
         links = [0] * n
-        for u, v in self.edges:
+        for u, v in es:
             a, b = index[u], index[v]
             degree[a] += 1
             degree[b] += 1
@@ -68,34 +82,10 @@ class Tree:
             left[p] -= 1
             if left[p] == 1 and p:
                 peeled.append(p)
-        peeled.reverse()
-        for name, value in (
-            ("_index", index),
-            ("_degree", degree),
-            ("_parent", parent),
-            ("_order", [0, *peeled] if n else []),
-        ):
-            object.__setattr__(self, name, value)
-
-    @staticmethod
-    def build(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Tree":
-        ns = tuple(nodes)
-        if not ns:
-            raise ValueError("a tree needs at least one node")
-        listed = list(edges)
-        ns, es = _parse_vertices_and_edges(ns, listed, "node")
-        if len(es) != len(listed):
-            once: set[Edge] = set()
-            for e in starmap(normalize_edge, listed):
-                if e in once:
-                    raise ValueError(f"edge {e} is listed twice")
-                once.add(e)
-        if len(es) != len(ns) - 1:
-            raise ValueError(f"a tree on {len(ns)} nodes needs {len(ns) - 1} edges, got {len(es)}")
-        tree = Tree(nodes=ns, edges=es)
-        if len(tree._order) != len(ns):
+        if len(peeled) != n - 1:
             raise ValueError("edges do not connect all nodes")
-        return tree
+        peeled.reverse()
+        return Tree(ns, es, index, degree, parent, [0, *peeled])
 
     @cached_property
     def _depth(self) -> list[int]:

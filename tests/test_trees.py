@@ -11,6 +11,7 @@ from hypothesis import assume, find, given
 from hypothesis import strategies as st
 
 from leafpower import (
+    Graph,
     Tree,
     ball,
     connecting_path,
@@ -77,6 +78,15 @@ class TestTreeBuild:
         for v in t.nodes:
             assert t.neighbors(v) == tuple(sorted(g.adj[v]))
 
+    def test_the_constructor_needs_build(self):
+        """A tree is only made by ``Tree.build``, which checks it; the bare constructor is refused."""
+        with pytest.raises(TypeError):
+            Tree(("a", "b"), ())
+
+
+class Name(str):
+    """A node name that is not exactly a ``str``, so the parser checks it item by item."""
+
 
 #: (nodes, edges, the message Tree.build refuses them with).  Where two rules
 #: are broken, the message is the one checked first.
@@ -95,6 +105,8 @@ BAD_TREES = [
     (["a", "b", "c", "d"], [("a", "b"), ("b", "a"), ("b", "c")], "edge ('a', 'b') is listed twice"),
     (["a", "b", "c"], [("b", "c"), ("a", "b"), ("c", "b"), ("b", "a")], "edge ('b', 'c') is listed twice"),
     (["a", "b", "c"], [("a", "b"), ("b", "a"), ("c", "c")], "self-loop at 'c'"),
+    ([Name("a"), 1], [], "node 1 is not a string"),
+    ([Name("a"), Name("b"), Name("a")], [("a", "b")], "duplicate node 'a'"),
 ]
 
 
@@ -115,6 +127,38 @@ class TestTreeParserMessages:
         path.write_text(json.dumps({"tree": tree, "k": 2, "placement": {}}))
         assert main(["convert", "--from", "leafroot", "--input", str(path)]) == 2
         assert capsys.readouterr() == ("", f"cannot load leaf root: {message}\n")
+
+
+#: (nodes, edges) of a lone node, a path and a star, with names out of order.
+SHAPES = [
+    (["a"], []),
+    (["c", "a", "d", "b"], [("a", "c"), ("b", "d"), ("a", "b")]),
+    (["x", "hub", "z", "y"], [("hub", "x"), ("y", "hub"), ("hub", "z")]),
+]
+
+
+def _named(nodes: list[str], edges: list[tuple[str, str]]) -> tuple[list[Name], list[tuple[Name, Name]]]:
+    return [Name(v) for v in nodes], [(Name(u), Name(v)) for u, v in edges]
+
+
+class TestNamesCheckedItemByItem:
+    @pytest.mark.parametrize("nodes, edges", SHAPES)
+    def test_tree_is_the_same_as_with_plain_names(self, nodes, edges):
+        plain, named = Tree.build(nodes, edges), Tree.build(*_named(nodes, edges))
+        assert type(named.nodes[0]) is Name
+        assert named.nodes == plain.nodes and named.edges == plain.edges
+        assert named._index == plain._index == {v: i for i, v in enumerate(nodes)}
+        assert named.leaves() == plain.leaves()
+        for u in nodes:
+            for v in nodes:
+                assert tree_path(named, u, v) == tree_path(plain, u, v)
+        assert pairwise_distances(named, nodes) == pairwise_distances(plain, nodes)
+
+    @pytest.mark.parametrize("nodes, edges", SHAPES)
+    def test_graph_is_the_same_as_with_plain_names(self, nodes, edges):
+        named = Graph.build(*_named(nodes, edges))
+        plain = Graph.build(nodes, edges)
+        assert named.vertices == plain.vertices and named.edges == plain.edges
 
 
 def duplicate_node(nodes: list, edges: list) -> None:
