@@ -6,14 +6,23 @@ normalisation.  Every row and the objective are multiplied by one
 ``scale``, the least common denominator of the whole program, and the whole
 tableau shares one positive denominator ``D``, the last pivot: every entry is
 ``D`` times its rational value.  A pivot on ``p`` replaces each entry ``a`` of
-another row by ``(a*p - f*b) // D``, a division that is always exact, and then
-``p`` becomes ``D``.  Rationals appear only in the result: a returned optimum
-satisfies every constraint exactly and can be re-substituted without
-tolerance.  Bland's rule (smallest index enters, ties on leaving broken by
-smallest basis index) guarantees termination.
+another row by ``(a*p - f*b) // D``, where ``f`` is the row's entry in the
+pivot column and ``b`` the pivot row's in ``a``'s column, a division that is
+always exact, and then ``p`` becomes ``D``.  When ``p`` already equals ``D``
+that is ``a - f*b // D``, which leaves ``a`` as it is wherever ``b`` is 0: such
+a pivot updates in place only the rows with a nonzero ``f``, and only on the
+pivot row's nonzero columns.  It gives the same integers as the dense update,
+so the pivot sequence is the same.  Rationals appear only in the result: a
+returned optimum satisfies every constraint exactly and can be re-substituted
+without tolerance.  Bland's rule (smallest index enters, ties on leaving
+broken by smallest basis index) guarantees termination.
 
 Every optimal or infeasible verdict carries a dual vector, one multiplier per
-input row, and ``certificate_error`` checks it from the program alone.
+input row, and ``certificate_error`` checks it from the program alone, on
+ints: it clears the program's denominators as ``maximize`` does, and those of
+the dual and of ``x`` once each.  It checks the program's numbers as
+``maximize`` does, and refuses a certificate with an entry that is not an
+``int`` or a ``Fraction``.
 
 All structural variables are implicitly nonnegative; senses are per-row; every
 number must be an ``int`` or a ``Fraction``.
@@ -37,6 +46,9 @@ UNBOUNDED = "unbounded"
 Row = tuple[Sequence[Fraction | int], str, Fraction | int]
 
 _FLIPPED = {LE: GE, GE: LE, EQ: EQ}
+# Types that pass the number check without a closer look; subclasses of int,
+# bool excepted, and of Fraction pass too, but one entry at a time.
+_PLAIN = {int, Fraction}
 
 
 @dataclass(frozen=True)
@@ -52,24 +64,98 @@ class Solution:
     dual: tuple[Fraction, ...] | None = None
 
 
+def _exact(value: object) -> bool:
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
 def _check_number(value: object, where: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+    if not _exact(value):
         raise ValueError(f"{where}: {value!r} is not an int or a Fraction")
 
 
-def maximize(objective: Sequence[Fraction | int], rows: Sequence[Row]) -> Solution:
-    """Maximize objective . x subject to the rows, over x >= 0."""
+def _number_types(values: Sequence[object], where: str) -> set[type]:
+    """The types of ``values``, once each is checked to be an int or a Fraction."""
+    types = {*map(type, values)}
+    if not types <= _PLAIN:
+        for value in values:
+            _check_number(value, where)
+    return types
+
+
+def _inexact_entry(values: Sequence[object], what: str) -> str | None:
+    """What is wrong with the first entry that is not an int or a Fraction."""
+    if not {*map(type, values)} <= _PLAIN:
+        for i, value in enumerate(values):
+            if not _exact(value):
+                return f"{what} {i}: {value!r} is not an int or a Fraction"
+    return None
+
+
+def _cleared(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """The least common denominator ``m`` of ``values``, and ``m`` times each."""
+    m = lcm(*(v.denominator for v in values))
+    return m, [v.numerator * (m // v.denominator) for v in values]
+
+
+def _integer_program(
+    objective: Sequence[Fraction | int], rows: Sequence[Row]
+) -> tuple[int, list[int], Sequence[tuple[Sequence[int], str, int]]]:
+    """Check the program and clear its denominators once: ``scale``, the least
+    common denominator of every number in it, and the objective and the rows
+    multiplied by ``scale``, as ints.  Raises ValueError on a row of the wrong
+    length, an unknown sense, or a number that is not an int or a Fraction."""
     n = len(objective)
-    for value in objective:
-        _check_number(value, "objective")
+    types = _number_types(objective, "objective")
     for i, (row_coeffs, sense, value) in enumerate(rows):
         if len(row_coeffs) != n:
             raise ValueError("row length does not match variable count")
         if sense not in _FLIPPED:
             raise ValueError(f"unknown sense {sense!r}")
-        for v in (*row_coeffs, value):
-            _check_number(v, f"row {i}")
+        types |= _number_types((*row_coeffs, value), f"row {i}")
+    if types <= {int}:  # nothing to clear, as in every program certify builds
+        return 1, list(objective), rows
+    scale, flat = _cleared([*objective, *(v for coeffs, _, rhs in rows for v in (*coeffs, rhs))])
+    return scale, flat[:n], [
+        (flat[k:k + n], sense, flat[k + n])
+        for k, (_, sense, _) in zip(range(n, len(flat), n + 1), rows)
+    ]
 
+
+def _pivot(tableau: list[list[int]], denom: int, row: int, col: int) -> int:
+    """Pivot on ``tableau[row][col]``, ``p``, where every entry is ``denom``
+    times its rational value; returns the new common denominator."""
+    pivot_row = tableau[row]
+    p = pivot_row[col]
+    if p == denom:
+        # Then (a*D - f*b) // D is a - f*b // D, which is a wherever b is 0:
+        # only rows with a factor change, and only on the pivot row's nonzero
+        # columns.
+        nonzero = [(j, b) for j, b in enumerate(pivot_row) if b]
+        for i, other in enumerate(tableau):
+            factor = other[col]
+            if factor and i != row:
+                for j, b in nonzero:
+                    other[j] -= factor * b // denom
+        return denom
+    # The pivot row keeps its integers (their denominator becomes p); every
+    # other row moves to denominator p too, even where f is 0.
+    for i, other in enumerate(tableau):
+        if i == row:
+            continue
+        factor = other[col]
+        if factor:
+            tableau[i] = [(a * p - factor * b) // denom for a, b in zip(other, pivot_row)]
+        else:
+            tableau[i] = [a * p // denom for a in other]
+    if p < 0:
+        for i, other in enumerate(tableau):
+            tableau[i] = [-a for a in other]
+    return abs(p)
+
+
+def maximize(objective: Sequence[Fraction | int], rows: Sequence[Row]) -> Solution:
+    """Maximize objective . x subject to the rows, over x >= 0."""
+    n = len(objective)
     # Column layout: structural | slack/surplus | artificial | rhs.  Every row
     # and the objective are multiplied by ``scale``, the least common
     # denominator of the program; slacks, surpluses and artificials keep the
@@ -78,11 +164,7 @@ def maximize(objective: Sequence[Fraction | int], rows: Sequence[Row]) -> Soluti
     # that is not <= after that gets an artificial column.  ``starts[i]`` is
     # the row's starting basic column (slack or artificial), a unit column
     # that the duals are read from.
-    scale = lcm(*(v.denominator for v in objective),
-                *(v.denominator for coeffs, _, rhs in rows for v in (*coeffs, rhs)))
-
-    def scaled(value: Fraction | int) -> int:
-        return value.numerator * (scale // value.denominator)
+    scale, int_objective, int_rows = _integer_program(objective, rows)
 
     num_extra = sum(1 for _, s, _ in rows if s != EQ)
     num_art = sum(1 for _, s, v in rows if (_FLIPPED[s] if v < 0 else s) != LE)
@@ -93,9 +175,9 @@ def maximize(objective: Sequence[Fraction | int], rows: Sequence[Row]) -> Soluti
     basis: list[int] = []
     signs: list[int] = []
     extra_at, art_at = n, art_start
-    for row_coeffs, sense, value in rows:
+    for row_coeffs, sense, value in int_rows:
         sign = -1 if value < 0 else 1
-        row = [sign * scaled(v) for v in row_coeffs] + [0] * (total - n) + [sign * scaled(value)]
+        row = [sign * v for v in row_coeffs] + [0] * (total - n) + [sign * value]
         sense = _FLIPPED[sense] if sign < 0 else sense
         if sense != EQ:
             row[extra_at] = 1 if sense == LE else -1
@@ -113,22 +195,7 @@ def maximize(objective: Sequence[Fraction | int], rows: Sequence[Row]) -> Soluti
 
     def pivot(row: int, col: int) -> None:
         nonlocal denom
-        pivot_row = tableau[row]
-        p = pivot_row[col]
-        # The pivot row keeps its integers (their denominator becomes p); every
-        # other row moves to denominator p too, even where f is 0.
-        for i, other in enumerate(tableau):
-            if i == row:
-                continue
-            factor = other[col]
-            if factor:
-                tableau[i] = [(a * p - factor * b) // denom for a, b in zip(other, pivot_row)]
-            elif p != denom:
-                tableau[i] = [a * p // denom for a in other]
-        if p < 0:
-            for i, other in enumerate(tableau):
-                tableau[i] = [-a for a in other]
-        denom = abs(p)
+        denom = _pivot(tableau, denom, row, col)
         basis[row] = col
 
     def simplex(cost: list[int], columns: range) -> tuple[str, list[int]]:
@@ -186,7 +253,7 @@ def maximize(objective: Sequence[Fraction | int], rows: Sequence[Row]) -> Soluti
                 else:
                     pivot(i, pivot_col)
 
-    cost = [scaled(c) for c in objective] + [0] * (total - n)
+    cost = int_objective + [0] * (total - n)
     status, reduced = simplex(cost, range(art_start))
     if status == UNBOUNDED:
         return Solution(status=UNBOUNDED, x=None, objective=None)
@@ -213,22 +280,33 @@ def certificate_error(
     ``y.b == objective``: then no feasible point does better.  An infeasible
     verdict needs ``y.A >= 0`` and ``y.b < 0``: every ``x >= 0`` would give
     ``0 <= y.A.x <= y.b < 0``.  Returns None when the certificate holds,
-    otherwise what fails.  Zero coefficients are skipped.
+    otherwise what fails, also when an entry of ``x``, ``y`` or the objective
+    value is not an int or a Fraction.  The program is checked as
+    ``maximize`` checks it, with the same ValueError.
+
+    Every sum and comparison runs on ints: the program is multiplied by its
+    least common denominator ``scale``, as in ``maximize``, and ``y`` and
+    ``x`` by theirs, ``m_y`` and ``m_x``.  Zero terms are skipped.
     """
+    scale, c, int_rows = _integer_program(objective, rows)
     if solution.status not in (OPTIMAL, INFEASIBLE):
         return f"no certificate for status {solution.status!r}"
     y = solution.dual
     if y is None or len(y) != len(rows):
         return "dual missing or of the wrong length"
-    y_a = [Fraction(0)] * len(objective)
-    y_b = Fraction(0)
-    for i, ((coeffs, sense, rhs), y_i) in enumerate(zip(rows, y)):
+    if (error := _inexact_entry(y, "dual entry")) is not None:
+        return error
+    # y_a and y_b are scale * m_y times y.A and y.b.
+    m_y, y_int = _cleared(y)
+    y_a = [0] * len(c)
+    y_b = 0
+    for i, ((coeffs, sense, rhs), y_i) in enumerate(zip(int_rows, y_int)):
         if (sense == LE and y_i < 0) or (sense == GE and y_i > 0):
             return f"dual of row {i} has the wrong sign"
         if y_i:
-            for j, c in enumerate(coeffs):
-                if c:
-                    y_a[j] += y_i * c
+            for j, a in enumerate(coeffs):
+                if a:
+                    y_a[j] += y_i * a
             y_b += y_i * rhs
     if solution.status == INFEASIBLE:
         if any(v < 0 for v in y_a):
@@ -238,18 +316,27 @@ def certificate_error(
         return None
 
     x = solution.x
+    if x is not None and (error := _inexact_entry(x, "primal entry")) is not None:
+        return error
     if x is None or len(x) != len(objective) or any(v < 0 for v in x):
         return "primal point missing, of the wrong length or negative"
-    for i, (coeffs, sense, rhs) in enumerate(rows):
-        value = sum((c * v for c, v in zip(coeffs, x) if c and v), Fraction(0))
-        if (sense == LE and value > rhs) or (sense == GE and value < rhs) or (
-            sense == EQ and value != rhs
+    # Row and objective values of x, times scale * m_x.
+    m_x, x_int = _cleared(x)
+    support = [(j, v) for j, v in enumerate(x_int) if v]
+    for i, (coeffs, sense, rhs) in enumerate(int_rows):
+        lhs = sum(coeffs[j] * v for j, v in support)
+        rhs *= m_x
+        if (sense == LE and lhs > rhs) or (sense == GE and lhs < rhs) or (
+            sense == EQ and lhs != rhs
         ):
             return f"primal point violates row {i}"
-    if sum((c * v for c, v in zip(objective, x) if c and v), Fraction(0)) != solution.objective:
+    value = solution.objective
+    if not _exact(value):
+        return f"objective value: {value!r} is not an int or a Fraction"
+    if sum(c[j] * v for j, v in support) * value.denominator != value.numerator * scale * m_x:
         return "objective value differs from the primal point's"
-    if any(a < c for a, c in zip(y_a, objective)):
+    if any(a < c_j * m_y for a, c_j in zip(y_a, c)):
         return "dual combination falls below the objective"
-    if y_b != solution.objective:
+    if y_b * value.denominator != value.numerator * scale * m_y:
         return "dual bound differs from the objective value"
     return None

@@ -8,6 +8,8 @@ against it.
 from __future__ import annotations
 
 import dataclasses
+import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -15,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafpower.exactlp import EQ, GE, LE, certificate_error, maximize
+from leafpower import exactlp
+from leafpower.exactlp import EQ, GE, LE, Solution, certificate_error, maximize
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +226,17 @@ class TestOnlyExactNumbers:
         with pytest.raises(ValueError, match=r"^row 0: .* is not an int or a Fraction$"):
             maximize([1], [([1], LE, value)])
 
+    @pytest.mark.parametrize("value", NOT_EXACT, ids=repr)
+    def test_checker_rejects_the_same_programs(self, value):
+        solution = maximize([1, 1], [([1, 1], LE, 3), ([1, 1], GE, 0)])
+        for objective, rows, where in [
+            ([1, value], [([1, 1], LE, 3), ([1, 1], GE, 0)], "objective"),
+            ([1, 1], [([1, 1], LE, 3), ([1, value], GE, 0)], "row 1"),
+            ([1, 1], [([1, 1], LE, value), ([1, 1], GE, 0)], "row 0"),
+        ]:
+            with pytest.raises(ValueError, match=rf"^{where}: .* is not an int or a Fraction$"):
+                certificate_error(objective, rows, solution)
+
 
 # ---------------------------------------------------------------------------
 # The certificate checker
@@ -230,6 +244,15 @@ class TestOnlyExactNumbers:
 
 INFEASIBLE_ROWS = [([1, 1], GE, 4), ([1, 0], LE, 1), ([0, 1], LE, 2)]
 OPTIMAL_ROWS = [([3, 1], LE, 1), ([1, 3], LE, 1)]
+# Rows with denominators 2, 3 and 5, whose certificates have denominators 23
+# and 13: Farkas dual (-10/23, -1, 10/23); optimum 20/13 at x = (11/13, 9/13)
+# with dual (6/13, 0, -10/13).
+MIXED_INFEASIBLE_ROWS = [([Fraction(-3, 2), Fraction(5, 2)], GE, 2),
+                         ([1, -1], GE, Fraction(5, 3)),
+                         ([Fraction(4, 5), Fraction(1, 5)], LE, Fraction(2, 5))]
+MIXED_OPTIMAL_ROWS = [([Fraction(3, 2), Fraction(5, 2)], LE, 3),
+                      ([-1, Fraction(5, 3)], LE, Fraction(2, 3)),
+                      ([Fraction(-2, 5), Fraction(1, 5)], GE, Fraction(-1, 5))]
 
 
 class TestCertificateChecker:
@@ -279,14 +302,134 @@ class TestCertificateChecker:
             (OPTIMAL_ROWS, {"x": (1, 1)}, "violates row 0"),
             (OPTIMAL_ROWS, {"x": (-1, 1)}, "negative"),
             (OPTIMAL_ROWS, {"status": "unbounded"}, "no certificate"),
+            (INFEASIBLE_ROWS, {"dual": (-1, True, 1)}, "dual entry 1: True is not"),
+            (OPTIMAL_ROWS, {"dual": (0.25, Fraction(1, 4))}, "dual entry 0: 0.25 is not"),
+            (OPTIMAL_ROWS, {"x": (Fraction(1, 4), 0.25)}, "primal entry 1: 0.25 is not"),
+            (OPTIMAL_ROWS, {"x": (False, Fraction(1, 4))}, "primal entry 0: False is not"),
+            (OPTIMAL_ROWS, {"objective": 0.5}, "objective value: 0.5 is not"),
+            (MIXED_INFEASIBLE_ROWS, {"dual": (Fraction(10, 23), -1, Fraction(10, 23))},
+             "dual of row 0 has the wrong sign"),
+            (MIXED_INFEASIBLE_ROWS, {"dual": (Fraction(-10, 23), -1, Fraction(9, 23))},
+             "negative coefficient"),
+            (MIXED_INFEASIBLE_ROWS, {"dual": (0, 0, Fraction(1, 7))}, "nonnegative rhs"),
+            (MIXED_INFEASIBLE_ROWS, {"dual": None}, "dual missing"),
+            (MIXED_INFEASIBLE_ROWS, {"dual": (Fraction(-10, 23), -1)}, "wrong length"),
+            (MIXED_OPTIMAL_ROWS, {"dual": (Fraction(6, 13), Fraction(-1, 13), Fraction(-10, 13))},
+             "dual of row 1 has the wrong sign"),
+            (MIXED_OPTIMAL_ROWS, {"dual": (Fraction(6, 13), 0, 0)}, "falls below"),
+            (MIXED_OPTIMAL_ROWS, {"dual": (Fraction(1, 2), 0, Fraction(-10, 13))},
+             "dual bound differs"),
+            (MIXED_OPTIMAL_ROWS, {"x": (Fraction(10, 13), Fraction(9, 13))},
+             "objective value differs"),
+            (MIXED_OPTIMAL_ROWS, {"x": (Fraction(11, 13), Fraction(10, 13))}, "violates row 0"),
+            (MIXED_OPTIMAL_ROWS, {"x": (Fraction(11, 13), Fraction(8, 13))}, "violates row 2"),
+            (MIXED_OPTIMAL_ROWS, {"x": (Fraction(-1, 13), Fraction(9, 13))}, "negative"),
+            (MIXED_OPTIMAL_ROWS, {"status": "unbounded"}, "no certificate"),
         ],
     )
     def test_corrupted_certificates_rejected(self, rows, change, reason):
         s = dataclasses.replace(maximize([1, 1], rows), **change)
         assert reason in certificate_error([1, 1], rows, s)
 
+    @pytest.mark.parametrize("rows, dual, x, objective", [
+        (MIXED_INFEASIBLE_ROWS, (Fraction(-10, 23), -1, Fraction(10, 23)), None, None),
+        (MIXED_OPTIMAL_ROWS, (Fraction(6, 13), 0, Fraction(-10, 13)),
+         (Fraction(11, 13), Fraction(9, 13)), Fraction(20, 13)),
+    ])
+    def test_certificates_of_the_mixed_programs(self, rows, dual, x, objective):
+        s = maximize([1, 1], rows)
+        assert (s.dual, s.x, s.objective) == (dual, x, objective)
+        assert certificate_error([1, 1], rows, s) is None
+
+    def test_a_float_certificate_is_refused(self):
+        # It would hold with 1/2 for 0.5 and 1 for 1.0.
+        s = Solution("optimal", (0.5, 0.5), Fraction(1), (1.0,))
+        assert certificate_error([1, 1], [([1, 1], LE, 1)], s) == (
+            "dual entry 0: 1.0 is not an int or a Fraction")
+
     def test_unbounded_program_has_no_dual(self):
         assert maximize([1], [([0], LE, 1)]).dual is None
+
+
+# ---------------------------------------------------------------------------
+# The sparse pivot against the dense Bareiss update
+# ---------------------------------------------------------------------------
+
+def dense_pivot(tableau, denom, row, col):
+    """The reference: ``exactlp._pivot`` with the dense Bareiss update on
+    every pivot, which rewrites every entry of every other row."""
+    pivot_row = tableau[row]
+    p = pivot_row[col]
+    for i, other in enumerate(tableau):
+        if i == row:
+            continue
+        factor = other[col]
+        if factor:
+            tableau[i] = [(a * p - factor * b) // denom for a, b in zip(other, pivot_row)]
+        elif p != denom:
+            tableau[i] = [a * p // denom for a in other]
+    if p < 0:
+        for i, other in enumerate(tableau):
+            tableau[i] = [-a for a in other]
+    return abs(p)
+
+
+def solve_logged(monkeypatch, pivot, objective, rows, limit=1000):
+    """``maximize`` with ``pivot`` as its pivot, and each pivot's row,
+    column, entry ``p`` and denominator ``D``.  A solve that makes more than
+    ``limit`` pivots fails, where a broken update could cycle forever."""
+    log = []
+
+    def logged(tableau, denom, row, col):
+        assert len(log) < limit, f"no end after {limit} pivots"
+        log.append((row, col, tableau[row][col], denom))
+        return pivot(tableau, denom, row, col)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exactlp, "_pivot", logged)
+        return maximize(objective, rows), log
+
+
+def seeded_program(rng: random.Random):
+    """Up to 6 variables and 7 rows, a third of the numbers Fractions; half
+    the programs get a cap on the sum of x, a fifth a row repeated as two
+    redundant ``==`` rows."""
+
+    def number(lo: int, hi: int) -> Fraction | int:
+        if rng.random() < 0.3:
+            return Fraction(rng.randint(6 * lo, 6 * hi), rng.choice([1, 2, 3, 5, 6]))
+        return rng.randint(lo, hi)
+
+    n = rng.randint(1, 6)
+    objective = [number(-3, 3) for _ in range(n)]
+    senses = [LE, GE, EQ] if rng.random() < 0.6 else [LE, LE, LE, GE]
+    rows = [([number(-3, 3) if rng.random() < 0.7 else 0 for _ in range(n)],
+             rng.choice(senses), number(-5, 5)) for _ in range(rng.randint(1, 7))]
+    if rng.random() < 0.5:
+        rows.append(([1] * n, LE, rng.randint(1, 9)))
+    if rng.random() < 0.2:
+        coeffs, _, rhs = rng.choice(rows)
+        k = rng.choice([2, -1, Fraction(1, 2)])
+        rows += [([k * c for c in coeffs], EQ, k * rhs), (coeffs, EQ, rhs)]
+    return objective, rows
+
+
+def test_sparse_pivots_match_the_dense_update(monkeypatch):
+    programs = [seeded_program(random.Random(seed)) for seed in range(2000)]
+    # Driving an artificial out pivots on -1 (see
+    # test_artificial_driven_out_on_a_negative_pivot).
+    programs.append(([1, 0], [([1, -1], EQ, 0), ([-1, 1], EQ, 0), ([1, 0], LE, 3)]))
+    statuses, pivots = Counter(), Counter()
+    for objective, rows in programs:
+        solution, log = solve_logged(monkeypatch, exactlp._pivot, objective, rows)
+        assert (solution, log) == solve_logged(monkeypatch, dense_pivot, objective, rows), (
+            objective, rows)
+        statuses[solution.status] += 1
+        for _, _, p, denom in log:
+            pivots["p == D" if p == denom else "p != D"] += 1
+            pivots["p < 0"] += p < 0
+    assert statuses.keys() == {"optimal", "infeasible", "unbounded"}
+    assert pivots["p == D"] and pivots["p != D"] and pivots["p < 0"], pivots
 
 
 # ---------------------------------------------------------------------------
