@@ -17,6 +17,13 @@ returned optimum satisfies every constraint exactly and can be re-substituted
 without tolerance.  Bland's rule (smallest index enters, ties on leaving
 broken by smallest basis index) guarantees termination.
 
+Phase 1 starts from the slack basis wherever that basis is feasible (Chvátal
+1983, ch. 8).  A row is negated, which swaps ``<=`` and ``>=``, when its rhs
+is negative or when it is 0 under ``>=``; so ``a.x >= 0`` becomes
+``-a.x <= 0``.  Every ``<=`` row then starts on its slack, at its rhs, which
+is not negative.  Only ``>=`` rows with a positive rhs and ``==`` rows get an
+artificial column, and a program with neither skips phase 1.
+
 Every optimal or infeasible verdict carries a dual vector, one multiplier per
 input row, and ``certificate_error`` checks it from the program alone, on
 ints: it clears the program's denominators as ``maximize`` does, and those of
@@ -30,7 +37,7 @@ number must be an ``int`` or a ``Fraction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -56,12 +63,15 @@ class Solution:
     """``dual`` has one multiplier per input row: ``y >= 0`` on ``<=`` rows,
     ``y <= 0`` on ``>=`` rows, free on ``==`` rows.  When optimal, ``y.A >= c``
     and ``y.b == objective``; when infeasible, ``y.A >= 0`` and ``y.b < 0``
-    (Farkas); None when unbounded."""
+    (Farkas); None when unbounded.  ``pivots`` counts the solve's pivots:
+    phase 1's, those that drive artificials out, and phase 2's; it takes no
+    part in equality."""
 
     status: str
     x: tuple[Fraction, ...] | None
     objective: Fraction | None
     dual: tuple[Fraction, ...] | None = None
+    pivots: int = field(default=0, compare=False)
 
 
 def _exact(value: object) -> bool:
@@ -159,26 +169,27 @@ def maximize(objective: Sequence[Fraction | int], rows: Sequence[Row]) -> Soluti
     # Column layout: structural | slack/surplus | artificial | rhs.  Every row
     # and the objective are multiplied by ``scale``, the least common
     # denominator of the program; slacks, surpluses and artificials keep the
-    # coefficient +-1, so they stand for ``scale`` times the unscaled ones.  A
-    # row with a negative rhs is negated, which swaps <= and >=; every row
-    # that is not <= after that gets an artificial column.  ``starts[i]`` is
-    # the row's starting basic column (slack or artificial), a unit column
-    # that the duals are read from.
+    # coefficient +-1, so they stand for ``scale`` times the unscaled ones.
+    # Rows are negated by the rule in the module docstring; then every <= row
+    # starts the basis on its slack and every other row on an artificial.
+    # ``starts[i]`` is the row's starting basic column, a unit column that the
+    # duals are read from.
     scale, int_objective, int_rows = _integer_program(objective, rows)
+    signs = [-1 if value < 0 or (value == 0 and sense == GE) else 1
+             for _, sense, value in int_rows]
+    senses = [_FLIPPED[sense] if sign < 0 else sense
+              for (_, sense, _), sign in zip(int_rows, signs)]
 
-    num_extra = sum(1 for _, s, _ in rows if s != EQ)
-    num_art = sum(1 for _, s, v in rows if (_FLIPPED[s] if v < 0 else s) != LE)
+    num_extra = sum(1 for s in senses if s != EQ)
+    num_art = sum(1 for s in senses if s != LE)
     art_start = n + num_extra
     total = art_start + num_art
 
     tableau: list[list[int]] = []
     basis: list[int] = []
-    signs: list[int] = []
     extra_at, art_at = n, art_start
-    for row_coeffs, sense, value in int_rows:
-        sign = -1 if value < 0 else 1
+    for (row_coeffs, _, value), sense, sign in zip(int_rows, senses, signs):
         row = [sign * v for v in row_coeffs] + [0] * (total - n) + [sign * value]
-        sense = _FLIPPED[sense] if sign < 0 else sense
         if sense != EQ:
             row[extra_at] = 1 if sense == LE else -1
             extra_at += 1
@@ -189,14 +200,15 @@ def maximize(objective: Sequence[Fraction | int], rows: Sequence[Row]) -> Soluti
             basis.append(art_at)
             art_at += 1
         tableau.append(row)
-        signs.append(sign)
     starts = tuple(basis)
     denom = 1  # D: the common denominator of every tableau entry, always > 0
+    pivots = 0
 
     def pivot(row: int, col: int) -> None:
-        nonlocal denom
+        nonlocal denom, pivots
         denom = _pivot(tableau, denom, row, col)
         basis[row] = col
+        pivots += 1
 
     def simplex(cost: list[int], columns: range) -> tuple[str, list[int]]:
         """Bland's rule over ``columns`` for the integer costs of every column.
@@ -242,7 +254,7 @@ def maximize(objective: Sequence[Fraction | int], rows: Sequence[Row]) -> Soluti
             raise RuntimeError("phase 1 cannot be unbounded")
         if any(row[total] for row, b in zip(tableau, basis) if b >= art_start):
             return Solution(status=INFEASIBLE, x=None, objective=None,
-                            dual=duals(phase1_cost, reduced))
+                            dual=duals(phase1_cost, reduced), pivots=pivots)
         # Drive surviving artificials out of the basis; drop redundant rows.
         for i in reversed(range(len(tableau))):
             if basis[i] >= art_start:
@@ -256,7 +268,7 @@ def maximize(objective: Sequence[Fraction | int], rows: Sequence[Row]) -> Soluti
     cost = int_objective + [0] * (total - n)
     status, reduced = simplex(cost, range(art_start))
     if status == UNBOUNDED:
-        return Solution(status=UNBOUNDED, x=None, objective=None)
+        return Solution(status=UNBOUNDED, x=None, objective=None, pivots=pivots)
 
     x = [Fraction(0)] * n
     for row, b in zip(tableau, basis):
@@ -267,6 +279,7 @@ def maximize(objective: Sequence[Fraction | int], rows: Sequence[Row]) -> Soluti
         x=tuple(x),
         objective=Fraction(-reduced[total], denom * scale),
         dual=duals(cost, reduced),
+        pivots=pivots,
     )
 
 

@@ -10,6 +10,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -394,6 +395,59 @@ class TestCertifyLeafPower:
             assert result.delta == witness_margin(root), (g.vertices, g.edges)
             certified += 1
         assert certified == 44
+
+    def test_full_bound_certifies_exactly_the_chordal_graphs(self, small_atlas_graphs):
+        """At ``max_internal = max(1, |V| - 2)`` the search covers every
+        topology with |V| leaves and no degree-2 node, and every LP verdict
+        behind a "no" carries a checked dual or Farkas certificate.  So "no"
+        is sound there: no leaf root with exact lengths exists.  On at most
+        five vertices the leaf powers are the chordal graphs (the smallest
+        chordal graph that is no leaf power is a sun, on six vertices), so the
+        44 "yes" answers must be exactly the chordal ones, checked by
+        networkx.  Each witness reads back from its JSON with its margin."""
+        chordal, certified = set(), set()
+        for g in small_atlas_graphs:
+            nx_graph = nx.Graph(g.edges)
+            nx_graph.add_nodes_from(g.vertices)
+            if nx.is_chordal(nx_graph):
+                chordal.add(g)
+            root = certify_leaf_power(g, max(1, g.n - 2))
+            if root is None:
+                continue
+            certified.add(g)
+            back = weighted_leafroot_from_json_obj(
+                json.loads(dumps(weighted_leafroot_to_json_obj(root))))
+            assert verify_leaf_root(g, back)
+            assert witness_margin(back) == witness_margin(root) > 0
+        assert len(small_atlas_graphs) == 52
+        assert len(chordal) == 44
+        assert certified == chordal
+
+    def test_pivot_total_of_the_benchmark_cases(self, monkeypatch):
+        # perfbench's certify round: P4, P5 and K4 ("yes") and C4 and C5
+        # ("no") at its --max-internal 2, 3, 1, 3 and 3, 217 LPs in all.
+        # Every pos row (w - delta >= 0) starts the basis on its slack, and
+        # the round takes 2 241 pivots, summed from Solution.pivots; with an
+        # artificial column for each of those rows it took 4 925.
+        solve = exactlp_module.maximize
+        solutions = []
+
+        def recorded(objective, rows):
+            solutions.append(solve(objective, rows))
+            return solutions[-1]
+
+        monkeypatch.setattr(exactlp_module, "maximize", recorded)
+        names = [f"v{i}" for i in range(5)]
+        for graph, max_internal, yes in [
+            (path_graph(names[:4]), 2, True),
+            (path_graph(names), 3, True),
+            (complete_graph(names[:4]), 1, True),
+            (cycle_graph(names[:4]), 3, False),
+            (cycle_graph(names), 3, False),
+        ]:
+            assert (certify_leaf_power(graph, max_internal) is not None) == yes
+        assert len(solutions) == 217
+        assert sum(s.pivots for s in solutions) == 2241
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="max_internal must be at least 1"):

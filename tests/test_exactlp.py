@@ -194,6 +194,15 @@ class TestKnownPrograms:
         assert s.objective == 3
         assert s.x == (3, 3)
 
+    def test_a_homogeneous_ge_row_needs_no_pivot(self):
+        # x >= 0 is negated to -x <= 0, whose slack starts the basis at 0:
+        # no artificial column, so no phase 1 and not one pivot.
+        s = maximize([-1], [([1], GE, 0)])
+        assert (s.status, s.x, s.objective, s.dual) == ("optimal", (0,), 0, (0,))
+        assert s.pivots == 0
+        # The count takes no part in equality.
+        assert dataclasses.replace(s, pivots=1) == s
+
     def test_row_of_the_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="row length"):
             maximize([1, 1], [([1], LE, 1)])
@@ -287,6 +296,14 @@ class TestCertificateChecker:
         assert s.objective == Fraction(1, 2)
         assert s.dual == (Fraction(-1, 2), Fraction(3, 4))
         assert certificate_error([1, 1], rows, s) is None
+
+    def test_duals_map_back_through_a_negated_homogeneous_row(self):
+        # max y s.t. x - y >= 0, x <= 2: the first row starts the basis on
+        # its slack as -x + y <= 0, and its multiplier comes back <= 0.
+        rows = [([1, -1], GE, 0), ([1, 0], LE, 2)]
+        s = maximize([0, 1], rows)
+        assert (s.x, s.objective, s.dual) == ((2, 2), 2, (-1, 1))
+        assert certificate_error([0, 1], rows, s) is None
 
     @pytest.mark.parametrize(
         "rows, change, reason",
@@ -483,9 +500,27 @@ def fractional_programs(draw):
     return objective, rows
 
 
+@st.composite
+def cone_programs(draw):
+    """Mostly homogeneous ``>=`` rows (rhs 0, mixed signs, Fraction entries),
+    which start the basis on their slacks, cut by one or two ``<=`` caps; half
+    the programs also get a ``>=`` row with a positive rhs, so phase 1 runs
+    beside those slacks.  Up to three variables keep Fourier-Motzkin small
+    on up to eight rows."""
+    num_vars = draw(st.integers(1, 3))
+    objective = [draw(quarter(-3, 3)) for _ in range(num_vars)]
+    rows = [([draw(quarter(-3, 3)) for _ in range(num_vars)], GE, 0)
+            for _ in range(draw(st.integers(1, 5)))]
+    rows += [([draw(quarter(0, 3)) for _ in range(num_vars)], LE, draw(quarter(1, 5)))
+             for _ in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        rows.append(([draw(quarter(-3, 3)) for _ in range(num_vars)], GE, draw(quarter(1, 3))))
+    return objective, draw(st.permutations(rows))
+
+
 class TestAgainstFourierMotzkin:
     @settings(max_examples=150)
-    @given(random_programs())
+    @given(random_programs() | cone_programs())
     def test_feasibility_verdicts_agree(self, program):
         objective, rows = program
         solution = maximize(objective, rows)
@@ -493,7 +528,7 @@ class TestAgainstFourierMotzkin:
         assert (solution.status != "infeasible") == oracle
 
     @settings(max_examples=150)
-    @given(random_programs())
+    @given(random_programs() | cone_programs())
     def test_optimal_solutions_are_feasible_and_unimprovable(self, program):
         objective, rows = program
         solution = maximize(objective, rows)
@@ -533,7 +568,7 @@ class TestAgainstFourierMotzkin:
             assert original.objective == rescaled.objective
 
     @settings(max_examples=150)
-    @given(fractional_programs())
+    @given(fractional_programs() | cone_programs())
     def test_fractional_programs_agree(self, program):
         objective, rows = program
         solution = maximize(objective, rows)
@@ -547,7 +582,7 @@ class TestAgainstFourierMotzkin:
         )
 
     @settings(max_examples=150)
-    @given(random_programs() | fractional_programs())
+    @given(random_programs() | fractional_programs() | cone_programs())
     def test_certificates_pass_the_checker(self, program):
         objective, rows = program
         solution = maximize(objective, rows)
