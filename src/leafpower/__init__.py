@@ -100,7 +100,6 @@ from .trees import (
     connecting_path,
     distance,
     distances_from,
-    median,
     pairwise_distances,
     tree_from_json_obj,
     tree_path,

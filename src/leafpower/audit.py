@@ -1,16 +1,16 @@
 """Machine-checking the exponential lower bound on ball models of R_n.
 
 Any ball model of R_n pins down canonical *branch points* in its host tree:
-m_1 and m_n are the endpoints of the connecting path between the clique
-subtrees of C_1 and C_n, s_i is where that corridor branches off into the
-clique subtree of C_i, and m_i is the median of m_1, m_n, s_i.  The checks in
-this module verify, on a concrete model, the facts that force those branch
-points to spread out exponentially: the cover shape at each m_i, their linear
-order along the corridor, the strictly-growing gaps, and the resulting radius
-floor of 2^(n-2) for the last ball — which is a lower bound on how small k can
-be for ANY k-leaf root of R_n.  The model is checked by center distances, then
-its balls are materialized once, to find the branch points; every later check
-reads the model through tree distances.
+m_1 and m_n are the ends of the corridor, the connecting path between the
+clique subtrees of C_1 and C_n; s_i is where it branches off into the clique
+subtree of C_i, and m_i is the median of m_1, m_n, s_i.  The checks verify, on
+a concrete model, the facts that force those points to spread out
+exponentially: the cover shape at each m_i, their order along the corridor,
+the strictly-growing gaps, and the resulting radius floor of 2^(n-2) for the
+last ball — a lower bound on k for ANY k-leaf root of R_n.  The model is
+checked by center distances and its balls are materialized once, for the
+corridor.  One search from each end of it places every s_i and m_i, and one
+pairwise sweep gives the distance table that every check and the report read.
 
 A model that verifies but fails a check is surfaced loudly, never swallowed.
 Such a failure does not by itself falsify the bound: a seven-node ball model
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .models import RSModel, clique_subtree, cover, expand_rs, rs_model_violations
 from .rn import RnGraph
-from .trees import connecting_path, distances_from, median, pairwise_distances
+from .trees import connecting_path, distances_from, pairwise_distances
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,18 @@ def branch_points(r: RnGraph, model: RSModel) -> BranchPoints:
     """Extract the branch points of a verifying ball model of R_n.
 
     A model that does not verify is refused by center distances before the one
-    ball expansion, which gives the clique subtrees and the covers.  s_i is
-    computed twice — once approaching from the clique subtree of C_1 and once
-    from that of C_n — and the two answers are required to agree rather than
-    assumed to.
+    ball expansion, which gives the clique subtrees and the covers.  The corridor
+    m_1 .. m_n joins C_1's and C_n's; one search from each end places the rest:
+
+    1. Nearest node.  Clique subtrees are intersections of balls, so subtrees.
+       C_1's and C_i's are disjoint, as a_1 and d_i are not adjacent (C_n's and
+       C_i's, by d_n and a_i).  Every path from a subtree A to a disjoint
+       subtree B enters B at one node, so the node of B nearest any node of A
+       is unique: ``connecting_path(A, B)[-1]``.  s_i is found from each end,
+       and the two answers must agree; the sort key (distance, name) only
+       makes the result deterministic.
+    2. Three-point median.  The median of m_1, m_n and s lies on the corridor,
+       (d(m_1, s) + d(m_1, m_n) - d(m_n, s)) / 2 steps from m_1.
     """
     if not isinstance(model, RSModel):
         raise TypeError("branch_points requires a ball model (RSModel)")
@@ -59,12 +67,13 @@ def branch_points(r: RnGraph, model: RSModel) -> BranchPoints:
 
     corridor = connecting_path(host, subtree[1], subtree[n])
     m_first, m_last = corridor[0], corridor[-1]
+    to_first, to_last = distances_from(host, m_first), distances_from(host, m_last)
 
     s: dict[int, str] = {}
     ms: list[str] = [m_first]
     for i in range(2, n):
-        from_first = connecting_path(host, subtree[1], subtree[i])[-1]
-        from_last = connecting_path(host, subtree[n], subtree[i])[-1]
+        from_first = min(subtree[i], key=lambda x: (to_first[x], x))
+        from_last = min(subtree[i], key=lambda x: (to_last[x], x))
         if from_first != from_last:
             raise ValueError(
                 f"branch point s_{i} is ambiguous: {from_first!r} vs {from_last!r}"
@@ -72,28 +81,27 @@ def branch_points(r: RnGraph, model: RSModel) -> BranchPoints:
         if cover(exp, from_first) != r.clique(i):
             raise ValueError(f"cover of s_{i} is not the clique C_{i}")
         s[i] = from_first
-        ms.append(median(host, m_first, m_last, from_first))
+        ms.append(corridor[(to_first[from_first] + to_first[m_last] - to_last[from_first]) // 2])
     ms.append(m_last)
     return BranchPoints(m=tuple(ms), s=s)
 
 
-def check_median_cover(r: RnGraph, model: RSModel, bp: BranchPoints, i: int) -> bool:
+def check_median_cover(r: RnGraph, model: RSModel, bp: BranchPoints, i: int, dist: dict) -> bool:
     """Cover at m_i must be {a_i..a_n, b_i} plus a nonempty subset of {c_i, b_{i+1}}.
 
-    The cover is read off one search from m_i: v covers m_i when
+    The cover is read off the table's row for m_i: v covers m_i when
     dist(c_v, m_i) <= r_v.
     """
     n = r.n
     if not 1 < i < n:
         raise ValueError(f"index {i} must satisfy 1 < i < {n}")
-    dist = distances_from(model.host, bp.m[i - 1])
-    cov = {v for v, c in model.centers.items() if dist[c] <= model.radii[v]}
+    row = dist[bp.m[i - 1]]
+    cov = {v for v, c in model.centers.items() if row[c] <= model.radii[v]}
     base = {r.a[j] for j in range(i, n + 1)} | {r.b[i]}
-    allowed_extras = {r.c[i], r.b[i + 1]}
-    return base < cov and cov <= base | allowed_extras
+    return base < cov <= base | {r.c[i], r.b[i + 1]}
 
 
-def check_order(r: RnGraph, model: RSModel, bp: BranchPoints) -> bool:
+def check_order(r: RnGraph, model: RSModel, bp: BranchPoints, dist: dict) -> bool:
     """m_1..m_n lie on the corridor from m_1 to m_n, at strictly increasing positions.
 
     This is the betweenness order — the m's pairwise distinct, and
@@ -104,20 +112,18 @@ def check_order(r: RnGraph, model: RSModel, bp: BranchPoints) -> bool:
     """
     ms = bp.m
     first, last = ms[0], ms[-1]
-    dist = pairwise_distances(model.host, ms)
     if any(dist[first][x] + dist[x][last] != dist[first][last] for x in ms):
         return False
     return all(dist[first][x] < dist[first][y] for x, y in zip(ms, ms[1:]))
 
 
-def check_increasing(r: RnGraph, model: RSModel, bp: BranchPoints) -> bool:
+def check_increasing(r: RnGraph, model: RSModel, bp: BranchPoints, dist: dict) -> bool:
     """Each gap beats the whole span so far: dist(m_i, m_{i+1}) > dist(m_2, m_i).
 
     The quantifier 2 < i < n is empty for n = 3, where the check is vacuously
     true and the certificate rests on the remaining checks.
     """
     ms = bp.m
-    dist = pairwise_distances(model.host, ms)
     return all(dist[ms[i - 1]][ms[i]] > dist[ms[1]][ms[i - 1]] for i in range(3, r.n))
 
 
@@ -153,11 +159,9 @@ def lower_bound_certificate(r: RnGraph, model: RSModel) -> AuditReport:
     n = r.n
     bp = branch_points(r, model)
     ms = bp.m
-    last_a = r.a[n]
-    radius_last_a = model.radii[last_a]
+    center_last_a, radius_last_a = model.centers[r.a[n]], model.radii[r.a[n]]
     max_radius = max(model.radii[v] for v in model.graph.vertices)
-    center_last_a = model.centers[last_a]
-    dist = pairwise_distances(model.host, (*ms, center_last_a))
+    dist = pairwise_distances(model.host, (*ms, *model.centers.values()))
 
     m_distances = {
         f"m{p + 1}-m{q + 1}": dist[ms[p]][ms[q]] for p in range(n) for q in range(p + 1, n)
@@ -165,9 +169,9 @@ def lower_bound_certificate(r: RnGraph, model: RSModel) -> AuditReport:
     dist_m2_mn = m_distances[f"m2-m{n}"]
 
     checks = {
-        "median_cover": all(check_median_cover(r, model, bp, i) for i in range(2, n)),
-        "order": check_order(r, model, bp),
-        "increasing_gaps": check_increasing(r, model, bp),
+        "median_cover": all(check_median_cover(r, model, bp, i, dist) for i in range(2, n)),
+        "order": check_order(r, model, bp, dist),
+        "increasing_gaps": check_increasing(r, model, bp, dist),
         "last_a_contains_m2_mn": all(
             dist[center_last_a][x] <= radius_last_a for x in (ms[1], ms[n - 1])
         ),

@@ -43,6 +43,7 @@ from .rn import (
     build_exponential_rs_model,
     build_rdp_model,
     build_rn,
+    rn_shape,
 )
 from .roots import (
     brute_force_leaf_rank,
@@ -138,6 +139,8 @@ def _cmd_audit(args: argparse.Namespace) -> Result:
         _check_exponential_n(n)
     elif n < 3:
         raise _Refused("not a model of R_n: R_n has at least 12 vertices")
+    elif rn_shape(n) != (frozenset(model.graph.vertices), len(model.graph.edges)):
+        raise _Refused("not a model of R_n: the model's graph differs")
     r = build_rn(n)
     if model is None:
         model = build_exponential_rs_model(r)

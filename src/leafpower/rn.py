@@ -79,6 +79,11 @@ def _defining_cliques(
     )
 
 
+def rn_shape(n: int) -> tuple[frozenset[str], int]:
+    """R_n's vertex names and its number of edges, (3n^2 + 15n - 6) / 2, without building it."""
+    return frozenset(f"{g}{i}" for g in "abcd" for i in range(1, n + 1)), (3 * n * n + 15 * n - 6) // 2
+
+
 def build_rn(n: int) -> RnGraph:
     """Construct R_n and check its clique structure before handing it out."""
     if n < 3:

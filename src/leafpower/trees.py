@@ -1,4 +1,4 @@
-"""Immutable free trees with the path / distance / median toolkit.
+"""Immutable free trees with the path and distance toolkit.
 
 Tree nodes are strings, as with graphs.  Distances count edges unless exact lengths are given.
 
@@ -271,18 +271,6 @@ def ball(tree: Tree, center: str, radius: int) -> frozenset[str]:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     return frozenset(distances_from(tree, center, radius))
-
-
-def median(tree: Tree, u: str, v: str, w: str) -> str:
-    """The unique node lying on all three pairwise paths among u, v, w."""
-    puv = tree_path(tree, u, v)
-    puw = tree_path(tree, u, w)
-    m = puv[0]
-    for a, b in zip(puv, puw):
-        if a != b:
-            break
-        m = a
-    return m
 
 
 def is_connected_subset(tree: Tree, subset: Iterable[str]) -> bool:

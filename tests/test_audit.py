@@ -5,6 +5,7 @@ import json
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from leafpower import (
@@ -20,6 +21,8 @@ from leafpower import (
     check_increasing,
     check_median_cover,
     check_order,
+    clique_subtree,
+    connecting_path,
     cover,
     distance,
     distances_from,
@@ -27,6 +30,7 @@ from leafpower import (
     expand_rs,
     leafroot_to_rs,
     lower_bound_certificate,
+    pairwise_distances,
     report_to_json_obj,
     report_to_text,
     rs_model_from_json_obj,
@@ -35,6 +39,7 @@ from leafpower import (
     rs_to_leafroot,
     tree_path,
 )
+from leafpower import audit, models, trees
 
 from conftest import random_tree_rng
 
@@ -80,6 +85,41 @@ def audited_models() -> list:
 
 
 MODEL_IDS = [f"R{n}" for n in range(3, 9)] + ["fixture"]
+
+
+def round_trip_models() -> list:
+    """``leafroot_to_rs(rs_to_leafroot(.))`` of the built-in models for n = 3..6."""
+    return [
+        (r, leafroot_to_rs(rs_to_leafroot(build_exponential_rs_model(r))))
+        for r in map(build_rn, range(3, 7))
+    ]
+
+
+def subdivided(r, m: RSModel) -> RSModel:
+    """``m`` with every host edge subdivided, every radius doubled, and then each d_i's radius 1.
+
+    Doubled, every distance is even, so a ball of radius 1 at a tip meets a
+    ball of radius 2r exactly when the two met before; on the built-in hosts
+    two tips are too far apart to meet.  So the model is one of the same
+    graph, and each clique subtree of C_i is the tip of its hair and the node
+    next to it: finding s_i is a choice between two nodes.
+    """
+    mid = {e: f"{e[0]}~{e[1]}" for e in m.host.edges}
+    host = Tree.build(
+        [*m.host.nodes, *mid.values()], [p for (u, v), x in mid.items() for p in ((u, x), (x, v))]
+    )
+    radii = {v: 2 * rad for v, rad in m.radii.items()} | {r.d[i]: 1 for i in range(1, r.n + 1)}
+    return RSModel.build(host, m.graph, dict(m.centers), radii)
+
+
+def subdivided_models() -> list:
+    """:func:`subdivided` of the built-in models for n = 3..6."""
+    return [(r, subdivided(r, build_exponential_rs_model(r))) for r in map(build_rn, range(3, 7))]
+
+
+def table(model: RSModel, bp: BranchPoints) -> dict:
+    """The distance table the checks read, as ``lower_bound_certificate`` builds it."""
+    return pairwise_distances(model.host, (*bp.m, *model.centers.values()))
 
 
 def betweenness_order(host: Tree, ms: tuple) -> bool:
@@ -129,6 +169,30 @@ class TestBranchPoints:
         with pytest.raises(ValueError, match="the model's graph differs"):
             branch_points(r5, m4)
 
+    @pytest.mark.parametrize(
+        "r, m",
+        audited_models() + round_trip_models() + subdivided_models(),
+        ids=MODEL_IDS + [f"{kind}-R{n}" for kind in ("round-trip", "subdivided") for n in range(3, 7)],
+    )
+    def test_points_agree_with_connecting_paths_and_networkx_medians(self, r, m):
+        bp = branch_points(r, m)
+        exp = expand_rs(m)
+        subtree = {i: clique_subtree(exp, r.clique(i)) for i in range(1, r.n + 1)}
+        corridor = connecting_path(m.host, subtree[1], subtree[r.n])
+        assert (bp.m[0], bp.m[-1]) == (corridor[0], corridor[-1])
+        g = nx.Graph(list(m.host.edges))
+        first, last = bp.m[0], bp.m[-1]
+        for i in range(2, r.n):
+            s = bp.s[i]
+            assert s == connecting_path(m.host, subtree[1], subtree[i])[-1]
+            assert s == connecting_path(m.host, subtree[r.n], subtree[i])[-1]
+            on_all = (
+                set(nx.shortest_path(g, first, last))
+                & set(nx.shortest_path(g, first, s))
+                & set(nx.shortest_path(g, last, s))
+            )
+            assert on_all == {bp.m[i - 1]}
+
     def test_rejects_damaged_model_with_violation_message(self):
         r = build_rn(4)
         m = build_exponential_rs_model(r)
@@ -152,26 +216,27 @@ class TestChecks:
             r = build_rn(n)
             m = build_exponential_rs_model(r)
             bp = branch_points(r, m)
+            dist = table(m, bp)
             for i in range(2, n):
-                assert check_median_cover(r, m, bp, i)
-            assert check_order(r, m, bp)
-            assert check_increasing(r, m, bp)
+                assert check_median_cover(r, m, bp, i, dist)
+            assert check_order(r, m, bp, dist)
+            assert check_increasing(r, m, bp, dist)
 
     def test_median_cover_index_range(self):
         r = build_rn(4)
         m = build_exponential_rs_model(r)
         bp = branch_points(r, m)
         with pytest.raises(ValueError, match="must satisfy 1 < i < 4"):
-            check_median_cover(r, m, bp, 1)
+            check_median_cover(r, m, bp, 1, table(m, bp))
         with pytest.raises(ValueError, match="must satisfy 1 < i < 4"):
-            check_median_cover(r, m, bp, 4)
+            check_median_cover(r, m, bp, 4, table(m, bp))
 
     def test_median_cover_rejects_forged_point(self):
         r = build_rn(4)
         m = build_exponential_rs_model(r)
         bp = branch_points(r, m)
         forged = BranchPoints(m=(bp.m[0], "s0", bp.m[2], bp.m[3]), s=bp.s)
-        assert not check_median_cover(r, m, forged, 2)
+        assert not check_median_cover(r, m, forged, 2, table(m, forged))
 
     def test_order_rejects_swapped_points(self):
         r = build_rn(4)
@@ -180,7 +245,7 @@ class TestChecks:
         swapped = BranchPoints(
             m=(bp.m[0], bp.m[2], bp.m[1], bp.m[3]), s=bp.s
         )
-        assert not check_order(r, m, swapped)
+        assert not check_order(r, m, swapped, table(m, swapped))
 
     def test_order_rejects_duplicate_points(self):
         r = build_rn(4)
@@ -189,12 +254,13 @@ class TestChecks:
         doubled = BranchPoints(
             m=(bp.m[0], bp.m[1], bp.m[1], bp.m[3]), s=bp.s
         )
-        assert not check_order(r, m, doubled)
+        assert not check_order(r, m, doubled, table(m, doubled))
 
     def test_increasing_gaps_vacuous_for_n3(self):
         r = build_rn(3)
         m = build_exponential_rs_model(r)
-        assert check_increasing(r, m, branch_points(r, m))
+        bp = branch_points(r, m)
+        assert check_increasing(r, m, bp, table(m, bp))
 
     def test_increasing_gaps_rejects_equally_spaced_fakes(self):
         r = build_rn(5)
@@ -203,8 +269,9 @@ class TestChecks:
         fake = BranchPoints(
             m=(bp.m[0], "s2", "s6", "s10", bp.m[4]), s=bp.s
         )
-        assert check_order(r, m, fake)
-        assert not check_increasing(r, m, fake)
+        dist = table(m, fake)
+        assert check_order(r, m, fake, dist)
+        assert not check_increasing(r, m, fake, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +287,38 @@ class TestLowerBoundCertificate:
             assert rep.holds
             assert rep.failed == ()
             assert set(rep.checks) == ALL_CHECKS
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_one_corridor_two_searches_and_one_table(self, monkeypatch, n):
+        r = build_rn(n)
+        m = build_exponential_rs_model(r)
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                stopped = name == "distances_from" and (len(args) > 2 or "limit" in kwargs)
+                calls.append((module.__name__, name + (", stopped" if stopped else "")))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (audit, models, trees):
+            for name in ("pairwise_distances", "distances_from", "connecting_path"):
+                if hasattr(module, name):
+                    spy(module, name)
+        assert lower_bound_certificate(r, m).holds
+        # Besides the balls, each stopped at its radius: rs_model_violations'
+        # sweep over the centres, the corridor, one search from each of its
+        # ends, and the one table the checks read.
+        assert sorted(c for c in calls if not c[1].endswith(", stopped")) == [
+            ("leafpower.audit", "connecting_path"),
+            ("leafpower.audit", "distances_from"),
+            ("leafpower.audit", "distances_from"),
+            ("leafpower.audit", "pairwise_distances"),
+            ("leafpower.models", "pairwise_distances"),
+        ]
 
     def test_frozen_distances_and_bounds(self):
         expected = {
@@ -254,6 +353,17 @@ class TestLowerBoundCertificate:
         rep = lower_bound_certificate(r, m)
         root = rs_to_leafroot(m)
         assert root.k == rep.upper_bound
+
+    @pytest.mark.parametrize("r, m", subdivided_models(), ids=[f"R{n}" for n in range(3, 7)])
+    def test_subdivided_model_with_two_node_clique_subtrees_still_audits(self, r, m):
+        assert rs_model_violations(m) == []
+        exp = expand_rs(m)
+        assert all(len(clique_subtree(exp, r.clique(i))) == 2 for i in range(1, r.n + 1))
+        rep = lower_bound_certificate(r, m)
+        assert rep.holds
+        # Doubled, less the step m_n takes back from the tip of C_n's hair.
+        direct = lower_bound_certificate(r, build_exponential_rs_model(r))
+        assert rep.dist_m2_mn == 2 * direct.dist_m2_mn - 1
 
     def test_round_tripped_model_still_audits(self):
         for n in (3, 4):
@@ -308,7 +418,7 @@ class TestAgainstDefinitions:
             cov = set(cover(exp, bp.m[i - 1]))
             base = {r.a[j] for j in range(i, r.n + 1)} | {r.b[i]}
             expected = base < cov <= base | {r.c[i], r.b[i + 1]}
-            assert check_median_cover(r, m, bp, i) == expected
+            assert check_median_cover(r, m, bp, i, table(m, bp)) == expected
 
     @pytest.mark.parametrize("r, m", audited_models(), ids=MODEL_IDS)
     def test_order_agrees_with_betweenness(self, r, m):
@@ -329,7 +439,7 @@ class TestAgainstDefinitions:
         for ms in candidates:
             fake = BranchPoints(m=ms, s=bp.s)
             verdict = betweenness_order(m.host, ms)
-            assert check_order(r, m, fake) == verdict, ms
+            assert check_order(r, m, fake, table(m, fake)) == verdict, ms
             verdicts.add(verdict)
         assert verdicts == {True, False}
 
@@ -352,7 +462,8 @@ class TestAgainstDefinitions:
                 tuple(rng.choices(host.nodes, k=size)),
             ):
                 verdict = path_position_order(host, ms)
-                assert check_order(r, model, BranchPoints(m=ms, s={})) == verdict, ms
+                dist = pairwise_distances(host, ms)
+                assert check_order(r, model, BranchPoints(m=ms, s={}), dist) == verdict, ms
                 verdicts.append(verdict)
         assert 100 < sum(verdicts) < len(verdicts) - 100
 

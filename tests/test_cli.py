@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -206,6 +207,21 @@ class TestAuditCommand:
         code, out, err = run(capsys, "audit", "--model", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("not a model of R_n: ")
+
+    def test_audit_refuses_a_model_of_the_wrong_size_before_building_r_n(self, capsys, tmp_path):
+        # R_600's 2 400 vertex names on the R_3 model's host and edges, every
+        # ball the same node: building R_600 first took seconds and 188 MiB.
+        obj = rs_model_to_json_obj(build_exponential_rs_model(build_rn(3)))
+        names = [f"{group}{i}" for group in "abcd" for i in range(1, 601)]
+        node = obj["host"]["nodes"][0]
+        obj["graph"]["vertices"] = names
+        obj["centers"], obj["radii"] = dict.fromkeys(names, node), dict.fromkeys(names, 0)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(obj))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "audit", "--model", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (1, "", "not a model of R_n: the model's graph differs\n")
 
     def test_audit_for_n_below_three_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "audit", "--n", "2")

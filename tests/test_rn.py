@@ -22,6 +22,7 @@ from leafpower import (
     rs_model_violations,
     subtree_model_violations,
 )
+from leafpower.rn import rn_shape
 
 
 SWEEP = range(3, 9)
@@ -70,6 +71,12 @@ class TestBuildRn:
         r = build_rn(3)
         assert len(r.graph.edges) == pairwise_union_edge_count(R3_CLIQUES)
         assert len(r.graph.edges) == 33
+
+    def test_size_without_building(self):
+        # The audit refuses a model of the wrong size by these, before build_rn.
+        for n in range(3, 41):
+            r = build_rn(n)
+            assert rn_shape(n) == (frozenset(r.graph.vertices), len(r.graph.edges))
 
     def test_r4_prime_cliques(self):
         r = build_rn(4)

@@ -1,4 +1,4 @@
-"""Tests for the immutable tree type and its path/median/corridor helpers."""
+"""Tests for the immutable tree type and its path, distance and corridor helpers."""
 from __future__ import annotations
 
 import gc
@@ -18,7 +18,6 @@ from leafpower import (
     distance,
     distances_from,
     dumps,
-    median,
     pairwise_distances,
     tree_from_json_obj,
     tree_path,
@@ -280,40 +279,6 @@ class TestPaths:
 
 
 # ---------------------------------------------------------------------------
-# Medians
-# ---------------------------------------------------------------------------
-
-class TestMedian:
-    def test_median_on_path(self):
-        t = path_tree(["a", "b", "c", "d", "e"])
-        assert median(t, "a", "e", "c") == "c"
-        assert median(t, "a", "b", "e") == "b"
-        assert median(t, "a", "a", "e") == "a"
-
-    def test_median_of_star_leaves_is_center(self):
-        t = star_tree("c", ["x", "y", "z"])
-        assert median(t, "x", "y", "z") == "c"
-
-    @given(any_trees(max_nodes=9), st.data())
-    def test_median_is_permutation_invariant(self, t: Tree, data):
-        picks = [data.draw(st.sampled_from(t.nodes)) for _ in range(3)]
-        u, v, w = picks
-        m = median(t, u, v, w)
-        assert m == median(t, v, w, u) == median(t, w, u, v)
-        assert m == median(t, u, w, v)
-
-    @given(any_trees(max_nodes=9), st.data())
-    def test_median_lies_on_all_three_pairwise_paths(self, t: Tree, data):
-        u = data.draw(st.sampled_from(t.nodes))
-        v = data.draw(st.sampled_from(t.nodes))
-        w = data.draw(st.sampled_from(t.nodes))
-        m = median(t, u, v, w)
-        assert m in tree_path(t, u, v)
-        assert m in tree_path(t, v, w)
-        assert m in tree_path(t, u, w)
-
-
-# ---------------------------------------------------------------------------
 # Corridors between disjoint subtrees
 # ---------------------------------------------------------------------------
 
@@ -397,13 +362,6 @@ class TestClimbsAgainstNetworkx:
         u = data.draw(st.sampled_from(t.nodes))
         v = data.draw(st.sampled_from(t.nodes))
         assert tree_path(t, u, v) == tuple(nx.shortest_path(_nx_tree(t), u, v))
-
-    @given(any_trees(), st.data())
-    def test_median_is_the_node_on_all_three_networkx_paths(self, t: Tree, data):
-        u, v, w = (data.draw(st.sampled_from(t.nodes)) for _ in range(3))
-        g = _nx_tree(t)
-        on_all = set(nx.shortest_path(g, u, v)) & set(nx.shortest_path(g, v, w)) & set(nx.shortest_path(g, u, w))
-        assert on_all == {median(t, u, v, w)}
 
     @given(any_trees())
     def test_degrees_and_leaves_in_node_order(self, t: Tree):
@@ -557,7 +515,6 @@ def test_a_tree_caches_only_flat_untracked_containers(make):
     a, b, c = t.nodes[1], t.nodes[len(t.nodes) // 2], t.nodes[-1]
     assert a in t and t.degree(b) > 0 and t.neighbors(b) and t.leaves()
     assert distance(t, a, c) == len(tree_path(t, a, c)) - 1
-    assert median(t, a, b, c) in tree_path(t, a, c)
     assert distances_from(t, b)[c] == distance(t, b, c)
     assert ball(t, c, 2) == frozenset(distances_from(t, c, 2))
     assert pairwise_distances(t, [a, c], dict.fromkeys(t.edges, 1)) == pairwise_distances(t, [a, c])
