@@ -10,7 +10,10 @@ the strictly-growing gaps, and the resulting radius floor of 2^(n-2) for the
 last ball — a lower bound on k for ANY k-leaf root of R_n.  The model is
 checked by center distances and its balls are materialized once, for the
 corridor.  One search from each end of it places every s_i and m_i, and one
-pairwise sweep gives the distance table that every check and the report read.
+pairwise sweep gives the table ``dist`` that the report and every check read.
+``check_order(bp, dist)`` and ``check_increasing(bp, dist)`` read nothing else,
+with n = len(bp.m); ``check_median_cover(r, model, bp, i, dist)`` also reads
+R_n's labels and the balls.
 
 A model that verifies but fails a check is surfaced loudly, never swallowed.
 Such a failure does not by itself falsify the bound: a seven-node ball model
@@ -101,7 +104,7 @@ def check_median_cover(r: RnGraph, model: RSModel, bp: BranchPoints, i: int, dis
     return base < cov <= base | {r.c[i], r.b[i + 1]}
 
 
-def check_order(r: RnGraph, model: RSModel, bp: BranchPoints, dist: dict) -> bool:
+def check_order(bp: BranchPoints, dist: dict) -> bool:
     """m_1..m_n lie on the corridor from m_1 to m_n, at strictly increasing positions.
 
     This is the betweenness order — the m's pairwise distinct, and
@@ -117,14 +120,14 @@ def check_order(r: RnGraph, model: RSModel, bp: BranchPoints, dist: dict) -> boo
     return all(dist[first][x] < dist[first][y] for x, y in zip(ms, ms[1:]))
 
 
-def check_increasing(r: RnGraph, model: RSModel, bp: BranchPoints, dist: dict) -> bool:
+def check_increasing(bp: BranchPoints, dist: dict) -> bool:
     """Each gap beats the whole span so far: dist(m_i, m_{i+1}) > dist(m_2, m_i).
 
     The quantifier 2 < i < n is empty for n = 3, where the check is vacuously
     true and the certificate rests on the remaining checks.
     """
     ms = bp.m
-    return all(dist[ms[i - 1]][ms[i]] > dist[ms[1]][ms[i - 1]] for i in range(3, r.n))
+    return all(dist[ms[i - 1]][ms[i]] > dist[ms[1]][ms[i - 1]] for i in range(3, len(ms)))
 
 
 @dataclass(frozen=True)
@@ -170,8 +173,8 @@ def lower_bound_certificate(r: RnGraph, model: RSModel) -> AuditReport:
 
     checks = {
         "median_cover": all(check_median_cover(r, model, bp, i, dist) for i in range(2, n)),
-        "order": check_order(r, model, bp, dist),
-        "increasing_gaps": check_increasing(r, model, bp, dist),
+        "order": check_order(bp, dist),
+        "increasing_gaps": check_increasing(bp, dist),
         "last_a_contains_m2_mn": all(
             dist[center_last_a][x] <= radius_last_a for x in (ms[1], ms[n - 1])
         ),
@@ -217,21 +220,14 @@ def report_to_text(report: AuditReport) -> str:
     lines = [
         f"lower-bound audit for R_{report.n}",
         f"  branch points m: {', '.join(report.branch_m)}",
-        f"  branch points s: "
-        + (
-            ", ".join(f"s_{i}={x}" for i, x in sorted(report.branch_s.items()))
-            or "(none)"
-        ),
+        "  branch points s: " + ", ".join(f"s_{i}={x}" for i, x in sorted(report.branch_s.items())),
         f"  dist(m_2, m_{report.n}) = {report.dist_m2_mn}",
         f"  max radius = {report.max_radius}; radius of last a-vertex = {report.radius_last_a}",
         "  checks:",
     ]
     for name, ok in sorted(report.checks.items()):
         lines.append(f"    {name}: {'pass' if ok else 'FAIL'}")
-    lines.append(
-        f"  sandwich: {report.lower_bound} <= leaf rank of R_{report.n}"
-        f" <= {report.upper_bound}"
-    )
-    lines.append(f"  holds: {report.holds}")
+    sandwich = f"{report.lower_bound} <= leaf rank of R_{report.n} <= {report.upper_bound}"
+    lines += [f"  sandwich: {sandwich}", f"  holds: {report.holds}"]
     return "\n".join(lines) + "\n"
 

@@ -290,10 +290,13 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         text, code = args.func(args)
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
+        if args.out is not None:
             _write(args.out, text)
+        elif hasattr(sys.stdout, "buffer"):  # the bytes --out would hold, whatever the locale
+            sys.stdout.flush()
+            sys.stdout.buffer.write(text.encode("utf-8"))
+        else:
+            sys.stdout.write(text)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 1 if isinstance(exc, _Refused) else 2

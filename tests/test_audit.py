@@ -11,7 +11,6 @@ import pytest
 from leafpower import (
     AuditReport,
     BranchPoints,
-    Graph,
     RSModel,
     Tree,
     branch_points,
@@ -219,8 +218,8 @@ class TestChecks:
             dist = table(m, bp)
             for i in range(2, n):
                 assert check_median_cover(r, m, bp, i, dist)
-            assert check_order(r, m, bp, dist)
-            assert check_increasing(r, m, bp, dist)
+            assert check_order(bp, dist)
+            assert check_increasing(bp, dist)
 
     def test_median_cover_index_range(self):
         r = build_rn(4)
@@ -245,7 +244,7 @@ class TestChecks:
         swapped = BranchPoints(
             m=(bp.m[0], bp.m[2], bp.m[1], bp.m[3]), s=bp.s
         )
-        assert not check_order(r, m, swapped, table(m, swapped))
+        assert not check_order(swapped, table(m, swapped))
 
     def test_order_rejects_duplicate_points(self):
         r = build_rn(4)
@@ -254,13 +253,13 @@ class TestChecks:
         doubled = BranchPoints(
             m=(bp.m[0], bp.m[1], bp.m[1], bp.m[3]), s=bp.s
         )
-        assert not check_order(r, m, doubled, table(m, doubled))
+        assert not check_order(doubled, table(m, doubled))
 
     def test_increasing_gaps_vacuous_for_n3(self):
         r = build_rn(3)
         m = build_exponential_rs_model(r)
         bp = branch_points(r, m)
-        assert check_increasing(r, m, bp, table(m, bp))
+        assert check_increasing(bp, table(m, bp))
 
     def test_increasing_gaps_rejects_equally_spaced_fakes(self):
         r = build_rn(5)
@@ -270,8 +269,8 @@ class TestChecks:
             m=(bp.m[0], "s2", "s6", "s10", bp.m[4]), s=bp.s
         )
         dist = table(m, fake)
-        assert check_order(r, m, fake, dist)
-        assert not check_increasing(r, m, fake, dist)
+        assert check_order(fake, dist)
+        assert not check_increasing(fake, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +438,7 @@ class TestAgainstDefinitions:
         for ms in candidates:
             fake = BranchPoints(m=ms, s=bp.s)
             verdict = betweenness_order(m.host, ms)
-            assert check_order(r, m, fake, table(m, fake)) == verdict, ms
+            assert check_order(fake, table(m, fake)) == verdict, ms
             verdicts.add(verdict)
         assert verdicts == {True, False}
 
@@ -447,11 +446,9 @@ class TestAgainstDefinitions:
         # Sequences drawn from one path of the tree, in order or not, with
         # repeats, and from the whole tree, so some nodes lie off the path.
         rng = random.Random(1409)
-        r = build_rn(3)
         verdicts = []
         for _ in range(300):
             host = random_tree_rng(rng, 1, 12)
-            model = RSModel.build(host, Graph.build(["v"], []), {"v": host.nodes[0]}, {"v": 0})
             path = tree_path(host, rng.choice(host.nodes), rng.choice(host.nodes))
             size = rng.randint(1, 6)
             picked = rng.sample(path, min(size, len(path)))
@@ -463,7 +460,7 @@ class TestAgainstDefinitions:
             ):
                 verdict = path_position_order(host, ms)
                 dist = pairwise_distances(host, ms)
-                assert check_order(r, model, BranchPoints(m=ms, s={}), dist) == verdict, ms
+                assert check_order(BranchPoints(m=ms, s={}), dist) == verdict, ms
                 verdicts.append(verdict)
         assert 100 < sum(verdicts) < len(verdicts) - 100
 
@@ -517,3 +514,22 @@ class TestReportRendering:
         payload = json.loads(dumps(rs_model_to_json_obj(m)))
         assert set(payload) == {"host", "graph", "centers", "radii"}
         assert rs_model_from_json_obj(payload) == m
+
+
+# ---------------------------------------------------------------------------
+# What the order and growth checks read
+# ---------------------------------------------------------------------------
+
+def test_order_and_growth_read_only_the_points_and_their_table():
+    r = build_rn(5)
+    m = build_exponential_rs_model(r)
+    ms = branch_points(r, m).m
+    cases = [
+        (ms, True, True),
+        ((ms[0], "s2", "s6", "s10", ms[4]), True, False),
+        ((ms[0], ms[2], ms[1], ms[3], ms[4]), False, True),
+    ]
+    for forged, order, increasing in cases:
+        bp = BranchPoints(m=forged, s={})
+        dist = pairwise_distances(m.host, forged)
+        assert (check_order(bp, dist), check_increasing(bp, dist)) == (order, increasing), forged

@@ -87,11 +87,51 @@ def test_every_public_name_has_a_use():
     assert [name for name in KEPT if name in used or name not in leafpower.__all__] == []
 
 
-def python(tmp_path, *argv: str, **env: str) -> subprocess.CompletedProcess:
+def unread_parameters(source: str) -> list[str]:
+    """``"line name(parameter)"`` for each parameter of a def or lambda that its body never reads.
+
+    A read is a loaded name anywhere in the body, nested defs and lambdas included;
+    defaults, annotations and decorators are not the body.  A parameter whose name
+    starts with ``_`` is exempt.
+    """
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "lambda")
+        unread += [
+            f"{node.lineno} {name}({p.arg})"
+            for p in params
+            if p and not p.arg.startswith("_") and p.arg not in read
+        ]
+    return unread
+
+
+def test_every_parameter_is_read():
+    modules = sorted((SRC / "leafpower").rglob("*.py"))
+    found = {path.name: unread_parameters(path.read_text(encoding="utf-8")) for path in modules}
+    assert {name: unread for name, unread in found.items() if unread} == {}
+
+
+def test_the_parameter_guard_sees_defs_and_lambdas_and_spares_underscores():
+    source = "def f(a, _b, /, c, *d, e, **g):\n    return lambda x, y: a + y + (lambda: e)()\n"
+    assert unread_parameters(source) == ["1 f(c)", "1 f(d)", "1 f(g)", "2 lambda(x)"]
+
+
+def python(tmp_path, *argv: str, text: bool = True, **env: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *argv],
-        capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True, text=text, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 
@@ -132,16 +172,33 @@ def test_leafrank_runs_without_networkx(graph_files, argv, code, out):
 ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
 
-def test_files_are_utf8_in_an_ascii_locale(tmp_path):
+#: Runs ``leafpower.cli.main`` on its arguments.
+MAIN = "import sys; from leafpower.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def write_p3_with_accent(tmp_path) -> None:
     graph = {"vertices": ["é", "b", "c"], "edges": [["é", "b"], ["b", "c"]]}
     (tmp_path / "g.json").write_text(json.dumps(graph, ensure_ascii=False), encoding="utf-8")
-    cli = "import sys; from leafpower.cli import main; sys.exit(main(sys.argv[1:]))"
-    rank = python(tmp_path, "-c", cli, "leafrank", "--graph", "g.json", "--max-nodes", "8", **ASCII_LOCALE)
+
+
+def test_files_are_utf8_in_an_ascii_locale(tmp_path):
+    write_p3_with_accent(tmp_path)
+    rank = python(tmp_path, "-c", MAIN, "leafrank", "--graph", "g.json", "--max-nodes", "8", **ASCII_LOCALE)
     assert (rank.returncode, rank.stdout, rank.stderr) == (0, "3\n", "")
     argv = ["certify", "--graph", "g.json", "--max-internal", "2", "--format", "text", "--out", "o.txt"]
-    certified = python(tmp_path, "-c", cli, *argv, **ASCII_LOCALE)
+    certified = python(tmp_path, "-c", MAIN, *argv, **ASCII_LOCALE)
     assert (certified.returncode, certified.stderr) == (0, "")
     assert "place é at n1" in (tmp_path / "o.txt").read_text(encoding="utf-8").splitlines()
+
+
+def test_stdout_carries_the_utf8_bytes_of_out_in_an_ascii_locale(tmp_path):
+    write_p3_with_accent(tmp_path)
+    argv = ["-c", MAIN, "certify", "--graph", "g.json", "--max-internal", "1", "--format", "text"]
+    printed = python(tmp_path, *argv, text=False, **ASCII_LOCALE)
+    written = python(tmp_path, *argv, "--out", "o.txt", text=False, **ASCII_LOCALE)
+    assert (printed.returncode, printed.stderr, written.returncode, written.stdout) == (0, b"", 0, b"")
+    assert printed.stdout == (tmp_path / "o.txt").read_bytes()
+    assert "place é at n1" in printed.stdout.decode("utf-8").splitlines()
 
 
 def test_certify_runs_without_networkx(graph_files):
