@@ -15,7 +15,7 @@ import gc
 import json
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, NamedTuple, TextIO, TypeVar
 
 from .audit import lower_bound_certificate, report_to_json_obj, report_to_text
 from .census import leaf_rank_census
@@ -78,6 +78,16 @@ def _write(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot write output: {exc}") from None
+
+
+def _emit(stream: TextIO, text: str) -> None:
+    """Write ``text`` as the UTF-8 bytes an ``--out`` file would hold, whatever the locale."""
+    if hasattr(stream, "buffer"):  # not a StringIO under contextlib's redirects
+        stream.flush()
+        stream.buffer.write(text.encode("utf-8"))
+        stream.buffer.flush()
+    else:
+        stream.write(text)
 
 
 def _json_or_dot(
@@ -292,13 +302,10 @@ def main(argv: list[str] | None = None) -> int:
         text, code = args.func(args)
         if args.out is not None:
             _write(args.out, text)
-        elif hasattr(sys.stdout, "buffer"):  # the bytes --out would hold, whatever the locale
-            sys.stdout.flush()
-            sys.stdout.buffer.write(text.encode("utf-8"))
         else:
-            sys.stdout.write(text)
+            _emit(sys.stdout, text)
     except ValueError as exc:
-        print(exc, file=sys.stderr)
+        _emit(sys.stderr, f"{exc}\n")
         return 1 if isinstance(exc, _Refused) else 2
     finally:
         if enabled:

@@ -7,15 +7,14 @@ successor step of Beyer and Hedetniemi ("Constant time generation of rooted
 trees", SIAM J. Comput. 9, 1980) and keeps one rooting per free tree.  The
 sequences, and the trees' node numbering, are those of networkx's
 ``nonisomorphic_trees``.  Trees are filtered by leaf count or topology shape
-on integer degree counts, so only the trees yielded are built as
-:class:`~leafpower.trees.Tree`.  A tree's leaf orbits under automorphisms
+on integer degree counts, so the iterators build only the trees they yield
+as :class:`~leafpower.trees.Tree`.  A tree's leaf orbits under automorphisms
 come from rooted canonical forms, memoized per directed edge.  A leaf-root
-search reads a parent array's leaves, leaf distances and orbit representatives
-as integer tables (``_host_tables``) straight off its level sequence, which is
-rooted at a centre and holds each subtree as a canonical slice, so it builds no
-tree, runs no breadth-first search and computes no canonical form.  Those
-hosts and tables depend only on the leaf count and the order, so ``_hosts``
-builds them once per process, for the searches of a census over many graphs
+search reads a host's leaves, leaf distances and orbit representatives as
+integer tables (``_host_tables``) taken from its tree by
+:func:`~leafpower.trees.pairwise_distances` and :func:`leaf_orbits`.  They
+depend only on the leaf count and the order, so ``_hosts`` builds them once
+per process, for the searches of a census or of repeated rounds over graphs
 with the same number of vertices; nothing that depends on a graph is kept.
 """
 
@@ -24,7 +23,7 @@ from __future__ import annotations
 import functools
 from typing import Iterator, Sequence
 
-from .trees import Tree
+from .trees import Tree, pairwise_distances
 
 #: A host's ``_host_tables`` frozen: its leaves, leaf-by-leaf distances and first-vertex choices.
 HostTables = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]
@@ -169,12 +168,13 @@ def _parents_of_order(num_leaves: int, order: int) -> Iterator[list[int]]:
 def _hosts(num_leaves: int, order: int) -> tuple[tuple[tuple[int, ...], HostTables], ...]:
     """Each parent array of :func:`_parents_of_order`, in order, with its :func:`_host_tables`.
 
-    Everything is a tuple, so no caller can change what the next one reads.
-    The hosts and their tables depend on nothing but the key, so they are
-    built once per process, on first use, and every later search over the same
-    leaf count and order reads them.  The package never clears the memo: it
-    holds every (leaf count, order) a search has asked for, so it grows with
-    the largest ``--max-nodes`` of the process.
+    Everything is a tuple, so no caller can change what the next one reads;
+    each host's tree is dropped once its tables are read.  The hosts and their
+    tables depend on nothing but the key, so they are built once per process,
+    on first use, and every later search over the same leaf count and order
+    reads them.  The package never clears the memo: it holds every (leaf
+    count, order) a search has asked for, so it grows with the largest
+    ``--max-nodes`` of the process.
     """
     hosts = []
     for parent in _parents_of_order(num_leaves, order):
@@ -209,60 +209,16 @@ def _host_tables(parent: list[int]) -> tuple[list[int], list[list[int]], list[in
     These are the leaf indices, ascending; the leaf-by-leaf distance table,
     indexed by position in that list; and the positions of the first-vertex
     choices, the lowest-indexed leaf of each automorphism orbit, ascending.
-    Node ``i`` is ``n{i}`` of :func:`_tree`.  Both tables are read off the
-    array, which lists a level sequence in preorder with ``parent[i] < i``.
-
-    Distances: every node j < i lies outside the subtree of i, so its path to i
-    passes through ``parent[i]``, and over j < i row i is the parent's row plus
-    one.  Each row is also written into the earlier nodes' columns, so the
-    parent's row is complete up to i when row i is read from it.
-
-    Orbits: the root is a centre of the tree (Wright, Richmond, Odlyzko and
-    McKay), and the subtree of node i is the slice ``depth[i:i + size[i]]``, a
-    canonical level sequence (Beyer and Hedetniemi), so two subtrees at equal
-    depth are isomorphic exactly when their slices are equal.  When every
-    automorphism fixes the root, two nodes share an orbit exactly when their
-    parents do and their subtrees are isomorphic, so a node is keyed by its
-    parent's key and its slice.  Otherwise the tree is bicentral and some
-    automorphism swaps the root with the other centre, its tallest child,
-    node 1.  That happens exactly when node 1's subtree, one level up, equals
-    the rest of the sequence, ``[0] + depth[end:]``.  Then the two centres
-    share the root's key, and the nodes under node 1 are keyed on their
-    distance from node 1, ``depth - 1``, as the others are on theirs from the
-    root.
+    Node ``i`` is ``n{i}`` of :func:`_tree`, and all three are read from that
+    tree: one :func:`~leafpower.trees.pairwise_distances` call and one
+    :func:`leaf_orbits` call.
     """
-    n = len(parent)
-    depth = [0] * n
-    dist = [[0] * n for _ in parent]
-    for i in range(1, n):
-        p = parent[i]
-        depth[i] = depth[p] + 1
-        row = dist[i]
-        for j, d in enumerate(dist[p][:i]):
-            row[j] = dist[j][i] = d + 1
-    if n <= 2:
-        # The root is a centre, so it is a leaf only here, where all leaves are one orbit.
-        return list(range(n)), dist, [0]
-    size = [1] * n
-    for i in range(n - 1, 0, -1):
-        size[parent[i]] += size[i]
-    leaves = [i for i in range(1, n) if size[i] == 1]
-    start = 1
-    end = 1 + size[1]
-    lifted = [d - 1 for d in depth[1:end]]
-    if lifted == [0, *depth[end:]]:
-        depth[1:end] = lifted
-        start = 2
-    key = [0] * n
-    ids: dict[tuple[int, ...], int] = {}
-    for i in range(start, n):
-        if size[i] > 1:
-            key[i] = ids.setdefault((key[parent[i]], *depth[i:i + size[i]]), len(ids) + 1)
-    # A leaf's slice is its depth, which its parent's key fixes, so its key is its parent's.
-    first: dict[int, int] = {}
-    for position, leaf in enumerate(leaves):
-        first.setdefault(key[parent[leaf]], position)
-    return leaves, [[dist[a][b] for b in leaves] for a in leaves], list(first.values())
+    tree = _tree(parent)
+    names = tree.leaves()
+    pair = pairwise_distances(tree, names)
+    position = {name: i for i, name in enumerate(names)}
+    firsts = sorted(min(map(position.__getitem__, orbit)) for orbit in leaf_orbits(tree))
+    return [int(v[1:]) for v in names], [[pair[a][b] for b in names] for a in names], firsts
 
 
 def leaf_orbits(tree: Tree) -> list[tuple[str, ...]]:

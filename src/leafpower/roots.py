@@ -248,12 +248,12 @@ def brute_force_leaf_rank(
     intersection graph of subtrees of a tree is chordal (Gavril 1974).
 
     Each host is searched on the integer tables of its parent array
-    (``enumtrees._host_tables``; see ``_best_k_on_host``), and only the host
-    behind the answer is built as a ``Tree``.  That root is re-checked with
-    ``verify_leaf_root``; a failure raises RuntimeError.  The hosts and their
-    tables depend only on |V| and the order, so they come from the per-process
-    memo ``enumtrees._hosts``; the graph's tables and the search are made anew
-    on every call.
+    (``enumtrees._host_tables``; see ``_best_k_on_host``).  They depend only on
+    |V| and the order, so they come from the per-process memo
+    ``enumtrees._hosts``, which reads them from each host's ``Tree`` once; the
+    graph's tables and the search are made anew on every call.  The root found
+    is built on its host again and re-checked with ``verify_leaf_root``; a
+    failure raises RuntimeError.
     """
     num = len(graph.vertices)
     if num < 1:

@@ -366,3 +366,21 @@ class TestHostTables:
             if not any(oracle_automorphism_exists(tree, earlier, leaf) for earlier in names[:i])
         ]
         assert got == expected == firsts
+
+
+def test_host_tables_call_leaf_orbits_once_and_pairwise_distances_once(monkeypatch):
+    calls = []
+
+    def spy(name, real):
+        def recording(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(enumtrees, name, recording)
+
+    spy("leaf_orbits", enumtrees.leaf_orbits)
+    spy("pairwise_distances", enumtrees.pairwise_distances)
+    # The fork n2-n1-n0-{n3, n4}, whose two leaves n3 and n4 share an orbit.
+    leaves, dist, firsts = enumtrees._host_tables([-1, 0, 1, 0, 0])
+    assert sorted(calls) == ["leaf_orbits", "pairwise_distances"]
+    assert (leaves, dist, firsts) == ([2, 3, 4], [[0, 3, 3], [3, 0, 2], [3, 2, 0]], [0, 1])

@@ -201,6 +201,20 @@ def test_stdout_carries_the_utf8_bytes_of_out_in_an_ascii_locale(tmp_path):
     assert "place é at n1" in printed.stdout.decode("utf-8").splitlines()
 
 
+def test_stderr_carries_utf8_bytes_in_an_ascii_locale(tmp_path):
+    graph = {"vertices": ["é", "é", "b"], "edges": []}
+    (tmp_path / "twice.json").write_text(json.dumps(graph, ensure_ascii=False), encoding="utf-8")
+    refused = python(tmp_path, "-c", MAIN, "rs-model", "--n", "300", text=False, **ASCII_LOCALE)
+    argv = ["leafrank", "--graph", "twice.json", "--max-nodes", "8"]
+    twice = python(tmp_path, "-c", MAIN, *argv, text=False, **ASCII_LOCALE)
+    assert (refused.returncode, refused.stdout, refused.stderr) == (
+        2, b"", "exponential model supported for 3 ≤ n ≤ 16\n".encode("utf-8"),
+    )
+    assert (twice.returncode, twice.stdout, twice.stderr) == (
+        2, b"", "cannot load graph: duplicate vertex 'é'\n".encode("utf-8"),
+    )
+
+
 def test_certify_runs_without_networkx(graph_files):
     argv = ["certify", "--graph", "p3.json", "--max-internal", "2", "--format", "text"]
     run = python(graph_files, "-c", WITHOUT_NETWORKX, *argv)
