@@ -39,7 +39,6 @@ from .certify import (
 )
 from .enumtrees import (
     leaf_orbit_representatives,
-    leaf_orbits,
     nonisomorphic_trees,
     topology_trees,
     trees_with_leaf_count,
@@ -100,6 +99,7 @@ from .trees import (
     connecting_path,
     distance,
     distances_from,
+    leaf_orbits,
     pairwise_distances,
     tree_from_json_obj,
     tree_path,

@@ -4,8 +4,8 @@ Every command writes deterministic output (sorted keys, canonical edge order)
 to stdout or --out, so identical invocations produce byte-identical files.
 Exit codes: 0 success; 1 verification or certification failure (audit does not
 hold, no leaf root found, imported model does not verify); 2 usage errors,
-including unreadable or unparsable input files and an --out file that cannot
-be written.
+including unreadable or unparsable input files and output that cannot be
+written: an unwritable --out file, or text with no UTF-8 form (a lone surrogate).
 """
 
 from __future__ import annotations
@@ -73,21 +73,21 @@ def _read(path: str, parse: Callable[[object], T], what: str) -> T:
         raise ValueError(f"cannot load {what}: {exc}") from None
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, data: bytes) -> None:
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        Path(path).write_bytes(data)
     except OSError as exc:
         raise ValueError(f"cannot write output: {exc}") from None
 
 
-def _emit(stream: TextIO, text: str) -> None:
-    """Write ``text`` as the UTF-8 bytes an ``--out`` file would hold, whatever the locale."""
+def _emit(stream: TextIO, data: bytes) -> None:
+    """Write UTF-8 ``data`` as the bytes an ``--out`` file would hold, whatever the locale."""
     if hasattr(stream, "buffer"):  # not a StringIO under contextlib's redirects
         stream.flush()
-        stream.buffer.write(text.encode("utf-8"))
+        stream.buffer.write(data)
         stream.buffer.flush()
     else:
-        stream.write(text)
+        stream.write(data.decode("utf-8"))
 
 
 def _json_or_dot(
@@ -300,12 +300,16 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         text, code = args.func(args)
+        try:  # before --out is opened, so that text with no UTF-8 form truncates no file
+            data = text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"cannot write output: {exc}") from None
         if args.out is not None:
-            _write(args.out, text)
+            _write(args.out, data)
         else:
-            _emit(sys.stdout, text)
+            _emit(sys.stdout, data)
     except ValueError as exc:
-        _emit(sys.stderr, f"{exc}\n")
+        _emit(sys.stderr, f"{exc}\n".encode("utf-8"))
         return 1 if isinstance(exc, _Refused) else 2
     finally:
         if enabled:

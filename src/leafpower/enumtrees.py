@@ -8,14 +8,14 @@ trees", SIAM J. Comput. 9, 1980) and keeps one rooting per free tree.  The
 sequences, and the trees' node numbering, are those of networkx's
 ``nonisomorphic_trees``.  Trees are filtered by leaf count or topology shape
 on integer degree counts, so the iterators build only the trees they yield
-as :class:`~leafpower.trees.Tree`.  A tree's leaf orbits under automorphisms
-come from rooted canonical forms, memoized per directed edge.  A leaf-root
-search reads a host's leaves, leaf distances and orbit representatives as
-integer tables (``_host_tables``) taken from its tree by
-:func:`~leafpower.trees.pairwise_distances` and :func:`leaf_orbits`.  They
-depend only on the leaf count and the order, so ``_hosts`` builds them once
-per process, for the searches of a census or of repeated rounds over graphs
-with the same number of vertices; nothing that depends on a graph is kept.
+as :class:`~leafpower.trees.Tree`.  Leaf orbits are those of
+:func:`~leafpower.trees.leaf_orbits`, imported here.  A leaf-root search reads
+a host's leaf distances and first-vertex choices, a leaf named by its position
+in the tree's ``leaves()``, as integer tables (``_host_tables``) taken from
+:func:`~leafpower.trees.pairwise_distances` and ``leaf_orbits``.  They depend
+only on the leaf count and the order, so ``_hosts`` builds them once per
+process, for the searches of a census or of repeated rounds over graphs with
+the same number of vertices; nothing that depends on a graph is kept.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from __future__ import annotations
 import functools
 from typing import Iterator, Sequence
 
-from .trees import Tree, pairwise_distances
+from .trees import Tree, leaf_orbits, pairwise_distances
 
-#: A host's ``_host_tables`` frozen: its leaves, leaf-by-leaf distances and first-vertex choices.
-HostTables = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]
+#: A host's ``_host_tables``: its leaf-by-leaf distances and first-vertex choices.
+HostTables = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
 def _free_trees(order: int) -> Iterator[list[int]]:
@@ -168,19 +168,16 @@ def _parents_of_order(num_leaves: int, order: int) -> Iterator[list[int]]:
 def _hosts(num_leaves: int, order: int) -> tuple[tuple[tuple[int, ...], HostTables], ...]:
     """Each parent array of :func:`_parents_of_order`, in order, with its :func:`_host_tables`.
 
-    Everything is a tuple, so no caller can change what the next one reads;
-    each host's tree is dropped once its tables are read.  The hosts and their
-    tables depend on nothing but the key, so they are built once per process,
-    on first use, and every later search over the same leaf count and order
-    reads them.  The package never clears the memo: it holds every (leaf
-    count, order) a search has asked for, so it grows with the largest
-    ``--max-nodes`` of the process.
+    Everything is a tuple, as :func:`_host_tables` returns it, so no caller
+    can change what the next one reads; each host's tree is dropped once its
+    tables are read.  The hosts and their tables depend on nothing but the
+    key, so they are built once per process, on first use, and every later
+    search over the same leaf count and order reads them.  The package never
+    clears the memo: it holds every (leaf count, order) a search has asked
+    for, so it grows with the largest ``--max-nodes`` of the process.
     """
-    hosts = []
-    for parent in _parents_of_order(num_leaves, order):
-        leaves, dist, firsts = _host_tables(parent)
-        hosts.append((tuple(parent), (tuple(leaves), tuple(map(tuple, dist)), tuple(firsts))))
-    return tuple(hosts)
+    parents = _parents_of_order(num_leaves, order)
+    return tuple((tuple(parent), _host_tables(parent)) for parent in parents)
 
 
 def topology_trees(num_leaves: int, max_internal: int) -> Iterator[Tree]:
@@ -203,46 +200,21 @@ def topology_trees(num_leaves: int, max_internal: int) -> Iterator[Tree]:
             yield _tree(parent)
 
 
-def _host_tables(parent: list[int]) -> tuple[list[int], list[list[int]], list[int]]:
+def _host_tables(parent: list[int]) -> HostTables:
     """The integer tables a leaf-root search reads from a parent array of :func:`_free_trees`.
 
-    These are the leaf indices, ascending; the leaf-by-leaf distance table,
-    indexed by position in that list; and the positions of the first-vertex
-    choices, the lowest-indexed leaf of each automorphism orbit, ascending.
-    Node ``i`` is ``n{i}`` of :func:`_tree`, and all three are read from that
-    tree: one :func:`~leafpower.trees.pairwise_distances` call and one
-    :func:`leaf_orbits` call.
+    A leaf is named by its position in ``leaves()`` of the parent array's
+    :func:`_tree`.  These are the leaf-by-leaf distance table and the
+    first-vertex choices, the lowest-positioned leaf of each automorphism
+    orbit, ascending: one :func:`~leafpower.trees.pairwise_distances` call and
+    one :func:`~leafpower.trees.leaf_orbits` call.
     """
     tree = _tree(parent)
     names = tree.leaves()
     pair = pairwise_distances(tree, names)
     position = {name: i for i, name in enumerate(names)}
     firsts = sorted(min(map(position.__getitem__, orbit)) for orbit in leaf_orbits(tree))
-    return [int(v[1:]) for v in names], [[pair[a][b] for b in names] for a in names], firsts
-
-
-def leaf_orbits(tree: Tree) -> list[tuple[str, ...]]:
-    """Leaves grouped into automorphism orbits, each orbit sorted, orbits sorted.
-
-    Two leaves share an orbit exactly when the tree rooted at each has the same
-    canonical form, the sorted tuple of its children's forms.  Forms are
-    memoized per directed edge, so rooting the tree at every leaf computes each
-    edge's form once.
-    """
-    memo: dict[tuple[str, str | None], tuple] = {}
-
-    def form(v: str, parent: str | None) -> tuple:
-        key = (v, parent)
-        found = memo.get(key)
-        if found is None:
-            found = memo[key] = tuple(sorted([form(w, v) for w in tree.neighbors(v) if w != parent]))
-        return found
-
-    groups: dict[tuple, list[str]] = {}
-    for leaf in tree.leaves():
-        groups.setdefault(form(leaf, None), []).append(leaf)
-    del form  # it refers to itself: a reference cycle that only the collector would free
-    return sorted(tuple(sorted(orbit)) for orbit in groups.values())
+    return tuple(tuple(map(pair[a].__getitem__, names)) for a in names), tuple(firsts)
 
 
 def leaf_orbit_representatives(tree: Tree) -> list[str]:

@@ -252,8 +252,8 @@ def brute_force_leaf_rank(
     |V| and the order, so they come from the per-process memo
     ``enumtrees._hosts``, which reads them from each host's ``Tree`` once; the
     graph's tables and the search are made anew on every call.  The root found
-    is built on its host again and re-checked with ``verify_leaf_root``; a
-    failure raises RuntimeError.
+    is built on its host again from the leaf positions the search gave, and
+    re-checked with ``verify_leaf_root``; a failure raises RuntimeError.
     """
     num = len(graph.vertices)
     if num < 1:
@@ -275,16 +275,17 @@ def brute_force_leaf_rank(
     for parent, tables in hosts:
         found = _best_k_on_host(adjacent, after, tables, limit)
         if found is not None:
-            k, leaves = found
-            best = k, parent, leaves
+            k, slot = found
+            best = k, parent, slot
             limit = k - 1
             if k == 1:
                 break
     if best is None:
         return None
-    k, parent, leaves = best
+    k, parent, slot = best
     host = _tree(parent)
-    witness = LeafRoot.build(host, k, {v: host.nodes[i] for v, i in zip(vertices, leaves)})
+    leaves = host.leaves()
+    witness = LeafRoot.build(host, k, {v: leaves[i] for v, i in zip(vertices, slot)})
     if not verify_leaf_root(graph, witness):
         raise RuntimeError("construction invalid: the root does not represent the graph")
     return k
@@ -317,9 +318,9 @@ def _best_k_on_host(
 
     ``adjacent[i][j]`` says whether vertices i and j are adjacent, and
     ``after`` is ``_twin_predecessors(adjacent)``.  ``tables`` are the host's
-    leaf indices, leaf-by-leaf distances and first-vertex choices
-    (``enumtrees._hosts``).  The search names a leaf by its position in
-    the first, with a ``used`` flag each; the placement comes back as leaf indices.  Vertex i
+    leaf-by-leaf distances and first-vertex choices (``enumtrees._hosts``),
+    which name a leaf by its position in the host's ``leaves()``; so does the
+    placement that comes back, and the search keeps a ``used`` flag per leaf.  Vertex i
     is placed on leaf ``slot[i]``, depth first in vertex order: the first vertex
     on one leaf per automorphism orbit, and vertex i on a leaf after that of
     ``after[i]`` when that is not -1.  A partial placement keeps ``adj``, the
@@ -338,8 +339,8 @@ def _best_k_on_host(
     puts the class on increasing leaves.  Applied in that order, the two steps
     turn any k-leaf root on this host into one that the search visits.
     """
-    leaves, dist, firsts = tables
-    num = len(leaves)
+    dist, firsts = tables
+    num = len(dist)
     used = [False] * num
     slot = [0] * num
     best: tuple[int, list[int]] | None = None
@@ -349,7 +350,7 @@ def _best_k_on_host(
         # Called only with adj <= cap and adj < sep.
         nonlocal best, cap
         if idx == num:
-            best, cap = (adj, [leaves[i] for i in slot]), adj - 1
+            best, cap = (adj, slot.copy()), adj - 1
             return
         row = adjacent[idx]
         twin = after[idx]

@@ -1,4 +1,4 @@
-"""Immutable free trees with the path and distance toolkit.
+"""Immutable free trees with the path and distance toolkit and their leaf orbits.
 
 Tree nodes are strings, as with graphs.  Distances count edges unless exact lengths are given.
 
@@ -10,6 +10,7 @@ rest (each node's parent towards ``nodes[0]``, a parents-first order, the
 degrees, and on demand the depths and the children).  There is no container
 per node, so a tree of 87 000 nodes is a handful of objects for the cyclic
 garbage collector, and every helper converts names only on the way in and out.
+Only this module reads that layout; the leaf orbits, too, are found on positions.
 """
 
 from __future__ import annotations
@@ -122,14 +123,6 @@ class Tree:
 
     def __contains__(self, v: object) -> bool:
         return v in self._index
-
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        """The neighbours of ``v`` in ascending order."""
-        x, names, children = self._index[v], self.nodes, self._children
-        out = [names[y] for y in children[children[x] : children[x + 1]]]
-        if (p := self._parent[x]) >= 0:
-            out.append(names[p])
-        return tuple(sorted(out))
 
     def degree(self, v: str) -> int:
         return self._degree[self._index[v]]
@@ -264,6 +257,34 @@ def pairwise_distances(
                 row[names[b]] = rows[b][name] = da + depth[b]
         above += group
     return dist
+
+
+def leaf_orbits(tree: Tree) -> list[tuple[str, ...]]:
+    """Leaves grouped into automorphism orbits, each orbit sorted, orbits sorted.
+
+    Two leaves share an orbit exactly when the tree rooted at each has the same
+    canonical form, the sorted tuple of its children's forms.  Each edge's two
+    forms are made once, on positions: children first, ``down[x]`` is x's
+    subtree; parents first, ``up[x]`` is the rest of the tree seen from x, made
+    of the ``down`` of x's siblings and the ``up`` of its parent.  The tree
+    rooted at leaf x is ``down[0]`` if x is ``nodes[0]``, else ``(up[x],)``.
+    """
+    parent, children = tree._parent, tree._children
+    down: list[tuple] = [()] * len(tree.nodes)
+    for x in reversed(tree._order):
+        down[x] = tuple(sorted([down[y] for y in children[children[x] : children[x + 1]]]))
+    up: list[tuple] = [()] * len(down)
+    for x in islice(tree._order, 1, None):
+        p = parent[x]
+        rest = [down[y] for y in children[children[p] : children[p + 1]] if y != x]
+        if parent[p] >= 0:
+            rest.append(up[p])
+        up[x] = tuple(sorted(rest))
+    groups: dict[tuple, list[str]] = {}
+    for x, (name, d) in enumerate(zip(tree.nodes, tree._degree)):
+        if d <= 1:
+            groups.setdefault((up[x],) if x else down[0], []).append(name)
+    return sorted(tuple(sorted(orbit)) for orbit in groups.values())
 
 
 def ball(tree: Tree, center: str, radius: int) -> frozenset[str]:

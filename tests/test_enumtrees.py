@@ -5,7 +5,7 @@ import itertools
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from leafpower import (
     Tree,
@@ -18,7 +18,7 @@ from leafpower import (
 )
 from leafpower import enumtrees, pairwise_distances
 
-from conftest import path_tree, random_trees, star_tree
+from conftest import path_tree, random_trees, scrambled_trees, star_tree
 
 
 @pytest.fixture
@@ -62,12 +62,15 @@ def rooted_canonical_form(t: Tree, root: str) -> tuple:
     """A nested-tuple canonical form of ``t`` rooted at ``root``, unmemoized.
 
     Two rootings yield equal forms exactly when some automorphism of the tree
-    maps one root to the other.  The package memoizes its forms per directed
-    edge; this copy, recomputed for every rooting, is the tests' oracle.
+    maps one root to the other.  The package makes each directed edge's form
+    once, on node positions; this copy, recomputed for every rooting and
+    reading the neighbours from networkx, is the tests' oracle.
     """
+    g = nx.Graph(t.edges)
+    g.add_nodes_from(t.nodes)
 
     def canon(v: str, parent: str | None) -> tuple:
-        return tuple(sorted(canon(w, v) for w in t.neighbors(v) if w != parent))
+        return tuple(sorted(canon(w, v) for w in g.adj[v] if w != parent))
 
     return canon(root, None)
 
@@ -293,10 +296,16 @@ class TestLeafOrbits:
         assert leaf_orbits(t) == [("x",), ("y", "z")]
         assert leaf_orbit_representatives(t) == ["x", "y"]
 
-    def test_same_orbits_as_one_canonical_form_per_leaf(self):
-        for order in range(1, 12):
-            for t in nonisomorphic_trees(order):
-                assert leaf_orbits(t) == per_leaf_orbits(t), t.edges
+    @given(scrambled_trees())
+    @example(None)  # stands for every free tree of orders 1 to 11
+    def test_same_orbits_as_one_canonical_form_per_leaf(self, scrambled: Tree | None):
+        # A scrambled tree's parent lists are rooted at a random node, often a leaf.
+        if scrambled is None:
+            trees = [t for order in range(1, 12) for t in nonisomorphic_trees(order)]
+        else:
+            trees = [scrambled]
+        for t in trees:
+            assert leaf_orbits(t) == per_leaf_orbits(t), (t.nodes, t.edges)
 
     def test_orbits_partition_the_leaves(self):
         for t in nonisomorphic_trees(7):
@@ -331,15 +340,14 @@ class TestHostTables:
     def test_tables_match_the_tree_built_from_the_parent_array(self, order):
         for parent in enumtrees._free_trees(order):
             tree = enumtrees._tree(parent)
-            leaves, dist, firsts = enumtrees._host_tables(parent)
-            names = [f"n{i}" for i in leaves]
-            assert names == list(tree.leaves())
+            dist, firsts = enumtrees._host_tables(parent)
+            names = tree.leaves()
             pair = pairwise_distances(tree, names)
-            assert dist == [[pair[a][b] for b in names] for a in names]
-            # The lowest-indexed leaf of each orbit.  leaf_orbit_representatives
+            assert dist == tuple(tuple(pair[a][b] for b in names) for a in names)
+            # The lowest-positioned leaf of each orbit.  leaf_orbit_representatives
             # takes the smallest name, the same leaf until "n10" sorts before "n2".
-            lowest = sorted(min(int(x[1:]) for x in orbit) for orbit in leaf_orbits(tree))
-            assert [leaves[i] for i in firsts] == lowest
+            lowest = sorted(min(map(names.index, orbit)) for orbit in leaf_orbits(tree))
+            assert firsts == tuple(lowest)
             if order <= 10:
                 assert [names[i] for i in firsts] == leaf_orbit_representatives(tree)
 
@@ -358,14 +366,14 @@ class TestHostTables:
         assert parent in enumtrees._free_trees(len(parent))
         tree = enumtrees._tree(parent)
         assert oracle_automorphism_exists(tree, "n0", "n1") == centres_swap
-        leaves, _, got = enumtrees._host_tables(parent)
-        names = [f"n{i}" for i in leaves]
+        _, got = enumtrees._host_tables(parent)
+        names = tree.leaves()
         # A leaf is its orbit's first unless an automorphism maps an earlier leaf onto it.
         expected = [
             i for i, leaf in enumerate(names)
             if not any(oracle_automorphism_exists(tree, earlier, leaf) for earlier in names[:i])
         ]
-        assert got == expected == firsts
+        assert list(got) == expected == firsts
 
 
 def test_host_tables_call_leaf_orbits_once_and_pairwise_distances_once(monkeypatch):
@@ -381,6 +389,6 @@ def test_host_tables_call_leaf_orbits_once_and_pairwise_distances_once(monkeypat
     spy("leaf_orbits", enumtrees.leaf_orbits)
     spy("pairwise_distances", enumtrees.pairwise_distances)
     # The fork n2-n1-n0-{n3, n4}, whose two leaves n3 and n4 share an orbit.
-    leaves, dist, firsts = enumtrees._host_tables([-1, 0, 1, 0, 0])
+    dist, firsts = enumtrees._host_tables([-1, 0, 1, 0, 0])
     assert sorted(calls) == ["leaf_orbits", "pairwise_distances"]
-    assert (leaves, dist, firsts) == ([2, 3, 4], [[0, 3, 3], [3, 0, 2], [3, 2, 0]], [0, 1])
+    assert (dist, firsts) == (((0, 3, 3), (3, 0, 2), (3, 2, 0)), (0, 1))

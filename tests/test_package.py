@@ -127,6 +127,27 @@ def test_the_parameter_guard_sees_defs_and_lambdas_and_spares_underscores():
     assert unread_parameters(source) == ["1 f(c)", "1 f(d)", "1 f(g)", "2 lambda(x)"]
 
 
+#: The private fields of a ``Tree``, its internal layout.
+TREE_FIELDS = {"_index", "_degree", "_parent", "_order", "_depth", "_children"}
+
+
+def private_tree_reads(source: str) -> list[str]:
+    """``"line field"`` for each read of a :data:`TREE_FIELDS` attribute in ``source``."""
+    return [
+        f"{node.lineno} {node.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and node.attr in TREE_FIELDS
+    ]
+
+
+def test_only_trees_reads_the_private_fields_of_a_tree():
+    modules = [path for path in (SRC / "leafpower").rglob("*.py") if path.name != "trees.py"]
+    found = {path.name: private_tree_reads(path.read_text(encoding="utf-8")) for path in modules}
+    assert {name: reads for name, reads in found.items() if reads} == {}
+
+
 def python(tmp_path, *argv: str, text: bool = True, **env: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -213,6 +234,23 @@ def test_stderr_carries_utf8_bytes_in_an_ascii_locale(tmp_path):
     assert (twice.returncode, twice.stdout, twice.stderr) == (
         2, b"", "cannot load graph: duplicate vertex 'é'\n".encode("utf-8"),
     )
+
+
+@pytest.mark.parametrize("out", [None, "keep.txt"], ids=["stdout", "out"])
+def test_output_that_is_not_utf8_is_refused_before_anything_is_written(tmp_path, capsys, out):
+    # JSON reads "\\ud800" as a lone surrogate, which has no UTF-8 encoding.
+    graph = {"vertices": ["\ud800", "b", "c"], "edges": [["\ud800", "b"], ["b", "c"]]}
+    (tmp_path / "g.json").write_text(json.dumps(graph), encoding="utf-8")
+    (tmp_path / "keep.txt").write_text("keep", encoding="utf-8")
+    argv = ["certify", "--graph", str(tmp_path / "g.json"), "--max-internal", "1"]
+    code = cli.main([*argv, "--format", "text", *(["--out", str(tmp_path / out)] if out else [])])
+    assert (code, *capsys.readouterr()) == (
+        2,
+        "",
+        "cannot write output: 'utf-8' codec can't encode character '\\ud800' in position 145:"
+        " surrogates not allowed\n",
+    )
+    assert (tmp_path / "keep.txt").read_bytes() == b"keep"
 
 
 def test_certify_runs_without_networkx(graph_files):

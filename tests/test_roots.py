@@ -551,9 +551,10 @@ class TestBruteForceLeafRank:
 
     def test_a_wrong_placement_is_caught_by_the_recheck(self, monkeypatch):
         # A kernel that claims k = 1 on every host is refused before returning.
-        monkeypatch.setattr(
-            roots, "_best_k_on_host", lambda adjacent, after, tables, limit: (1, tables[0])
-        )
+        def claim_one(adjacent, after, tables, limit):
+            return 1, list(range(len(adjacent)))  # vertex i on the i-th leaf
+
+        monkeypatch.setattr(roots, "_best_k_on_host", claim_one)
         with pytest.raises(RuntimeError, match="construction invalid"):
             brute_force_leaf_rank(path_graph(["a", "b", "c"]), 8)
 
