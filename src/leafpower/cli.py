@@ -15,7 +15,7 @@ import gc
 import json
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple, TextIO, TypeVar
+from typing import Callable, TextIO, TypeVar
 
 from .audit import lower_bound_certificate, report_to_json_obj, report_to_text
 from .census import leaf_rank_census
@@ -29,7 +29,6 @@ from .certify import (
 from .graphs import graph_from_json_obj, graph_to_dot, graph_to_json_obj
 from .jsonio import dumps
 from .models import (
-    RSModel,
     rs_model_from_json_obj,
     rs_model_to_dot,
     rs_model_to_json_obj,
@@ -98,44 +97,22 @@ def _json_or_dot(
     return to_dot(obj, **dot), 0
 
 
-class _Builder(NamedTuple):
-    """One command that prints an object built from ``--n``."""
-
-    help: str
-    build: Callable[[int], object]
-    to_json_obj: Callable[[object], object]
-    to_dot: Callable[..., str]
-    dot_prefix: str
+def _cmd_build_rn(args: argparse.Namespace) -> Result:
+    graph = build_rn(args.n).graph
+    return _json_or_dot(args, graph, graph_to_json_obj, graph_to_dot, name=f"R{args.n}")
 
 
-def _exponential_model(n: int) -> RSModel:
-    """R_n's exponential ball model; a too-large n is refused before R_n is built."""
-    _check_exponential_n(n)
-    return build_exponential_rs_model(build_rn(n))
+def _cmd_rdp_model(args: argparse.Namespace) -> Result:
+    model = build_rdp_model(build_rn(args.n))
+    return _json_or_dot(
+        args, model, subtree_model_to_json_obj, subtree_model_to_dot, name=f"RDP{args.n}"
+    )
 
 
-_BUILDERS = {
-    "build-rn": _Builder(
-        "construct the graph R_n",
-        lambda n: build_rn(n).graph, graph_to_json_obj, graph_to_dot, "R",
-    ),
-    "rdp-model": _Builder(
-        "caterpillar model of R_n (root-directed paths)",
-        lambda n: build_rdp_model(build_rn(n)),
-        subtree_model_to_json_obj, subtree_model_to_dot, "RDP",
-    ),
-    "rs-model": _Builder(
-        "exponential-radius ball model of R_n",
-        _exponential_model,
-        rs_model_to_json_obj, rs_model_to_dot, "RS",
-    ),
-}
-
-
-def _cmd_build(args: argparse.Namespace) -> Result:
-    row = args.builder
-    obj = row.build(args.n)
-    return _json_or_dot(args, obj, row.to_json_obj, row.to_dot, name=f"{row.dot_prefix}{args.n}")
+def _cmd_rs_model(args: argparse.Namespace) -> Result:
+    _check_exponential_n(args.n)  # before R_n is built
+    model = build_exponential_rs_model(build_rn(args.n))
+    return _json_or_dot(args, model, rs_model_to_json_obj, rs_model_to_dot, name=f"RS{args.n}")
 
 
 def _cmd_audit(args: argparse.Namespace) -> Result:
@@ -243,11 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="output file (default stdout)")
 
-    for name, row in _BUILDERS.items():
-        p = sub.add_parser(name, help=row.help)
+    for name, func, summary in (
+        ("build-rn", _cmd_build_rn, "construct the graph R_n"),
+        ("rdp-model", _cmd_rdp_model, "caterpillar model of R_n (root-directed paths)"),
+        ("rs-model", _cmd_rs_model, "exponential-radius ball model of R_n"),
+    ):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--n", type=int, required=True)
         add_common(p, ("json", "dot"))
-        p.set_defaults(func=_cmd_build, builder=row)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("audit", help="run the lower-bound checks on a ball model of R_n")
     p.add_argument("--n", type=int, default=None)

@@ -15,8 +15,7 @@ witness used by the lower-bound auditor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .graphs import Graph, maximal_cliques, normalize_edge
@@ -38,7 +37,7 @@ RDP_ROOT = "x1"
 
 @dataclass(frozen=True)
 class RnGraph:
-    """R_n together with the index maps for its four vertex groups."""
+    """R_n with the index maps for its four vertex groups; :func:`build_rn` makes it."""
 
     n: int
     graph: Graph
@@ -46,11 +45,8 @@ class RnGraph:
     b: dict[int, str]
     c: dict[int, str]
     d: dict[int, str]
-
-    @cached_property
-    def _cliques(self) -> tuple[frozenset[str], ...]:
-        """The member sets of C_1..C_n, then of C'_1..C'_{n-1}."""
-        return _defining_cliques(self.n, self.a, self.b, self.c, self.d)
+    #: The member sets of C_1..C_n, then of C'_1..C'_{n-1}, that the graph is built from.
+    _cliques: tuple[frozenset[str], ...] = field(repr=False, compare=False)
 
     def clique(self, i: int) -> frozenset[str]:
         """The four-vertex clique C_i = {a_i, b_i, c_i, d_i}."""
@@ -85,25 +81,25 @@ def rn_shape(n: int) -> tuple[frozenset[str], int]:
 
 
 def build_rn(n: int) -> RnGraph:
-    """Construct R_n and check its clique structure before handing it out."""
+    """Construct R_n from its defining cliques, made once.
+
+    The graph is checked before it is handed out: its maximal cliques must be exactly those.
+    """
     if n < 3:
         raise ValueError("family defined for n ≥ 3")
     a, b, c, d = ({i: f"{group}{i}" for i in range(1, n + 1)} for group in "abcd")
     vertices = [names[i] for names in (a, b, c, d) for i in range(1, n + 1)]
 
+    cliques = _defining_cliques(n, a, b, c, d)
     edges = {
-        normalize_edge(u, v)
-        for members in _defining_cliques(n, a, b, c, d)
-        for u, v in combinations(sorted(members), 2)
+        normalize_edge(u, v) for members in cliques for u, v in combinations(sorted(members), 2)
     }
     graph = Graph.build(vertices, sorted(edges))
-    r = RnGraph(n=n, graph=graph, a=a, b=b, c=c, d=d)
-
-    if set(maximal_cliques(graph)) != r.expected_clique_sets():
+    if set(maximal_cliques(graph)) != set(cliques):
         raise RuntimeError(
             "construction invalid: maximal cliques do not match the defining family"
         )
-    return r
+    return RnGraph(n=n, graph=graph, a=a, b=b, c=c, d=d, _cliques=cliques)
 
 
 def build_rdp_model(r: RnGraph) -> SubtreeModel:

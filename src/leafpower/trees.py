@@ -263,27 +263,45 @@ def leaf_orbits(tree: Tree) -> list[tuple[str, ...]]:
     """Leaves grouped into automorphism orbits, each orbit sorted, orbits sorted.
 
     Two leaves share an orbit exactly when the tree rooted at each has the same
-    canonical form, the sorted tuple of its children's forms.  Each edge's two
-    forms are made once, on positions: children first, ``down[x]`` is x's
-    subtree; parents first, ``up[x]`` is the rest of the tree seen from x, made
-    of the ``down`` of x's siblings and the ``up`` of its parent.  The tree
-    rooted at leaf x is ``down[0]`` if x is ``nodes[0]``, else ``(up[x],)``.
+    canonical form.  A form is a flat int id: one dict gives each sorted tuple
+    of child ids the next free int (Aho, Hopcroft and Ullman 1974), so forms
+    are never nested and compare in O(1); a leaf's id is that of ``()``, 0.
+    Each edge's two forms are made once, on positions: children first,
+    ``down[x]`` is x's subtree; parents first, ``up[x]`` is the rest of the tree
+    seen from x.  Each node's neighbour ids are sorted once, and ``up`` of a
+    child x is that list without ``down[x]``, made once for all children with
+    the same ``down``.  The tree rooted at leaf x is ``down[0]`` if x is
+    ``nodes[0]``, else the id of ``(up[x],)``.
     """
-    parent, children = tree._parent, tree._children
-    down: list[tuple] = [()] * len(tree.nodes)
-    for x in reversed(tree._order):
-        down[x] = tuple(sorted([down[y] for y in children[children[x] : children[x + 1]]]))
-    up: list[tuple] = [()] * len(down)
-    for x in islice(tree._order, 1, None):
-        p = parent[x]
-        rest = [down[y] for y in children[children[p] : children[p + 1]] if y != x]
+    parent, children, order = tree._parent, tree._children, tree._order
+    ids: dict[tuple[int, ...], int] = {(): 0}
+    down = [0] * len(tree.nodes)
+    for x in reversed(order):
+        lo, hi = children[x], children[x + 1]
+        if lo != hi:
+            down[x] = ids.setdefault(tuple(sorted([down[y] for y in children[lo:hi]])), len(ids))
+    up = [0] * len(down)
+    for p in order:
+        lo, hi = children[p], children[p + 1]
+        if lo == hi:
+            continue
+        kids = children[lo:hi]
+        near = [down[y] for y in kids]
         if parent[p] >= 0:
-            rest.append(up[p])
-        up[x] = tuple(sorted(rest))
-    groups: dict[tuple, list[str]] = {}
+            near.append(up[p])
+        near.sort()
+        made: dict[int, int] = {}
+        for x in kids:
+            d = down[x]
+            u = made.get(d)
+            if u is None:
+                i = near.index(d)
+                u = made[d] = ids.setdefault(tuple(near[:i] + near[i + 1 :]), len(ids))
+            up[x] = u
+    groups: dict[int, list[str]] = {}
     for x, (name, d) in enumerate(zip(tree.nodes, tree._degree)):
         if d <= 1:
-            groups.setdefault((up[x],) if x else down[0], []).append(name)
+            groups.setdefault(ids.setdefault((up[x],), len(ids)) if x else down[0], []).append(name)
     return sorted(tuple(sorted(orbit)) for orbit in groups.values())
 
 

@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import random
+import re
 import time
 
 import pytest
@@ -529,6 +530,38 @@ class TestParserBasics:
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_help_lists_every_command_in_order(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        listed = re.findall(r"^    (\S+) +(\S.*)$", capsys.readouterr().out, re.MULTILINE)
+        assert listed == [
+            ("build-rn", "construct the graph R_n"),
+            ("rdp-model", "caterpillar model of R_n (root-directed paths)"),
+            ("rs-model", "exponential-radius ball model of R_n"),
+            ("audit", "run the lower-bound checks on a ball model of R_n"),
+            ("leafrank", "brute-force leaf rank of a tiny graph"),
+            ("census", "brute-force leaf ranks of all small chordal graphs"),
+            ("certify", "search for an exact weighted leaf root"),
+            ("convert", "convert between leaf roots and ball models"),
+            ("report", "bounds table for a range of n"),
+        ]
+
+    @pytest.mark.parametrize("command", ["build-rn", "rdp-model", "rs-model"])
+    def test_r_n_commands_take_n_format_and_out(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"usage: leafpower {command} [-h] --n N [--format {{json,dot}}] [--out OUT]"
+        assert "  --n N" in lines
+        assert "  --format {json,dot}" in lines
+        assert [line.split() for line in lines if line.startswith("  --out")] == [
+            ["--out", "OUT", "output", "file", "(default", "stdout)"]
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,9 @@ class TestLeafOrbits:
     def test_path_ends_form_one_orbit(self):
         t = path_tree(["a", "b", "c", "d"])
         assert leaf_orbits(t) == [("a", "d")]
+        # Deeper than the recursion limit: forms nested as deep as the tree overflowed it.
+        deep = path_tree([f"p{i}" for i in range(5000)])
+        assert leaf_orbits(deep) == [("p0", "p4999")]
 
     def test_spider_with_one_long_leg_splits_orbits(self):
         t = Tree.build(
@@ -295,6 +298,17 @@ class TestLeafOrbits:
         )
         assert leaf_orbits(t) == [("x",), ("y", "z")]
         assert leaf_orbit_representatives(t) == ["x", "y"]
+        # Legs of 1 500, 1 500 and 700 nodes from the centre c, tips x1500, y1500 and z700.
+        legs = {"x": 1500, "y": 1500, "z": 700}
+        nodes = ["c", *(f"{leg}{i}" for leg, length in legs.items() for i in range(1, length + 1))]
+        edges = [
+            (f"{leg}{i - 1}" if i > 1 else "c", f"{leg}{i}")
+            for leg, length in legs.items()
+            for i in range(1, length + 1)
+        ]
+        deep = Tree.build(nodes, edges)
+        assert leaf_orbits(deep) == [("x1500", "y1500"), ("z700",)]
+        assert leaf_orbit_representatives(deep) == ["x1500", "z700"]
 
     @given(scrambled_trees())
     @example(None)  # stands for every free tree of orders 1 to 11

@@ -1,6 +1,7 @@
 """Tests for the R_n graph family and its two tree models."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -22,6 +23,7 @@ from leafpower import (
     rs_model_violations,
     subtree_model_violations,
 )
+from leafpower import rn
 from leafpower.rn import rn_shape
 
 
@@ -132,6 +134,28 @@ class TestBuildRn:
             r.prime_clique(3)
         with pytest.raises(ValueError, match="out of range"):
             r.clique(0)
+
+    def test_defining_cliques_are_made_once(self, monkeypatch):
+        calls = []
+        make = rn._defining_cliques
+
+        def counting(*args):
+            calls.append(args[0])
+            return make(*args)
+
+        monkeypatch.setattr(rn, "_defining_cliques", counting)
+        r = build_rn(5)
+        cliques = [r.clique(i) for i in range(1, 6)] + [r.prime_clique(i) for i in range(1, 5)]
+        assert set(cliques) == r.expected_clique_sets()
+        assert calls == [5]
+
+    def test_the_stored_cliques_are_left_out_of_equality_and_repr(self):
+        r = build_rn(3)
+        assert r == build_rn(3) == dataclasses.replace(r, _cliques=())
+        assert r != build_rn(4)
+        assert repr(r) == (
+            f"RnGraph(n=3, graph={r.graph!r}, a={r.a!r}, b={r.b!r}, c={r.c!r}, d={r.d!r})"
+        )
 
 
 # ---------------------------------------------------------------------------
